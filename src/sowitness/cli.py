@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def tolerance_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tolerance", type=float, default=1e-3,
-                       help="bisection width for the zero of the witness, in K")
+                       help="largest distance of T_E from the zero of the witness, in K")
 
     ions = commands.add_parser("ions", help="list the active catalog")
     ions.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -6,9 +6,20 @@ entangled across the spin-orbit bipartition.  The entanglement temperature
 is the unique zero of W: <H>_T is a nondecreasing function of T for any
 fixed positive weights, so at most one sign change exists.
 
-Weights are always evaluated relative to the ground level,
-w_j = g_j exp(-(E_j - E_min)/T), which keeps every exponent non-positive
-and the sums overflow-free at arbitrarily small temperatures.
+Every thermal quantity needs only the levels (g_j, E_j) of the shell.  Each
+call builds them once, from a single ``multiplets()`` call, into a level
+table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
+convention), the energies E_j and the excitations E_j - E_min.  One kernel
+then evaluates, over a whole array of temperatures, the shifted weights
+w_j = g_j exp(-(E_j - E_min)/T), the partition sum Z = sum_j w_j, the mean
+energy <H> and the fluctuation <H^2> - <H>^2.  Every exponent is
+non-positive, so the sums cannot overflow at any temperature, and a
+temperature costs O(levels).  ``mean_energy``, ``witness``,
+``witness_curve`` and ``entanglement_temperature`` all go through the
+kernel; ``weight`` is the per-level reference it is tested against.
+
+The fluctuation gives the exact slope dW/dT = (<H^2> - <H>^2)/T^2 under
+either convention, which the root finder for T_E uses for Newton steps.
 """
 
 from __future__ import annotations
@@ -16,6 +27,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .angular import Convention, Multiplet, SpinOrbitSystem, ground_multiplet, multiplets
 
@@ -34,6 +47,13 @@ __all__ = [
 
 #: Bracket doubling for the witness zero stops here; see entanglement_temperature.
 BRACKET_CAP_K = 1.0e9
+
+# The doubling bracket 1, 2, 4, ... K up to the cap, evaluated in one kernel call.
+_BRACKET_GRID = np.exp2(np.arange(math.floor(math.log2(BRACKET_CAP_K)) + 1))
+
+# The kernel works on at most this many (temperature, level) weights at a
+# time, so its temporary arrays stay bounded for any grid length.
+_KERNEL_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,17 @@ class WitnessStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class EntanglementTemperature:
+    """The zero of the witness, or why there is none.
+
+    For a crossing, ``iterations`` counts the Newton or bisection steps taken
+    inside the starting bracket and ``residual`` is W at the returned
+    temperature; otherwise they keep their defaults.
+    """
+
     temperature: float | None
     status: WitnessStatus
+    iterations: int = 0
+    residual: float | None = None
 
 
 def _effective_degeneracy(system: SpinOrbitSystem, level: Multiplet) -> float:
@@ -91,18 +120,54 @@ def weight(system: SpinOrbitSystem, level: Multiplet, temperature: float) -> flo
     )
 
 
-def _sums(system: SpinOrbitSystem, temperature: float) -> tuple[float, float]:
-    """(shifted partition sum, mean energy) at a positive temperature."""
-    levels = multiplets(system)
-    weights = [weight(system, level, temperature) for level in levels]
-    partition = math.fsum(weights)
-    energy = math.fsum(w * level.energy for w, level in zip(weights, levels))
-    return partition, energy / partition
+class _LevelTable:
+    """The levels of one system as arrays, from a single ``multiplets()`` call."""
+
+    def __init__(self, system: SpinOrbitSystem) -> None:
+        self.levels = multiplets(system)
+        self.prefactors = np.array([_effective_degeneracy(system, m) for m in self.levels])
+        self.energies = np.array([m.energy for m in self.levels])
+        self.ground_energy = float(self.energies.min())
+        self.excitations = self.energies - self.ground_energy
+        # <H> is summed over the energies themselves; the fluctuation over
+        # the excitations x, which are non-negative with a zero at the
+        # ground level, so <x^2> - <x>^2 does not cancel catastrophically.
+        self.powers = np.stack(
+            (self.energies, self.excitations, self.excitations * self.excitations), axis=1
+        )
+
+    def averages(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Z, <H> and <H^2> - <H>^2 at each of a 1-D array of positive temperatures."""
+        partition = np.empty(len(temperatures))
+        mean = np.empty(len(temperatures))
+        fluctuation = np.empty(len(temperatures))
+        rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
+        for start in range(0, len(temperatures), rows):
+            chunk = slice(start, start + rows)
+            weights = self.prefactors * np.exp(
+                -self.excitations / temperatures[chunk, np.newaxis]
+            )
+            z = weights.sum(axis=1)
+            sums = (weights @ self.powers) / z[:, np.newaxis]
+            partition[chunk] = z
+            mean[chunk] = sums[:, 0]
+            fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
+        return partition, mean, fluctuation
+
+
+def _witness_and_slope(
+    table: _LevelTable, bound: float, temperatures: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """W(T) and the fluctuation identity dW/dT = (<H^2> - <H>^2)/T^2."""
+    _, mean, fluctuation = table.averages(temperatures)
+    return mean + bound, fluctuation / (temperatures * temperatures)
 
 
 def mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
     """Thermal mean energy <H>_T under the system's weighting convention."""
-    return _sums(system, temperature)[1]
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    return float(_LevelTable(system).averages(np.array([temperature], dtype=float))[1][0])
 
 
 def mean_energy_at_zero(system: SpinOrbitSystem) -> float:
@@ -121,44 +186,117 @@ def witness(system: SpinOrbitSystem, temperature: float) -> float:
     return energy + system.separable_bound
 
 
+def _witness_sign_at_infinity(system: SpinOrbitSystem, levels: tuple[Multiplet, ...]) -> int:
+    """The sign of lim W(T) for T -> infinity, in exact integer arithmetic.
+
+    The limit is the prefactor-weighted mean energy plus |zeta| s l.  With
+    the doubled quantum numbers of ``level_energy``, 8 E_j = zeta quad_j for
+    the integer quad_j = 2j(2j+2) - 2s(2s+2) - 2l(2l+2), so the limit has the
+    sign of sum_j g_j (sign(zeta) quad_j + 2 (2s)(2l)).
+    """
+    ts, tl = system.s.twice, system.l.twice
+    sign = 1 if system.zeta > 0.0 else -1
+    total = 0
+    for level in levels:
+        tj = level.j.twice
+        quad = tj * (tj + 2) - ts * (ts + 2) - tl * (tl + 2)
+        total += int(_effective_degeneracy(system, level)) * (sign * quad + 2 * ts * tl)
+    return (total > 0) - (total < 0)
+
+
 def entanglement_temperature(
     system: SpinOrbitSystem, tolerance: float = 1e-3
 ) -> EntanglementTemperature:
-    """Locate the zero of W(T) by bracket doubling plus bisection.
+    """Locate the zero of W(T) by a safeguarded Newton search.
 
-    The bracket starts at 1 K and doubles until the witness turns
-    non-negative; bisection then narrows it below ``tolerance`` (kelvin).
-    The interval is actually halved to tolerance/2 so the returned midpoint
-    sits within tolerance/4 of the true zero, which keeps the residual
-    |W(T_E)| far below |zeta| even for the shallowest catalog crossings.
+    The level table is built once.  W(0) >= 0 means NO_CROSSING, and systems
+    with s l zeta = 0 report WITNESS_DEGENERATE (the witness is identically
+    >= 0 and carries no information).  If the T -> infinity limit of W,
+    whose sign is computed exactly, is not positive, W never reaches zero
+    and a RuntimeError is raised at once.
 
-    Systems with s l zeta = 0 report WITNESS_DEGENERATE (the witness is
-    identically >= 0 and carries no information); systems whose witness is
-    already non-negative at T = 0 report NO_CROSSING.
+    Otherwise W is evaluated at 1, 2, 4, ... K up to ``BRACKET_CAP_K`` in one
+    kernel call, and the first non-negative value closes the bracket (a
+    RuntimeError if none does).  Inside it, Newton steps use the exact slope
+    dW/dT = (<H^2> - <H>^2)/T^2; a step that would leave the bracket, or that
+    is not at most half the step before the last, is replaced by bisection
+    (``rtsafe``, Numerical Recipes section 9.4).  Every evaluated point
+    narrows the bracket.
+
+    The returned temperature lies within ``tolerance`` (kelvin) of the zero,
+    clamped to float spacing: the search stops when the bracket is no wider
+    than ``tolerance``, when its ends are adjacent floats, or when a Newton
+    step no longer moves the iterate.  A Newton step shorter than
+    tolerance/2 is certified by one probe tolerance/2 beyond its target; the
+    target is returned when W changes sign between the iterate and the probe.
+    No iteration cap is needed: the bracket shrinks at every step, so the
+    search ends for any positive tolerance, sub-ulp ones included.
     """
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     if system.witness_trivial:
         return EntanglementTemperature(None, WitnessStatus.WITNESS_DEGENERATE)
-    if witness(system, 0.0) >= 0.0:
+    table = _LevelTable(system)
+    bound = system.separable_bound
+    if table.ground_energy + bound >= 0.0:
         return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
-    low, high = 0.0, 1.0
-    while witness(system, high) < 0.0:
-        low = high
-        high *= 2.0
-        if high > BRACKET_CAP_K:
-            raise RuntimeError(
-                f"witness is still negative at {low:.3g} K; no zero below "
-                f"{BRACKET_CAP_K:.0e} K (the witness approaches zero only "
-                "asymptotically for this system)"
-            )
-    while high - low > 0.5 * tolerance:
-        mid = 0.5 * (low + high)
-        if witness(system, mid) < 0.0:
-            low = mid
+    limit = _witness_sign_at_infinity(system, table.levels)
+    if limit <= 0:
+        raise RuntimeError(
+            f"witness stays negative at every temperature (its T -> infinity limit "
+            f"is {'zero' if limit == 0 else 'negative'}); no zero below "
+            f"{BRACKET_CAP_K:.0e} K"
+        )
+    values, slopes = _witness_and_slope(table, bound, _BRACKET_GRID)
+    crossed = np.flatnonzero(values >= 0.0)
+    if not crossed.size:
+        raise RuntimeError(
+            f"witness is still negative at {_BRACKET_GRID[-1]:.3g} K; no zero below "
+            f"{BRACKET_CAP_K:.0e} K (the witness approaches zero only "
+            "asymptotically for this system)"
+        )
+    k = int(crossed[0])
+    low = float(_BRACKET_GRID[k - 1]) if k else 0.0
+    high = float(_BRACKET_GRID[k])
+    x, w, slope = high, float(values[k]), float(slopes[k])
+
+    def evaluate(t: float) -> tuple[float, float]:
+        value, derivative = _witness_and_slope(table, bound, np.array([t]))
+        return float(value[0]), float(derivative[0])
+
+    iterations = 0
+    step = before_last = high - low
+    while True:
+        if w < 0.0:
+            low = x
         else:
-            high = mid
-    return EntanglementTemperature(0.5 * (low + high), WitnessStatus.CROSSED)
+            high = x
+        if w == 0.0 or high - low <= tolerance or math.nextafter(low, high) == high:
+            return EntanglementTemperature(x, WitnessStatus.CROSSED, iterations, w)
+        newton = x - w / slope if slope > 0.0 else math.nan
+        if newton == x:
+            return EntanglementTemperature(x, WitnessStatus.CROSSED, iterations, w)
+        iterations += 1
+        if not (low < newton < high and abs(newton - x) <= 0.5 * before_last):
+            before_last, step = step, 0.5 * (high - low)
+            x = 0.5 * (low + high)
+            w, slope = evaluate(x)
+            continue
+        before_last, step = step, abs(newton - x)
+        if step <= 0.5 * tolerance:
+            probe = newton + math.copysign(0.5 * tolerance, newton - x)
+            if low < probe < high:
+                w_probe, slope_probe = evaluate(probe)
+                if (w_probe < 0.0) == (w < 0.0):
+                    # the zero lies beyond the probe after all
+                    x, w, slope = probe, w_probe, slope_probe
+                    continue
+            # the zero lies between x and the probe (or the bracket end
+            # before it), each within tolerance/2 of the Newton target
+            w_target, _ = evaluate(newton)
+            return EntanglementTemperature(newton, WitnessStatus.CROSSED, iterations, w_target)
+        x = newton
+        w, slope = evaluate(x)
 
 
 def witness_curve(
@@ -172,9 +310,11 @@ def witness_curve(
     if steps < 2:
         raise ValueError(f"a curve needs at least 2 steps, got {steps}")
     bound = system.separable_bound
-    points = []
-    for i in range(steps):
-        t = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
-        partition, energy = _sums(system, t)
-        points.append(ThermalPoint(t, partition, energy, energy + bound))
-    return WitnessCurve(system, tuple(points))
+    i = np.arange(steps)
+    temperatures = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
+    partition, mean, _ = _LevelTable(system).averages(temperatures)
+    points = tuple(
+        ThermalPoint(t, z, energy, energy + bound)
+        for t, z, energy in zip(temperatures.tolist(), partition.tolist(), mean.tolist())
+    )
+    return WitnessCurve(system, points)

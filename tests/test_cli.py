@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,10 +16,10 @@ LIGHT = ["Ce", "Pr", "Nd", "Pm", "Sm", "Eu"]
 HEAVY = ["Tb", "Dy", "Ho", "Er", "Tm", "Yb"]
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, cwd=None, env=None, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "sowitness", *args],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout,
     )
 
 
@@ -177,6 +178,18 @@ class TestTe:
         args = ("te", "--ion", "all")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize("args, expected", [
+        (("te", "--ion", "Ce", "--tolerance", "1e-20"), "Ce,level,1758.05,crossed"),
+        (("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te",
+          "--tolerance", "1e-300"), "custom,multiplet,0.910239,crossed"),
+    ])
+    def test_sub_ulp_tolerance_returns(self, args, expected):
+        # A tolerance below the float spacing at T_E once hung the search;
+        # the timeout raises if it ever does again.
+        result = run_cli(*args, timeout=20)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1] == expected
+
 
 class TestCustom:
     def test_singlet_triplet_te(self):
@@ -217,11 +230,21 @@ class TestCustom:
 
     def test_asymptotic_witness_exits_1(self):
         # Unit level weights for s = l = 1/2 push the crossing to infinity;
-        # the bracket search must give up at its cap and report failure.
+        # the exact sign of W(infinity) rejects it as a failure.
         result = run_cli("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1",
                          "te", "--convention", "level")
         assert result.returncode == 1
         assert "no zero below" in result.stderr
+
+    @pytest.mark.parametrize("convention", ["level", "multiplet"])
+    def test_401_level_te_is_fast(self, convention):
+        start = time.perf_counter()
+        result = run_cli("custom", "--two-s", "400", "--two-l", "500", "--zeta", "100",
+                         "te", "--convention", convention, timeout=20)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1].endswith(",crossed")
+        assert elapsed < 2.0
 
 
 class TestFigure1:

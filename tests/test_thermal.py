@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sowitness import thermal
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, ground_multiplet, multiplets
 from sowitness.dense import build_hamiltonian, eigen_spectrum, thermal_mean_energy
 from sowitness.ions import CATALOG, ion_record
@@ -290,9 +293,12 @@ class TestEntanglementTemperature:
     def test_singlet_triplet_level_uniform_never_crosses_below_cap(self):
         # With unit level weights the s = l = 1/2 witness tends to zero from
         # below without ever crossing, so bracketing must hit the cap.
+        # The exact sign of W(infinity) rejects it before any bracketing.
         sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(1), 1.0, LEVEL)
+        start = time.perf_counter()
         with pytest.raises(RuntimeError, match="no zero below"):
             entanglement_temperature(sys_)
+        assert time.perf_counter() - start < 0.05
         assert BRACKET_CAP_K == 1e9
 
     def test_tolerance_validated(self):
@@ -314,6 +320,36 @@ class TestEntanglementTemperature:
                 assert abs(witness(sys_, t_star)) < abs(sys_.zeta) * 1e-6
                 assert witness(sys_, t_star - 10 * tol) < 0.0
                 assert witness(sys_, t_star + 10 * tol) > 0.0
+
+    def test_diagnostics_of_catalog_crossings(self):
+        for record in COUPLED:
+            for convention in (LEVEL, MULTIPLET):
+                sys_ = record.system(convention)
+                result = entanglement_temperature(sys_)
+                if result.status is not WitnessStatus.CROSSED:
+                    assert (result.iterations, result.residual) == (0, None)
+                    continue
+                assert result.iterations > 0
+                assert abs(result.residual) < abs(sys_.zeta) * 1e-6
+                assert result.residual == pytest.approx(
+                    witness(sys_, result.temperature), abs=1e-9)
+
+    @pytest.mark.parametrize("tolerance", [1e-20, 1e-300])
+    def test_sub_ulp_tolerance_reaches_adjacent_floats(self, tolerance):
+        result = entanglement_temperature(sys_of("Ce", LEVEL), tolerance)
+        assert result.temperature == pytest.approx(TE_LEVEL["Ce"], abs=1e-9)
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-6, 1e-9])
+    def test_within_tolerance_of_the_zero(self, tolerance):
+        # The witness changes sign across [T - tol, T + tol] for every
+        # crossing of a small custom sweep, whose zeros sit at 0.1 K to 1e4 K.
+        for two_s, two_l, zeta in [(1, 2, 0.37), (2, 4, 0.37), (5, 12, 900.0),
+                                   (7, 9, 137.0), (3, 3, 0.05)]:
+            for convention in (LEVEL, MULTIPLET):
+                sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+                t_star = entanglement_temperature(sys_, tolerance).temperature
+                assert witness(sys_, t_star - tolerance) <= 0.0
+                assert witness(sys_, t_star + tolerance) >= 0.0
 
 
 def interpolated_crossings(curve):
@@ -380,3 +416,88 @@ class TestWitnessCurve:
         earlier = ThermalPoint(5.0, 1.0, -1800.0, -450.0)
         with pytest.raises(ValueError):
             WitnessCurve(sys_of("Ce", LEVEL), (point, earlier))
+
+
+def counting_multiplets(monkeypatch):
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return multiplets(system)
+
+    monkeypatch.setattr(thermal, "multiplets", counted)
+    return calls
+
+
+def reference_sums(sys_, t):
+    """(Z, <H>, magnitude of the summed terms) by math.fsum over weight()."""
+    levels = multiplets(sys_)
+    weights = [weight(sys_, level, t) for level in levels]
+    partition = math.fsum(weights)
+    energy = math.fsum(w * level.energy for w, level in zip(weights, levels)) / partition
+    scale = math.fsum(w * abs(level.energy) for w, level in zip(weights, levels)) / partition
+    return partition, energy, scale
+
+
+systems = st.builds(
+    lambda two_s, two_l, zeta, convention: SpinOrbitSystem(
+        HalfInt(two_s), HalfInt(two_l), zeta, convention),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.one_of(st.floats(1e-2, 1e4), st.floats(-1e4, -1e-2)),
+    st.sampled_from([LEVEL, MULTIPLET]),
+)
+
+
+class TestKernel:
+    def test_one_level_table_per_entanglement_temperature(self, monkeypatch):
+        calls = counting_multiplets(monkeypatch)
+        for record in COUPLED:
+            for convention in (LEVEL, MULTIPLET):
+                before = len(calls)
+                entanglement_temperature(record.system(convention), tolerance=1e-9)
+                assert len(calls) - before == (0 if record.system(LEVEL).witness_trivial else 1)
+
+    def test_one_level_table_per_witness_curve(self, monkeypatch):
+        calls = counting_multiplets(monkeypatch)
+        witness_curve(sys_of("Eu", LEVEL), 1.0, 6000.0, 600)
+        assert len(calls) == 1
+        witness_curve(SpinOrbitSystem(HalfInt(60), HalfInt(80), 10.0), 1.0, 1e5, 3000)
+        assert len(calls) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems, st.floats(1e-2, 1e7), st.integers(2, 5))
+    def test_matches_per_level_fsum(self, sys_, tmin, steps):
+        curve = witness_curve(sys_, tmin, 3.0 * tmin, steps)
+        for point in curve.points:
+            partition, energy, scale = reference_sums(sys_, point.temperature)
+            assert abs(point.partition - partition) <= 1e-12 * partition
+            assert abs(point.mean_energy - energy) <= 1e-12 * scale
+            assert mean_energy(sys_, point.temperature) == pytest.approx(
+                point.mean_energy, rel=1e-12, abs=1e-12 * scale)
+
+    def test_slope_matches_central_difference(self):
+        cases = [record.system(convention) for record in COUPLED
+                 for convention in (LEVEL, MULTIPLET)]
+        cases.append(SpinOrbitSystem(HalfInt(40), HalfInt(50), 100.0))
+        for sys_ in cases:
+            table = thermal._LevelTable(sys_)
+            for t in (300.0, 1000.0, 3000.0, 1e5):
+                _, slope = thermal._witness_and_slope(
+                    table, sys_.separable_bound, np.array([t]))
+                h = 1e-4 * t
+                central = (witness(sys_, t + h) - witness(sys_, t - h)) / (2.0 * h)
+                # rounding of W, about 1e-13 of the largest |E|, limits the difference
+                noise = 1e-13 * float(np.abs(table.energies).max()) / h
+                assert slope[0] == pytest.approx(central, rel=1e-6, abs=noise)
+
+    def test_long_grid_is_chunked_consistently(self):
+        # More points than one kernel chunk holds: the chunked evaluation
+        # must agree with point-by-point evaluation at the chunk seams.
+        sys_ = sys_of("Sm", MULTIPLET)
+        steps = 3 * thermal._KERNEL_ELEMENTS // len(multiplets(sys_)) + 7
+        curve = witness_curve(sys_, 1.0, 6000.0, steps)
+        for k in (0, steps // 3 - 1, steps // 3, steps - 1):
+            point = curve.points[k]
+            assert point.mean_energy == pytest.approx(
+                mean_energy(sys_, point.temperature), rel=1e-12, abs=1e-9)
