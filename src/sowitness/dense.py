@@ -1,6 +1,12 @@
 """Dense-matrix route: explicit product-basis operators, a self-contained
 cyclic Jacobi eigensolver, and product-state sampling.
 
+Haar-random product states are drawn and evaluated in batches of at most
+``_SAMPLE_CHUNK`` states, so the work runs in array operations and memory
+does not grow with the sample count.  Each energy is still the expectation
+of the full Hamiltonian on the Kronecker product vector; one evaluator
+serves both the batches and single explicit states.
+
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
 agreement between the two routes is part of the test contract, so nothing
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from .angular import HalfInt, SpinOrbitSystem
 __all__ = [
     "ConvergenceError",
     "ProductStateSample",
+    "ProductStateBatch",
     "GroundStateAnalysis",
     "angular_momentum_matrices",
     "build_hamiltonian",
@@ -32,7 +40,7 @@ __all__ = [
     "eigen_spectrum",
     "thermal_mean_energy",
     "product_state_sample",
-    "sample_product_state",
+    "sample_product_states",
     "ground_state_analysis",
 ]
 
@@ -188,13 +196,6 @@ def _spectrum_of(system: SpinOrbitSystem) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=128)
-def _hamiltonian_of(system: SpinOrbitSystem) -> np.ndarray:
-    h = build_hamiltonian(system)
-    h.flags.writeable = False
-    return h
-
-
 def thermal_mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
     """Gibbs mean energy over all (2s+1)(2l+1) eigenvalues.
 
@@ -220,20 +221,119 @@ class ProductStateSample:
     energy: float
 
 
+@dataclass(frozen=True, eq=False)
+class ProductStateBatch:
+    """Product states, one per row, and their observables as parallel arrays.
+
+    Row ``r`` holds the unit factor states (``spin_states[r]`` of length
+    2s+1, ``orbital_states[r]`` of length 2l+1), the Bloch vectors <S> and
+    <L> (shape ``(k, 3)``), the cosine of the angle between them and the
+    energy <psi| H |psi>.
+    """
+
+    spin_states: np.ndarray
+    orbital_states: np.ndarray
+    spin_vectors: np.ndarray
+    orbital_vectors: np.ndarray
+    cos_angles: np.ndarray
+    energies: np.ndarray
+
+
+# States drawn and evaluated per batch: large enough that the work runs in
+# array operations, small enough that memory does not grow with the count.
+_SAMPLE_CHUNK = 256
+
+# A stack of operators as (rows, cols) of every entry nonzero in any of them,
+# and the real and imaginary parts there, each of shape (operators, entries)
+_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _entries(*operators: np.ndarray) -> _Entries:
+    stack = np.array(operators)
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    values = stack[:, rows, cols]
+    entries = rows, cols, np.real(values).copy(), np.imag(values).copy()
+    for a in entries:
+        a.flags.writeable = False
+    return entries
+
+
 @lru_cache(maxsize=None)
-def _cartesian_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cartesian_triplet(twice_j: int) -> _Entries:
+    """Jx, Jy, Jz on the 2j+1 basis states, as stacked nonzero entries."""
     jz, jplus, jminus = _ladder_triplet(twice_j)
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    jx.flags.writeable = False
-    jy.flags.writeable = False
-    return jx, jy, jz
+    return _entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
 
 
-def _bloch_vector(twice_j: int, state: np.ndarray) -> np.ndarray:
-    return np.array(
-        [float(np.real(np.vdot(state, op @ state))) for op in _cartesian_triplet(twice_j)]
-    )
+@lru_cache(maxsize=128)
+def _hamiltonian_entries(system: SpinOrbitSystem) -> _Entries:
+    return _entries(build_hamiltonian(system))
+
+
+def _expectations(entries: _Entries, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Re <psi| A |psi> of each stacked operator A for each row psi = re + i im.
+
+    Returns shape (rows, operators).  The sum runs over the operators'
+    nonzero entries with real elementwise products and sums along each row
+    only, so the rounding of a row does not depend on the other rows of the
+    batch (a matrix product's does, through the BLAS kernel chosen for its
+    shape).
+    """
+    rows, cols, real, imag = entries
+    # conj(psi_i) psi_j = (re_i re_j + im_i im_j) + i (re_i im_j - im_i re_j)
+    even = re[:, rows] * re[:, cols]
+    even += im[:, rows] * im[:, cols]
+    values = (real * even[:, None, :]).sum(axis=2)
+    if imag.any():
+        odd = re[:, rows] * im[:, cols]
+        odd -= im[:, rows] * re[:, cols]
+        values -= (imag * odd[:, None, :]).sum(axis=2)
+    return values
+
+
+def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Norm of each row re + i im."""
+    return np.sqrt((re * re + im * im).sum(axis=1))
+
+
+def _scaled(
+    factor: tuple[np.ndarray, np.ndarray], norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    re, im = factor
+    return re / norms[:, None], im / norms[:, None]
+
+
+def _evaluate(
+    system: SpinOrbitSystem, spin: tuple[np.ndarray, np.ndarray],
+    orbital: tuple[np.ndarray, np.ndarray],
+) -> ProductStateBatch:
+    """Observables of the product states spin[r] x orbital[r], given as unit
+    (real, imaginary) row pairs.
+
+    The energy is the honest matrix expectation <psi| H |psi> on the full
+    Kronecker product vector, not the factorized shortcut zeta <S>.<L>, so
+    that identity is something the batch exhibits rather than assumes.
+    """
+    (s_re, s_im), (o_re, o_im) = spin, orbital
+    spin_vec = _expectations(_cartesian_triplet(system.s.twice), s_re, s_im)
+    orbital_vec = _expectations(_cartesian_triplet(system.l.twice), o_re, o_im)
+
+    def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+    product_re = kron_rows(s_re, o_re)
+    product_re -= kron_rows(s_im, o_im)
+    product_im = kron_rows(s_re, o_im)
+    product_im += kron_rows(s_im, o_re)
+    energies = _expectations(_hamiltonian_entries(system), product_re, product_im)[:, 0]
+    norms = np.linalg.norm(spin_vec, axis=1) * np.linalg.norm(orbital_vec, axis=1)
+    cos_angles = np.zeros(len(energies))
+    np.divide((spin_vec * orbital_vec).sum(axis=1), norms,
+              out=cos_angles, where=norms > 1e-12)
+    fields = (s_re + 1j * s_im, o_re + 1j * o_im, spin_vec, orbital_vec, cos_angles, energies)
+    for a in fields:
+        a.flags.writeable = False
+    return ProductStateBatch(*fields)
 
 
 def product_state_sample(
@@ -241,47 +341,66 @@ def product_state_sample(
 ) -> ProductStateSample:
     """Evaluate <S>, <L>, their angle, and <H> for one product state.
 
-    States are normalized defensively; the energy is the honest matrix
-    expectation <psi| H |psi> on the product vector, not any factorized
-    shortcut, so the identity <H> = zeta <S>.<L> is something this
-    function exhibits rather than assumes.
+    States are normalized defensively.  This is the batch-of-one case of the
+    evaluator behind :func:`sample_product_states`, so the energy is the same
+    honest <psi| H |psi> on the product vector.
     """
     spin = np.asarray(spin_state, dtype=complex)
     orbital = np.asarray(orbital_state, dtype=complex)
     if spin.shape != (system.s.twice + 1,) or orbital.shape != (system.l.twice + 1,):
         raise ValueError("factor state dimensions do not match the system")
-    spin = spin / np.linalg.norm(spin)
-    orbital = orbital / np.linalg.norm(orbital)
-    spin_vec = _bloch_vector(system.s.twice, spin)
-    orbital_vec = _bloch_vector(system.l.twice, orbital)
-    product = np.kron(spin, orbital)
-    energy = float(np.real(np.vdot(product, _hamiltonian_of(system) @ product)))
-    norms = np.linalg.norm(spin_vec) * np.linalg.norm(orbital_vec)
-    cos_angle = float(np.dot(spin_vec, orbital_vec) / norms) if norms > 1e-12 else 0.0
-    for a in (spin, orbital, spin_vec, orbital_vec):
-        a.flags.writeable = False
-    return ProductStateSample(spin, orbital, spin_vec, orbital_vec, cos_angle, energy)
-
-
-def sample_product_state(
-    system: SpinOrbitSystem, rng: np.random.Generator
-) -> ProductStateSample:
-    """Draw a Haar-random product state (spin factor first, then orbital).
-
-    Each factor is a complex standard-normal vector, normalized; that is
-    exactly the uniform distribution on the factor's state sphere.
-    """
-    return product_state_sample(
-        system, _random_unit(rng, system.s.twice + 1), _random_unit(rng, system.l.twice + 1)
+    factors = [(state.real[None], state.imag[None]) for state in (spin, orbital)]
+    batch = _evaluate(system, *[_scaled(f, _row_norms(*f)) for f in factors])
+    return ProductStateSample(
+        batch.spin_states[0], batch.orbital_states[0],
+        batch.spin_vectors[0], batch.orbital_vectors[0],
+        float(batch.cos_angles[0]), float(batch.energies[0]),
     )
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _haar_rows(
+    rng: np.random.Generator, count: int, spin_dim: int, orbital_dim: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``count`` unit spin and orbital rows as (real, imaginary) pairs.
+
+    Each state takes one row of 2(d_s + d_l) standard normals: the real then
+    imaginary parts of the spin factor, then those of the orbital factor.  A
+    row with a factor norm <= 1e-6 is redrawn from normals taken after the
+    block.
+    """
+    rows = rng.standard_normal((count, 2 * (spin_dim + orbital_dim)))
+    offset = 2 * spin_dim
     while True:
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        norm = np.linalg.norm(vec)
-        if norm > 1e-6:
-            return vec / norm
+        spin = rows[:, :spin_dim], rows[:, spin_dim:offset]
+        orbital = rows[:, offset:offset + orbital_dim], rows[:, offset + orbital_dim:]
+        spin_norms, orbital_norms = _row_norms(*spin), _row_norms(*orbital)
+        bad = (spin_norms <= 1e-6) | (orbital_norms <= 1e-6)
+        if not bad.any():
+            break
+        rows[bad] = rng.standard_normal((int(np.count_nonzero(bad)), rows.shape[1]))
+    return _scaled(spin, spin_norms), _scaled(orbital, orbital_norms)
+
+
+def sample_product_states(
+    system: SpinOrbitSystem, rng: np.random.Generator, n: int
+) -> Iterator[ProductStateBatch]:
+    """Draw ``n`` Haar-random product states, yielded in batches.
+
+    Each batch holds at most ``_SAMPLE_CHUNK`` states, so memory stays
+    bounded whatever ``n`` is.  Each factor is a complex standard-normal
+    vector, normalized; that is exactly the uniform distribution on the
+    factor's state sphere.  Every state takes one row of 2(d_s + d_l)
+    normals from ``rng``, and no other row enters its arithmetic, so neither
+    the states nor their rounding depend on the batch size (barring the
+    redraw of a near-zero factor, which has probability below 1e-12 per
+    state).
+    """
+    if n < 0:
+        raise ValueError(f"sample count must be non-negative, got {n}")
+    spin_dim, orbital_dim = system.s.twice + 1, system.l.twice + 1
+    for start in range(0, n, _SAMPLE_CHUNK):
+        count = min(_SAMPLE_CHUNK, n - start)
+        yield _evaluate(system, *_haar_rows(rng, count, spin_dim, orbital_dim))
 
 
 @dataclass(frozen=True, eq=False)

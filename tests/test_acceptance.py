@@ -23,7 +23,7 @@ from sowitness.dense import (
     ground_state_analysis,
     jacobi_eigh,
     product_state_sample,
-    sample_product_state,
+    sample_product_states,
     thermal_mean_energy,
 )
 from sowitness.ions import CATALOG, hund_rules
@@ -74,14 +74,13 @@ def product_samples():
         rng = np.random.default_rng(1000 + record.n4f)
         min_margin = math.inf
         max_identity_dev = 0.0
-        for _ in range(10_000):
-            sample = sample_product_state(sys_, rng)
-            min_margin = min(min_margin, sample.energy + bound)
-            factorized = record.zeta * float(
-                np.dot(sample.spin_vector, sample.orbital_vector)
+        for batch in sample_product_states(sys_, rng, 10_000):
+            min_margin = min(min_margin, float(np.min(batch.energies)) + bound)
+            factorized = record.zeta * np.sum(
+                batch.spin_vectors * batch.orbital_vectors, axis=1
             )
-            dev = abs(sample.energy - factorized) / (1.0 + abs(sample.energy))
-            max_identity_dev = max(max_identity_dev, dev)
+            dev = np.abs(batch.energies - factorized) / (1.0 + np.abs(batch.energies))
+            max_identity_dev = max(max_identity_dev, float(np.max(dev)))
         spin = np.zeros(record.s.twice + 1)
         orbital = np.zeros(record.l.twice + 1)
         spin[0] = 1.0

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from sowitness.cli import CURVE_HEADER, parse_witness_csv
+from sowitness import dense
+from sowitness.cli import CURVE_HEADER, main, parse_witness_csv
 from sowitness.ions import CATALOG, load_catalog
 
 TE_TABLE = {"Ce": 1758.0, "Pr": 1851.0, "Nd": 1904.0, "Pm": 2008.0,
@@ -66,6 +67,19 @@ class TestIons:
         result = run_cli("ions", "--catalog", str(empty))
         assert result.returncode == 0
         assert len(result.stdout.strip().splitlines()) == 14
+
+    @pytest.mark.parametrize("content", ["", '{"ions": []}'])
+    def test_empty_catalog_fallback_is_announced_on_stderr(self, tmp_path, content):
+        empty = tmp_path / "empty.json"
+        empty.write_text(content)
+        embedded = run_cli("ions")
+        result = run_cli("ions", "--catalog", str(empty))
+        assert result.returncode == 0
+        assert result.stdout == embedded.stdout
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert str(empty) in lines[0] and "embedded catalog" in lines[0]
+        assert embedded.stderr == ""
 
     def test_custom_catalog_subset(self, tmp_path):
         doc = {"ions": [{"symbol": "Ce", "n4f": 1, "deltaE_K": 3150,
@@ -316,6 +330,28 @@ class TestVerify:
         bound_one = [l for l in first.stdout.splitlines() if l.startswith("separable")]
         bound_two = [l for l in second.stdout.splitlines() if l.startswith("separable")]
         assert bound_one != bound_two
+
+    def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch):
+        assert main(["verify", "--seed", "3"]) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(dense, "_SAMPLE_CHUNK", 7)
+        assert main(["verify", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        """Batched sampling keeps the peak RSS flat from 10^3 to 2*10^4 states per ion."""
+        script = ("import resource, sys\n"
+                  "from sowitness.cli import main\n"
+                  "code = main(['verify', '--samples', sys.argv[1]])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                  "sys.exit(code)\n")
+        peaks = []
+        for samples in ("1000", "20000"):
+            result = subprocess.run([sys.executable, "-c", script, samples],
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stdout + result.stderr
+            peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
+        assert peaks[1] - peaks[0] <= 4096, peaks
 
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sowitness import dense
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.dense import (
     ConvergenceError,
@@ -12,12 +13,14 @@ from sowitness.dense import (
     ground_state_analysis,
     jacobi_eigh,
     product_state_sample,
-    sample_product_state,
+    sample_product_states,
     thermal_mean_energy,
 )
 from sowitness.ions import CATALOG, ion_record
 
 COUPLED = [r for r in CATALOG if r.zeta is not None]
+# one ion per distinct (s, l) pair of the catalog
+DISTINCT_SHELLS = sorted({(r.s.twice, r.l.twice): r.symbol for r in CATALOG}.values())
 
 
 def sys_of(symbol):
@@ -209,31 +212,147 @@ class TestThermalMeanEnergy:
             thermal_mean_energy(sys_of("Ce"), -10.0)
 
 
+def draw_all(system, rng, n):
+    """Concatenate the batches of ``sample_product_states`` field by field."""
+    batches = list(sample_product_states(system, rng, n))
+    fields = ("spin_states", "orbital_states", "spin_vectors", "orbital_vectors",
+              "cos_angles", "energies")
+    return {f: np.concatenate([getattr(b, f) for b in batches]) for f in fields}
+
+
+def naive_observables(system, spin, orbital):
+    """<S>, <L> and <psi|H|psi> of one product state, by explicit kron and vdot."""
+    def bloch(twice_j, state):
+        jz, jplus, jminus = angular_momentum_matrices(HalfInt(twice_j))
+        ops = (0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
+        return np.array([np.vdot(state, op @ state).real for op in ops])
+
+    product = np.kron(spin, orbital)
+    energy = np.vdot(product, build_hamiltonian(system) @ product).real
+    return bloch(system.s.twice, spin), bloch(system.l.twice, orbital), energy
+
+
+class _ZeroFirstRng:
+    """Generator stand-in whose first block has an all-zero first row."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, shape):
+        self.calls.append(shape)
+        block = self.inner.standard_normal(shape)
+        if len(self.calls) == 1:
+            block[0] = 0.0
+        return block
+
+
 class TestProductStates:
     def test_sampling_is_deterministic(self):
         ce = sys_of("Ce")
-        first = sample_product_state(ce, np.random.default_rng(11))
-        second = sample_product_state(ce, np.random.default_rng(11))
-        assert first.energy == second.energy
-        assert np.array_equal(first.spin_state, second.spin_state)
-        assert np.array_equal(first.orbital_state, second.orbital_state)
+        first = draw_all(ce, np.random.default_rng(11), 600)
+        second = draw_all(ce, np.random.default_rng(11), 600)
+        for name, values in first.items():
+            assert np.array_equal(values, second[name]), name
+
+    def test_batches_are_bounded_and_read_only(self):
+        batches = list(sample_product_states(sys_of("Ho"), np.random.default_rng(2), 600))
+        sizes = [len(b.energies) for b in batches]
+        assert sum(sizes) == 600
+        assert max(sizes) <= dense._SAMPLE_CHUNK
+        assert not batches[0].energies.flags.writeable
+        assert not batches[0].spin_states.flags.writeable
+        assert list(sample_product_states(sys_of("Ho"), np.random.default_rng(2), 0)) == []
+
+    def test_chunk_size_does_not_change_the_draws(self, monkeypatch):
+        ho = sys_of("Ho")
+        default = draw_all(ho, np.random.default_rng(5), 600)
+        monkeypatch.setattr(dense, "_SAMPLE_CHUNK", 7)
+        assert len(next(sample_product_states(ho, np.random.default_rng(5), 600)).energies) == 7
+        small = draw_all(ho, np.random.default_rng(5), 600)
+        for name, values in default.items():
+            assert np.array_equal(values, small[name]), name
+
+    def test_one_normal_row_per_state(self):
+        ce = sys_of("Ce")  # 2s+1 = 2, 2l+1 = 7
+        rng = np.random.default_rng(9)
+        batch = next(sample_product_states(ce, rng, 3))
+        rows = np.random.default_rng(9).standard_normal((3, 2 * (2 + 7)))
+        spin = rows[:, :2] + 1j * rows[:, 2:4]
+        orbital = rows[:, 4:11] + 1j * rows[:, 11:]
+        assert np.allclose(batch.spin_states,
+                           spin / np.linalg.norm(spin, axis=1)[:, None], rtol=0, atol=1e-15)
+        assert np.allclose(batch.orbital_states,
+                           orbital / np.linalg.norm(orbital, axis=1)[:, None], rtol=0, atol=1e-15)
+
+    def test_near_zero_factor_is_redrawn(self):
+        rng = _ZeroFirstRng(4)
+        batch = next(sample_product_states(sys_of("Ce"), rng, 5))
+        assert rng.calls == [(5, 18), (1, 18)]
+        assert np.allclose(np.linalg.norm(batch.spin_states, axis=1), 1.0, atol=1e-15)
+        assert np.all(np.isfinite(batch.energies))
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            next(sample_product_states(sys_of("Ce"), np.random.default_rng(0), -1))
 
     def test_sample_invariants(self):
         for record in COUPLED:
             sys_ = record.system()
             s, l = record.s.value, record.l.value
             bound = sys_.separable_bound
-            rng = np.random.default_rng(record.n4f)
-            for _ in range(500):
-                sample = sample_product_state(sys_, rng)
-                assert np.linalg.norm(sample.spin_vector) <= s + 1e-9
-                assert np.linalg.norm(sample.orbital_vector) <= l + 1e-9
-                assert sample.energy >= -bound - 1e-9
-                assert -1.0 - 1e-12 <= sample.cos_angle <= 1.0 + 1e-12
-                factorized = record.zeta * float(
-                    np.dot(sample.spin_vector, sample.orbital_vector)
-                )
-                assert abs(sample.energy - factorized) <= 1e-9 * (1.0 + abs(sample.energy))
+            drawn = draw_all(sys_, np.random.default_rng(record.n4f), 500)
+            assert np.all(np.linalg.norm(drawn["spin_vectors"], axis=1) <= s + 1e-9)
+            assert np.all(np.linalg.norm(drawn["orbital_vectors"], axis=1) <= l + 1e-9)
+            assert np.all(drawn["energies"] >= -bound - 1e-9)
+            assert np.all(np.abs(drawn["cos_angles"]) <= 1.0 + 1e-12)
+            factorized = record.zeta * np.einsum(
+                "rx,rx->r", drawn["spin_vectors"], drawn["orbital_vectors"]
+            )
+            energies = drawn["energies"]
+            assert np.all(np.abs(energies - factorized) <= 1e-9 * (1.0 + np.abs(energies)))
+
+    @pytest.mark.parametrize("symbol", DISTINCT_SHELLS)
+    def test_haar_moments(self, symbol):
+        """E|<J>|^2 = j/2 and E<J> = 0 for a Haar-random spin-j state."""
+        record = ion_record(symbol)
+        drawn = draw_all(record.system(), np.random.default_rng(record.n4f + 50), 10_000)
+        for j, vectors in ((record.s.value, drawn["spin_vectors"]),
+                           (record.l.value, drawn["orbital_vectors"])):
+            squared = np.sum(vectors * vectors, axis=1)
+            error = squared.std(ddof=1) / math.sqrt(len(squared))
+            assert abs(squared.mean() - j / 2.0) <= 5.0 * error + 1e-12, (symbol, j)
+            if j == 0.5:  # a pure qubit state has |<S>| = 1/2 exactly
+                assert np.allclose(squared, 0.25, rtol=0, atol=1e-12)
+            errors = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
+            assert np.all(np.abs(vectors.mean(axis=0)) <= 5.0 * errors + 1e-12), (symbol, j)
+
+    def test_batch_matches_single_state_evaluation(self):
+        """10^4 draws over the distinct shells, every row against the scalar API."""
+        per_shell = -(-10_000 // len(DISTINCT_SHELLS))
+        for symbol in DISTINCT_SHELLS:
+            record = ion_record(symbol)
+            sys_ = record.system()
+            drawn = draw_all(sys_, np.random.default_rng(record.n4f), per_shell)
+            singles = [product_state_sample(sys_, spin, orbital) for spin, orbital
+                       in zip(drawn["spin_states"], drawn["orbital_states"])]
+            s, l = record.s.value, record.l.value
+            scale = abs(sys_.zeta) * s * l
+            single_spin = np.array([x.spin_vector for x in singles])
+            single_orbital = np.array([x.orbital_vector for x in singles])
+            single_energy = np.array([x.energy for x in singles])
+            assert np.allclose(drawn["spin_vectors"], single_spin, rtol=1e-12, atol=1e-12 * s)
+            assert np.allclose(drawn["orbital_vectors"], single_orbital,
+                               rtol=1e-12, atol=1e-12 * l)
+            assert np.allclose(drawn["cos_angles"], [x.cos_angle for x in singles],
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(drawn["energies"], single_energy, rtol=1e-12, atol=1e-12 * scale)
+            for r in range(0, per_shell, 17):
+                spin_vec, orbital_vec, energy = naive_observables(
+                    sys_, drawn["spin_states"][r], drawn["orbital_states"][r])
+                assert np.allclose(single_spin[r], spin_vec, rtol=1e-12, atol=1e-12 * s)
+                assert np.allclose(single_orbital[r], orbital_vec, rtol=1e-12, atol=1e-12 * l)
+                assert abs(single_energy[r] - energy) <= 1e-12 * scale, symbol
 
     def test_aligned_basis_state_saturates_bound(self):
         for record in COUPLED:
