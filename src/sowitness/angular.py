@@ -34,9 +34,8 @@ class HalfInt:
 
     Magnitude-like quantum numbers (s, l, j) are non-negative, but magnetic
     components m may be negative, so the type itself admits any sign;
-    non-negativity is enforced where it is actually required.  Sum,
-    difference, and comparison are exact integer arithmetic on the doubled
-    values.
+    non-negativity is enforced where it is actually required.  Equality and
+    ordering compare the doubled values exactly.
     """
 
     twice: int
@@ -53,25 +52,6 @@ class HalfInt:
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        if not isinstance(other, HalfInt):
-            return NotImplemented
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
-    def __float__(self) -> float:
-        return self.value
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -163,16 +163,20 @@ def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
     return loaded
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    path = getattr(args, "output", None)
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write output: {exc}") from exc
+        raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    path = getattr(args, "output", None)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _write(path, text)
 
 
 def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> str:
@@ -198,17 +202,20 @@ def parse_witness_csv(text: str) -> list[tuple[float, float, float]]:
     return rows
 
 
+def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
+    """System of a catalog ion; rejects a coupled shell without a coupling."""
+    if record.zeta is None and record.s.twice != 0 and record.l.twice != 0:
+        raise _CliError(EXIT_ION, f"{record.symbol}: no coupling constant in the catalog")
+    return record.system(convention)
+
+
 def _witness_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
     """System for the witness command; rejects ions the witness cannot probe."""
-    if record.zeta is None or record.s.twice == 0 or record.l.twice == 0:
-        if record.l.twice == 0:
-            detail = "witness degenerate (l = 0)"
-        elif record.s.twice == 0:
-            detail = "witness degenerate (s = 0)"
-        else:
-            detail = "no coupling constant in the catalog"
-        raise _CliError(EXIT_ION, f"{record.symbol}: {detail}")
-    return record.system(convention)
+    if record.l.twice == 0:
+        raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (l = 0)")
+    if record.s.twice == 0:
+        raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (s = 0)")
+    return _ion_system(record, convention)
 
 
 def _run_ions(args: argparse.Namespace) -> int:
@@ -256,6 +263,12 @@ def _run_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(args: argparse.Namespace) -> float:
+    if not args.tolerance > 0:
+        raise _CliError(EXIT_USAGE, "tolerance must be positive")
+    return args.tolerance
+
+
 def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: str,
              tolerance: float) -> str:
     lines = ["symbol,convention,te_K,reason"]
@@ -268,8 +281,7 @@ def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: st
 
 def _run_te(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
-    if not args.tolerance > 0:
-        raise _CliError(EXIT_USAGE, "tolerance must be positive")
+    tolerance = _tolerance(args)
     convention = _CONVENTIONS[args.convention]
     if args.ion.strip().lower() == "all":
         records = list(catalog)
@@ -278,12 +290,8 @@ def _run_te(args: argparse.Namespace) -> int:
             records = [ion_record(args.ion, catalog)]
         except UnknownIonError as exc:
             raise _CliError(EXIT_ION, str(exc)) from exc
-    pairs = []
-    for record in records:
-        if record.zeta is None and record.s.twice != 0 and record.l.twice != 0:
-            raise _CliError(EXIT_ION, f"{record.symbol}: no coupling constant in the catalog")
-        pairs.append((record.symbol, record.system(convention)))
-    _emit(args, _te_rows(pairs, args.convention, args.tolerance))
+    pairs = [(record.symbol, _ion_system(record, convention)) for record in records]
+    _emit(args, _te_rows(pairs, args.convention, tolerance))
     return EXIT_OK
 
 
@@ -331,21 +339,11 @@ def _run_figure1(args: argparse.Namespace) -> int:
     written = []
     for record in light:
         filename = f"figure1_{record.symbol}.csv"
-        path = os.path.join(args.outdir, filename)
-        csv_text = _curve_csv(record.system(convention), args)
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(csv_text)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+        _write(os.path.join(args.outdir, filename),
+               _curve_csv(record.system(convention), args))
         written.append((record.symbol, filename))
-    script = _PLOT_PROLOGUE + f"CURVES = {written!r}\n" + _PLOT_BODY
     script_path = os.path.join(args.outdir, "plot_figure1.py")
-    try:
-        with open(script_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(script)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {script_path}: {exc}") from exc
+    _write(script_path, _PLOT_PROLOGUE + f"CURVES = {written!r}\n" + _PLOT_BODY)
     for _, filename in written:
         sys.stdout.write(os.path.join(args.outdir, filename) + "\n")
     sys.stdout.write(script_path + "\n")
@@ -367,9 +365,7 @@ def _run_custom(args: argparse.Namespace) -> int:
     if args.action == "witness":
         _emit(args, _curve_csv(system, args))
         return EXIT_OK
-    if not args.tolerance > 0:
-        raise _CliError(EXIT_USAGE, "tolerance must be positive")
-    _emit(args, _te_rows([("custom", system)], args.convention, args.tolerance))
+    _emit(args, _te_rows([("custom", system)], args.convention, _tolerance(args)))
     return EXIT_OK
 
 
@@ -399,7 +395,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     spectrum_worst = 0.0
     for record in coupled:
         system = record.system(Convention.MULTIPLET_DEGENERATE)
-        computed = dense.eigen_spectrum(dense.build_hamiltonian(system))
+        computed, _ = dense.jacobi_eigh(dense.build_hamiltonian(system))
         expected = np.sort(np.concatenate([
             np.full(level.degeneracy, level.energy) for level in multiplets(system)
         ]))

@@ -15,7 +15,11 @@ delegate to an external one).
 
 Basis convention: the product space is ordered spin-major, index
 ``i = i_s * (2l+1) + i_l`` with ``m_s = s - i_s`` and ``m_l = l - i_l``,
-i.e. both magnetic quantum numbers run downward from their maximum.
+i.e. both magnetic quantum numbers run downward from their maximum.  The
+ladder operators are real in the Condon-Shortley phase convention, so
+zeta S.L is a real symmetric matrix and its spectrum comes straight from
+:func:`jacobi_eigh`; the one complex operator, J_y, enters only the Bloch
+vectors of product states.
 """
 
 from __future__ import annotations
@@ -27,17 +31,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import HalfInt, SpinOrbitSystem
+from .angular import SpinOrbitSystem
 
 __all__ = [
     "ConvergenceError",
     "ProductStateSample",
     "ProductStateBatch",
     "GroundStateAnalysis",
-    "angular_momentum_matrices",
     "build_hamiltonian",
     "jacobi_eigh",
-    "eigen_spectrum",
     "thermal_mean_energy",
     "product_state_sample",
     "sample_product_states",
@@ -55,7 +57,12 @@ class ConvergenceError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (jz, j+, j-) for one momentum; arrays are frozen read-only."""
+    """Cached (Jz, J+, J-) on the 2j+1 basis states, m descending from +j.
+
+    Entries are assembled from exact integer quarters, so e.g. the Casimir
+    combination Jz^2 + (J+J- + J-J+)/2 reproduces j(j+1) to rounding error.
+    The arrays are frozen read-only.
+    """
     dim = twice_j + 1
     jz = np.zeros((dim, dim))
     jplus = np.zeros((dim, dim))
@@ -70,20 +77,6 @@ def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (jz, jplus, jminus):
         a.flags.writeable = False
     return jz, jplus, jminus
-
-
-def angular_momentum_matrices(j: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices (Jz, J+, J-) on the 2j+1 basis states, m descending from +j.
-
-    Entries are assembled from exact integer quarters, so e.g. the Casimir
-    combination Jz^2 + (J+J- + J-J+)/2 reproduces j(j+1) to rounding error.
-    """
-    if not isinstance(j, HalfInt):
-        raise TypeError("j must be a HalfInt")
-    if j.twice < 0:
-        raise ValueError(f"momentum must be non-negative, got j={j}")
-    jz, jplus, jminus = _ladder_triplet(j.twice)
-    return jz.copy(), jplus.copy(), jminus.copy()
 
 
 def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
@@ -164,34 +157,9 @@ def jacobi_eigh(
     )
 
 
-def eigen_spectrum(operator: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian operator.
-
-    Real symmetric input is diagonalized directly; genuinely complex
-    Hermitian input goes through the standard real embedding
-    [[Re, -Im], [Im, Re]], whose spectrum is that of the original matrix
-    with every eigenvalue doubled.
-    """
-    a = np.asarray(operator)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be square, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return np.zeros(a.shape[0])
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
-        raise ValueError("operator is not Hermitian")
-    if np.iscomplexobj(a) and float(np.max(np.abs(a.imag))) > 0.0:
-        real, imag = a.real, a.imag
-        embedded = np.block([[real, -imag], [imag, real]])
-        doubled, _ = jacobi_eigh(embedded)
-        return 0.5 * (doubled[0::2] + doubled[1::2])
-    values, _ = jacobi_eigh(a.real if np.iscomplexobj(a) else a)
-    return values
-
-
 @lru_cache(maxsize=128)
 def _spectrum_of(system: SpinOrbitSystem) -> np.ndarray:
-    values = eigen_spectrum(build_hamiltonian(system))
+    values, _ = jacobi_eigh(build_hamiltonian(system))
     values.flags.writeable = False
     return values
 

@@ -261,6 +261,72 @@ class TestCustom:
         assert elapsed < 2.0
 
 
+@pytest.fixture
+def catalog_without_ce_coupling(tmp_path):
+    """The embedded catalog as a JSON file, with Ce's coupling constant removed."""
+    ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
+             "zeta_K": None if r.symbol == "Ce" else r.zeta,
+             "te_paper_K": r.te_reference} for r in CATALOG]
+    path = tmp_path / "no_ce_zeta.json"
+    path.write_text(json.dumps({"ions": ions}))
+    return str(path)
+
+
+class TestMissingCoupling:
+    @pytest.mark.parametrize("args", [
+        ("witness", "--ion", "Ce"),
+        ("te", "--ion", "Ce"),
+        ("te", "--ion", "all"),
+    ])
+    def test_commands_naming_the_ion_exit_3(self, catalog_without_ce_coupling, args):
+        result = run_cli(*args, "--catalog", catalog_without_ce_coupling)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: Ce: no coupling constant in the catalog\n"
+
+    def test_figure1_skips_the_ion(self, catalog_without_ce_coupling, tmp_path):
+        outdir = tmp_path / "out"
+        result = run_cli("figure1", "--outdir", str(outdir),
+                         "--catalog", catalog_without_ce_coupling)
+        assert result.returncode == 0, result.stderr
+        csvs = sorted(p.name for p in outdir.glob("figure1_*.csv"))
+        assert csvs == sorted(f"figure1_{s}.csv" for s in LIGHT if s != "Ce")
+
+    def test_verify_skips_the_ion(self, catalog_without_ce_coupling):
+        result = run_cli("verify", "--samples", "50", "--catalog", catalog_without_ce_coupling)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.splitlines()[-1] == "verify: pass"
+
+    def test_bad_tolerance_is_reported_before_ion_lookup(self):
+        result = run_cli("te", "--ion", "La", "--tolerance", "0")
+        assert result.returncode == 2
+        assert result.stderr == "error: tolerance must be positive\n"
+
+
+class TestWriteFailures:
+    """Every file the CLI writes fails the same way: exit 4, one error line."""
+
+    @staticmethod
+    def assert_write_error(result, path):
+        assert result.returncode == 4
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("name", ["figure1_Ce.csv", "plot_figure1.py"])
+    def test_figure1_target_is_a_directory(self, tmp_path, name):
+        (tmp_path / name).mkdir()
+        result = run_cli("figure1", "--outdir", str(tmp_path), "--steps", "20")
+        self.assert_write_error(result, tmp_path / name)
+        assert result.stdout == ""
+
+    def test_witness_output_in_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "ce.csv"
+        result = run_cli("witness", "--ion", "Ce", "--output", str(target))
+        self.assert_write_error(result, target)
+        assert not target.parent.exists()
+
+
 class TestFigure1:
     def test_default_run_emits_files(self, tmp_path):
         result = run_cli("figure1", "--outdir", str(tmp_path))

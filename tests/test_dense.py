@@ -7,9 +7,8 @@ from sowitness import dense
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.dense import (
     ConvergenceError,
-    angular_momentum_matrices,
+    _ladder_triplet,
     build_hamiltonian,
-    eigen_spectrum,
     ground_state_analysis,
     jacobi_eigh,
     product_state_sample,
@@ -36,13 +35,13 @@ def closed_form_spectrum(system):
 
 class TestAngularMomentumMatrices:
     def test_spin_half(self):
-        jz, jplus, jminus = angular_momentum_matrices(HalfInt(1))
+        jz, jplus, jminus = _ladder_triplet(1)
         assert np.array_equal(jz, np.diag([0.5, -0.5]))
         assert np.array_equal(jplus, [[0.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(jminus, jplus.T)
 
     def test_spin_one(self):
-        _, jplus, _ = angular_momentum_matrices(HalfInt(2))
+        _, jplus, _ = _ladder_triplet(2)
         root2 = math.sqrt(2.0)
         assert jplus == pytest.approx(
             np.array([[0, root2, 0], [0, 0, root2], [0, 0, 0]])
@@ -50,42 +49,30 @@ class TestAngularMomentumMatrices:
 
     @pytest.mark.parametrize("twice_j", range(17))
     def test_ladder_algebra(self, twice_j):
-        jz, jplus, jminus = angular_momentum_matrices(HalfInt(twice_j))
+        jz, jplus, jminus = _ladder_triplet(twice_j)
         # [Jz, J+] = J+,  [J+, J-] = 2 Jz
         assert jz @ jplus - jplus @ jz == pytest.approx(jplus, abs=1e-12)
         assert jplus @ jminus - jminus @ jplus == pytest.approx(2.0 * jz, abs=1e-12)
 
     @pytest.mark.parametrize("twice_j", range(17))
     def test_casimir(self, twice_j):
-        jz, jplus, jminus = angular_momentum_matrices(HalfInt(twice_j))
+        jz, jplus, jminus = _ladder_triplet(twice_j)
         casimir = jz @ jz + 0.5 * (jplus @ jminus + jminus @ jplus)
         jj = twice_j * (twice_j + 2) / 4.0
         assert casimir == pytest.approx(jj * np.eye(twice_j + 1), abs=1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(TypeError):
-            angular_momentum_matrices(0.5)
-        with pytest.raises(ValueError):
-            angular_momentum_matrices(HalfInt(-1))
-
-    def test_returned_arrays_are_private_copies(self):
-        jz, _, _ = angular_momentum_matrices(HalfInt(1))
-        jz[0, 0] = 99.0
-        fresh, _, _ = angular_momentum_matrices(HalfInt(1))
-        assert fresh[0, 0] == 0.5
 
 
 class TestBuildHamiltonian:
     def test_singlet_triplet_spectrum(self):
         h = build_hamiltonian(SpinOrbitSystem(HalfInt(1), HalfInt(1), 1.0))
-        values = eigen_spectrum(h)
+        values, _ = jacobi_eigh(h)
         assert values == pytest.approx([-0.75, 0.25, 0.25, 0.25], abs=1e-12)
 
     def test_cerium_spectrum_and_shape(self):
         h = build_hamiltonian(sys_of("Ce"))
         assert h.shape == (14, 14)
         expected = [-1800.0] * 6 + [1350.0] * 8
-        assert eigen_spectrum(h) == pytest.approx(expected, rel=1e-12)
+        assert jacobi_eigh(h)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_half_filled_shell_is_zero_operator(self):
         h = build_hamiltonian(sys_of("Gd"))
@@ -101,7 +88,7 @@ class TestBuildHamiltonian:
     def test_matches_closed_form_spectrum(self):
         for record in COUPLED:
             sys_ = record.system()
-            values = eigen_spectrum(build_hamiltonian(sys_))
+            values, _ = jacobi_eigh(build_hamiltonian(sys_))
             expected = closed_form_spectrum(sys_)
             scale = float(np.max(np.abs(expected)))
             assert np.max(np.abs(values - expected)) <= 1e-9 * scale, record.symbol
@@ -152,42 +139,8 @@ class TestJacobiEigh:
             jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
         assert err.value.residual > 0.0
 
-
-class TestEigenSpectrum:
-    def test_pauli_y(self):
-        pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        assert eigen_spectrum(pauli_y) == pytest.approx([-1.0, 1.0], abs=1e-12)
-
-    def test_random_complex_hermitian_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        a = base + base.conj().T
-        assert eigen_spectrum(a) == pytest.approx(np.linalg.eigvalsh(a), abs=1e-10)
-
-    def test_phase_rotation_preserves_spectrum(self):
-        h = build_hamiltonian(sys_of("Ce"))
-        rng = np.random.default_rng(3)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, h.shape[0]))
-        rotated = np.diag(phases.conj()) @ h @ np.diag(phases)
-        assert eigen_spectrum(rotated) == pytest.approx(
-            eigen_spectrum(h), abs=1e-9 * float(np.max(np.abs(h)))
-        )
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            eigen_spectrum(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            eigen_spectrum(np.zeros((2, 3)))
-
-    def test_zero_operator(self):
-        assert np.array_equal(eigen_spectrum(np.zeros((3, 3))), np.zeros(3))
-
     def test_europium_multiplicities(self):
-        values = eigen_spectrum(build_hamiltonian(sys_of("Eu")))
+        values, _ = jacobi_eigh(build_hamiltonian(sys_of("Eu")))
         unique, counts = np.unique(np.round(values, 6), return_counts=True)
         assert list(counts) == [1, 3, 5, 7, 9, 11, 13]
         expected = [m.energy for m in multiplets(sys_of("Eu"))]
@@ -223,7 +176,7 @@ def draw_all(system, rng, n):
 def naive_observables(system, spin, orbital):
     """<S>, <L> and <psi|H|psi> of one product state, by explicit kron and vdot."""
     def bloch(twice_j, state):
-        jz, jplus, jminus = angular_momentum_matrices(HalfInt(twice_j))
+        jz, jplus, jminus = _ladder_triplet(twice_j)
         ops = (0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
         return np.array([np.vdot(state, op @ state).real for op in ops])
 

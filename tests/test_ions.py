@@ -110,8 +110,9 @@ class TestCouplingFromGap:
                 continue
             implied = coupling_from_gap(record.delta_e, record.j0, record.light)
             sys_ = SpinOrbitSystem(record.s, record.l, implied)
-            step = HalfInt(2) if record.light else HalfInt(-2)
-            gap = level_energy(sys_, record.j0 + step) - level_energy(sys_, record.j0)
+            step = 2 if record.light else -2
+            gap = (level_energy(sys_, HalfInt(record.j0.twice + step))
+                   - level_energy(sys_, record.j0))
             assert gap == pytest.approx(record.delta_e, abs=0.5)
 
 
