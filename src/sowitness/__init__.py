@@ -29,7 +29,6 @@ from .ions import (
 )
 from .thermal import (
     EntanglementTemperature,
-    ThermalPoint,
     WitnessCurve,
     WitnessStatus,
     entanglement_temperature,
@@ -59,7 +58,6 @@ __all__ = [
     "ion_record",
     "load_catalog",
     "EntanglementTemperature",
-    "ThermalPoint",
     "WitnessCurve",
     "WitnessStatus",
     "entanglement_temperature",

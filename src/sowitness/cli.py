@@ -10,11 +10,13 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .ions import (
     ion_record,
     load_catalog,
 )
-from .thermal import entanglement_temperature, mean_energy, witness_curve
+from .thermal import _curve_chunks, entanglement_temperature, mean_energy
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -43,6 +45,8 @@ _CONVENTIONS = {
 }
 
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
+# "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included.
+_CURVE_ROW = "%.6g,%.6g,%.6g\n"
 
 
 class _CliError(Exception):
@@ -163,43 +167,72 @@ def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
     return loaded
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    path = getattr(args, "output", None)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write(path, text)
+def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
+    """Write every file of a set or none of them.
 
-
-def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> str:
+    Each file is written under a hidden temporary name beside it and moved
+    into place with ``os.replace``.  On the first failure every file of the
+    set written so far, and the temporary one, is removed before the error
+    is raised; the error names the file asked for.
+    """
+    written = []
     try:
-        curve = witness_curve(system, args.tmin, args.tmax, args.steps)
+        for path, pieces in files:
+            staged = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+            written.append(staged)
+            try:
+                with open(staged, "w", encoding="utf-8", newline="") as handle:
+                    handle.writelines(pieces)
+                os.replace(staged, path)
+            except OSError as exc:
+                named = OSError(exc.errno, exc.strerror, path)
+                raise _CliError(EXIT_IO, f"cannot write {path}: {named}") from exc
+            written[-1] = path  # the temporary file is now the requested one
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    path = getattr(args, "output", None)
+    if path is not None:
+        _write(path, pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader has gone.  Point the descriptor at devnull, so the
+        # flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _CliError(EXIT_IO, f"cannot write standard output: {exc}") from exc
+
+
+def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[str]:
+    """The lines of the curve CSV, computed one kernel chunk at a time.
+
+    The grid is checked here, so a bad one exits 2 before anything is
+    written; the rows are computed and formatted only as they are written.
+    """
+    try:
+        chunks = _curve_chunks(system, args.tmin, args.tmax, args.steps)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    lines = [CURVE_HEADER]
-    for point in curve.points:
-        lines.append(f"{_fmt(point.temperature)},{_fmt(point.mean_energy)},{_fmt(point.witness)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_witness_csv(text: str) -> list[tuple[float, float, float]]:
-    """Parse a curve CSV back into (T, mean energy, witness) rows."""
-    lines = text.splitlines()
-    if not lines or lines[0] != CURVE_HEADER:
-        raise ValueError(f"expected header {CURVE_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        t_k, mean_k, witness_k = line.split(",")
-        rows.append((float(t_k), float(mean_k), float(witness_k)))
-    return rows
+    rows = (map(_CURVE_ROW.__mod__, zip(t.tolist(), mean.tolist(), w.tolist()))
+            for t, _, mean, w in chunks)
+    return itertools.chain((CURVE_HEADER + "\n",), itertools.chain.from_iterable(rows))
 
 
 def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
@@ -233,7 +266,7 @@ def _run_ions(args: argparse.Namespace) -> int:
                 for record in catalog
             ]
         }
-        _emit(args, json.dumps(document, indent=2) + "\n")
+        _emit(args, [json.dumps(document, indent=2) + "\n"])
         return EXIT_OK
     lines = ["symbol,n4f,s,l,j0,deltaE_K,zeta_K,dim"]
     for record in catalog:
@@ -248,7 +281,7 @@ def _run_ions(args: argparse.Namespace) -> int:
             _fmt_optional(record.zeta),
             str(dim),
         )))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -291,7 +324,7 @@ def _run_te(args: argparse.Namespace) -> int:
         except UnknownIonError as exc:
             raise _CliError(EXIT_ION, str(exc)) from exc
     pairs = [(record.symbol, _ion_system(record, convention)) for record in records]
-    _emit(args, _te_rows(pairs, args.convention, tolerance))
+    _emit(args, [_te_rows(pairs, args.convention, tolerance)])
     return EXIT_OK
 
 
@@ -336,17 +369,13 @@ def _run_figure1(args: argparse.Namespace) -> int:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot create output directory: {exc}") from exc
-    written = []
-    for record in light:
-        filename = f"figure1_{record.symbol}.csv"
-        _write(os.path.join(args.outdir, filename),
-               _curve_csv(record.system(convention), args))
-        written.append((record.symbol, filename))
-    script_path = os.path.join(args.outdir, "plot_figure1.py")
-    _write(script_path, _PLOT_PROLOGUE + f"CURVES = {written!r}\n" + _PLOT_BODY)
-    for _, filename in written:
-        sys.stdout.write(os.path.join(args.outdir, filename) + "\n")
-    sys.stdout.write(script_path + "\n")
+    curves = [(record.symbol, f"figure1_{record.symbol}.csv") for record in light]
+    files = [(os.path.join(args.outdir, filename), _curve_csv(record.system(convention), args))
+             for record, (_, filename) in zip(light, curves)]
+    script = _PLOT_PROLOGUE + f"CURVES = {curves!r}\n" + _PLOT_BODY
+    files.append((os.path.join(args.outdir, "plot_figure1.py"), [script]))
+    _write_all(files)
+    sys.stdout.writelines(path + "\n" for path, _ in files)
     return EXIT_OK
 
 
@@ -365,7 +394,7 @@ def _run_custom(args: argparse.Namespace) -> int:
     if args.action == "witness":
         _emit(args, _curve_csv(system, args))
         return EXIT_OK
-    _emit(args, _te_rows([("custom", system)], args.convention, _tolerance(args)))
+    _emit(args, [_te_rows([("custom", system)], args.convention, _tolerance(args))])
     return EXIT_OK
 
 

@@ -18,6 +18,11 @@ temperature costs O(levels).  ``mean_energy``, ``witness``,
 ``witness_curve`` and ``entanglement_temperature`` all go through the
 kernel; ``weight`` is the per-level reference it is tested against.
 
+A witness curve is evaluated in chunks of the kernel's own size by
+``_curve_chunks``: ``witness_curve`` joins the chunks into read-only arrays,
+and the command line formats and writes each chunk as it comes, so the
+memory a curve needs on its way to a CSV file is bounded for any length.
+
 The fluctuation gives the exact slope dW/dT = (<H^2> - <H>^2)/T^2 under
 either convention, which the root finder for T_E uses for Newton steps.
 """
@@ -27,13 +32,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .angular import Convention, Multiplet, SpinOrbitSystem, ground_multiplet, multiplets
 
 __all__ = [
-    "ThermalPoint",
     "WitnessCurve",
     "WitnessStatus",
     "EntanglementTemperature",
@@ -56,29 +61,20 @@ _BRACKET_GRID = np.exp2(np.arange(math.floor(math.log2(BRACKET_CAP_K)) + 1))
 _KERNEL_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
-    """One temperature sample: shifted partition sum, mean energy, witness."""
-
-    temperature: float
-    partition: float
-    mean_energy: float
-    witness: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessCurve:
-    """Witness samples on a strictly increasing temperature grid."""
+    """Witness samples on a strictly increasing temperature grid.
+
+    Each field after ``system`` is a read-only array with one entry per grid
+    temperature: the shifted partition sum, the mean energy <H> and the
+    witness W = <H> + |zeta| s l.
+    """
 
     system: SpinOrbitSystem
-    points: tuple[ThermalPoint, ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("a curve needs at least one point")
-        temps = [p.temperature for p in self.points]
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise ValueError("temperatures must be strictly increasing")
+    temperatures: np.ndarray
+    partition: np.ndarray
+    mean_energy: np.ndarray
+    witness: np.ndarray
 
 
 class WitnessStatus(enum.Enum):
@@ -135,15 +131,17 @@ class _LevelTable:
         self.powers = np.stack(
             (self.energies, self.excitations, self.excitations * self.excitations), axis=1
         )
+        # temperatures per kernel chunk, so a chunk holds at most
+        # _KERNEL_ELEMENTS weights
+        self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
 
     def averages(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Z, <H> and <H^2> - <H>^2 at each of a 1-D array of positive temperatures."""
         partition = np.empty(len(temperatures))
         mean = np.empty(len(temperatures))
         fluctuation = np.empty(len(temperatures))
-        rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
-        for start in range(0, len(temperatures), rows):
-            chunk = slice(start, start + rows)
+        for start in range(0, len(temperatures), self.chunk_rows):
+            chunk = slice(start, start + self.chunk_rows)
             weights = self.prefactors * np.exp(
                 -self.excitations / temperatures[chunk, np.newaxis]
             )
@@ -299,22 +297,49 @@ def entanglement_temperature(
         w, slope = evaluate(x)
 
 
-def witness_curve(
+def _curve_chunks(
     system: SpinOrbitSystem, tmin: float, tmax: float, steps: int
-) -> WitnessCurve:
-    """Sample the witness on a uniform temperature grid, endpoints included."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The uniform grid of ``witness_curve`` as (T, Z, <H>, W) chunks.
+
+    The grid is checked and the level table built at once, before the
+    first chunk is asked for, so a bad grid raises ValueError before a
+    caller has written anything.  Each chunk is one kernel chunk, so every
+    row is computed with the same arithmetic at any grid length.
+
+    Each grid value is within 3 rounding errors of its exact value, so a
+    spacing of at least 8 ulp(tmax) keeps the computed grid strictly
+    increasing; a finer grid is rejected.  It also bounds ``steps`` below
+    2**50, so the integer grid index never overflows.
+    """
     if not (tmin > 0.0 and math.isfinite(tmin) and math.isfinite(tmax)):
         raise ValueError("temperatures must be positive and finite")
     if tmax <= tmin:
         raise ValueError(f"tmax must exceed tmin, got [{tmin}, {tmax}]")
     if steps < 2:
         raise ValueError(f"a curve needs at least 2 steps, got {steps}")
+    if steps - 1 > (tmax - tmin) / (8.0 * math.ulp(tmax)):
+        raise ValueError(
+            f"{steps} steps are finer than the float resolution of [{tmin}, {tmax}]"
+        )
+    table = _LevelTable(system)
     bound = system.separable_bound
-    i = np.arange(steps)
-    temperatures = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
-    partition, mean, _ = _LevelTable(system).averages(temperatures)
-    points = tuple(
-        ThermalPoint(t, z, energy, energy + bound)
-        for t, z, energy in zip(temperatures.tolist(), partition.tolist(), mean.tolist())
-    )
-    return WitnessCurve(system, points)
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        for start in range(0, steps, table.chunk_rows):
+            i = np.arange(start, min(start + table.chunk_rows, steps))
+            temperatures = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
+            partition, mean, _ = table.averages(temperatures)
+            yield temperatures, partition, mean, mean + bound
+
+    return chunks()
+
+
+def witness_curve(
+    system: SpinOrbitSystem, tmin: float, tmax: float, steps: int
+) -> WitnessCurve:
+    """Sample the witness on a uniform temperature grid, endpoints included."""
+    columns = [np.concatenate(c) for c in zip(*_curve_chunks(system, tmin, tmax, steps))]
+    for column in columns:
+        column.flags.writeable = False
+    return WitnessCurve(system, *columns)

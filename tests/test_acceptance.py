@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from sowitness.angular import Convention, HalfInt, multiplets
-from sowitness.cli import parse_witness_csv
 from sowitness.dense import (
     build_hamiltonian,
     ground_state_analysis,
@@ -33,6 +32,8 @@ from sowitness.thermal import (
     mean_energy,
     witness,
 )
+
+from curve_csv import parse_witness_csv
 
 LEVEL = Convention.LEVEL_UNIFORM
 MULTIPLET = Convention.MULTIPLET_DEGENERATE

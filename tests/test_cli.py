@@ -7,9 +7,12 @@ import time
 
 import pytest
 
-from sowitness import dense
-from sowitness.cli import CURVE_HEADER, main, parse_witness_csv
-from sowitness.ions import CATALOG, load_catalog
+from sowitness import dense, thermal
+from sowitness.angular import multiplets
+from sowitness.cli import _CONVENTIONS, CURVE_HEADER, main
+from sowitness.ions import CATALOG, ion_record, load_catalog
+
+from curve_csv import parse_witness_csv
 
 TE_TABLE = {"Ce": 1758.0, "Pr": 1851.0, "Nd": 1904.0, "Pm": 2008.0,
             "Sm": 1975.0, "Eu": 3295.0}
@@ -147,14 +150,71 @@ class TestWitness:
         ("--steps", "1"),
         ("--tmin", "-5"),
         ("--tmin", "100", "--tmax", "50"),
+        ("--steps", "100000000000000000000"),
+        ("--tmin", "1", "--tmax", "1.000000000001", "--steps", "100000"),
     ])
     def test_bad_flags_exit_2(self, flags):
         result = run_cli("witness", "--ion", "Ce", *flags)
         assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
 
     def test_byte_determinism(self):
         args = ("witness", "--ion", "Ce", "--steps", "50")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize("convention", ["level", "multiplet"])
+    @pytest.mark.parametrize("ion", LIGHT)
+    def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch, ion, convention):
+        argv = ["witness", "--ion", ion, "--convention", convention, "--steps", "3000"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        system = ion_record(ion).system(_CONVENTIONS[convention])
+        monkeypatch.setattr(thermal, "_KERNEL_ELEMENTS", 7 * len(multiplets(system)))
+        assert thermal._LevelTable(system).chunk_rows == 7
+        assert main(argv) == 0
+        assert capsys.readouterr().out == default
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        """The CSV is streamed: 2*10^6 rows peak within 12 MiB of 10^3 rows.
+
+        The rise is the kernel's temporaries for one chunk of 2^16 weights
+        plus one chunk of formatted rows; a curve held whole reads +780 MB.
+        """
+        script = ("import resource, sys\n"
+                  "from sowitness.cli import main\n"
+                  "code = main(['witness', '--ion', 'Ce', '--steps', sys.argv[1],"
+                  " '--output', sys.argv[2]])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                  "sys.exit(code)\n")
+        peaks = []
+        for steps in ("1000", "2000000"):
+            target = tmp_path / f"ce_{steps}.csv"
+            result = subprocess.run([sys.executable, "-c", script, steps, str(target)],
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stdout + result.stderr
+            peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
+            with open(target, "rb") as handle:
+                assert sum(1 for _ in handle) == int(steps) + 1
+        assert peaks[1] - peaks[0] <= 12 * 1024, peaks
+
+    def test_bad_grid_creates_no_output_file(self, tmp_path):
+        target = tmp_path / "f.csv"
+        result = run_cli("witness", "--ion", "Ce", "--steps", "1", "--output", str(target))
+        assert result.returncode == 2
+        assert result.stderr == "error: a curve needs at least 2 steps, got 1\n"
+        assert not target.exists()
+
+    def test_closed_reader_exits_4(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "sowitness", "witness", "--ion", "Ce", "--steps", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert process.stdout.readline() == CURVE_HEADER + "\n"
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 4
+        assert stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ValueError):
@@ -319,6 +379,8 @@ class TestWriteFailures:
         result = run_cli("figure1", "--outdir", str(tmp_path), "--steps", "20")
         self.assert_write_error(result, tmp_path / name)
         assert result.stdout == ""
+        # nothing of the failed run is left: no curve, no temporary file
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_witness_output_in_missing_directory(self, tmp_path):
         target = tmp_path / "missing" / "ce.csv"

@@ -11,8 +11,6 @@ from sowitness.dense import build_hamiltonian, jacobi_eigh, thermal_mean_energy
 from sowitness.ions import CATALOG, ion_record
 from sowitness.thermal import (
     BRACKET_CAP_K,
-    ThermalPoint,
-    WitnessCurve,
     WitnessStatus,
     entanglement_temperature,
     mean_energy,
@@ -350,17 +348,18 @@ class TestEntanglementTemperature:
 def interpolated_crossings(curve):
     """Zero crossings of the sampled witness, by linear interpolation."""
     crossings = []
-    for a, b in zip(curve.points, curve.points[1:]):
-        if a.witness < 0.0 <= b.witness or b.witness < 0.0 <= a.witness:
-            frac = a.witness / (a.witness - b.witness)
-            crossings.append(a.temperature + frac * (b.temperature - a.temperature))
+    temps, values = curve.temperatures.tolist(), curve.witness.tolist()
+    for t0, t1, w0, w1 in zip(temps, temps[1:], values, values[1:]):
+        if w0 < 0.0 <= w1 or w1 < 0.0 <= w0:
+            frac = w0 / (w0 - w1)
+            crossings.append(t0 + frac * (t1 - t0))
     return crossings
 
 
 class TestWitnessCurve:
     def test_grid_is_uniform_and_inclusive(self):
         curve = witness_curve(sys_of("Ce", LEVEL), 1.0, 6000.0, 600)
-        temps = [p.temperature for p in curve.points]
+        temps = curve.temperatures
         assert len(temps) == 600
         assert temps[0] == 1.0
         assert temps[-1] == 6000.0
@@ -381,15 +380,14 @@ class TestWitnessCurve:
 
     def test_gadolinium_curve_is_identically_zero(self):
         curve = witness_curve(sys_of("Gd", MULTIPLET), 1.0, 5000.0, 50)
-        assert all(p.witness == 0.0 for p in curve.points)
-        assert all(p.mean_energy == 0.0 for p in curve.points)
+        assert np.all(curve.witness == 0.0)
+        assert np.all(curve.mean_energy == 0.0)
 
     def test_point_invariants(self):
         sys_ = sys_of("Pr", MULTIPLET)
         curve = witness_curve(sys_, 1.0, 10000.0, 100)
-        for point in curve.points:
-            assert point.partition > 0.0
-            assert point.witness == point.mean_energy + sys_.separable_bound
+        assert np.all(curve.partition > 0.0)
+        assert np.array_equal(curve.witness, curve.mean_energy + sys_.separable_bound)
 
     @pytest.mark.parametrize("args", [
         (0.0, 100.0, 10),
@@ -399,18 +397,36 @@ class TestWitnessCurve:
         (1.0, 100.0, 1),
         (float("nan"), 100.0, 10),
         (1.0, float("inf"), 10),
+        (1.0, 1.0 + 1e-12, 100000),
+        (1.0, 6000.0, 10**20),
     ])
     def test_invalid_ranges_rejected(self, args):
         with pytest.raises(ValueError):
             witness_curve(sys_of("Ce", LEVEL), *args)
 
-    def test_curve_type_validates(self):
-        with pytest.raises(ValueError):
-            WitnessCurve(sys_of("Ce", LEVEL), ())
-        point = ThermalPoint(10.0, 1.0, -1800.0, -450.0)
-        earlier = ThermalPoint(5.0, 1.0, -1800.0, -450.0)
-        with pytest.raises(ValueError):
-            WitnessCurve(sys_of("Ce", LEVEL), (point, earlier))
+    def test_arrays_are_read_only(self):
+        curve = witness_curve(sys_of("Ce", LEVEL), 1.0, 6000.0, 600)
+        for column in (curve.temperatures, curve.partition, curve.mean_energy, curve.witness):
+            assert column.shape == (600,)
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    @pytest.mark.parametrize("symbol", ["Ce", "Sm", "Eu"])
+    def test_witness_is_mean_energy_plus_bound_exactly(self, symbol):
+        # over three kernel chunks, so the joined arrays line up at the seams
+        sys_ = sys_of(symbol, MULTIPLET)
+        steps = 2 * thermal._LevelTable(sys_).chunk_rows + 7
+        curve = witness_curve(sys_, 1.0, 6000.0, steps)
+        assert len(curve.witness) == len(curve.mean_energy) == steps
+        assert np.array_equal(curve.witness, curve.mean_energy + sys_.separable_bound)
+
+    @pytest.mark.parametrize("tmin,tmax,steps", [
+        (1.0, 6000.0, 600), (1.0, 1.0 + 1e-9, 7), (1e-3, 1e7, 100000),
+    ])
+    def test_grid_is_strictly_increasing(self, tmin, tmax, steps):
+        temps = witness_curve(sys_of("Ce", LEVEL), tmin, tmax, steps).temperatures
+        assert temps[0] == tmin and temps[-1] == tmax
+        assert np.all(np.diff(temps) > 0.0)
 
 
 def counting_multiplets(monkeypatch):
@@ -464,12 +480,12 @@ class TestKernel:
     @given(systems, st.floats(1e-2, 1e7), st.integers(2, 5))
     def test_matches_per_level_fsum(self, sys_, tmin, steps):
         curve = witness_curve(sys_, tmin, 3.0 * tmin, steps)
-        for point in curve.points:
-            partition, energy, scale = reference_sums(sys_, point.temperature)
-            assert abs(point.partition - partition) <= 1e-12 * partition
-            assert abs(point.mean_energy - energy) <= 1e-12 * scale
-            assert mean_energy(sys_, point.temperature) == pytest.approx(
-                point.mean_energy, rel=1e-12, abs=1e-12 * scale)
+        for t, z, mean in zip(curve.temperatures.tolist(), curve.partition.tolist(),
+                              curve.mean_energy.tolist()):
+            partition, energy, scale = reference_sums(sys_, t)
+            assert abs(z - partition) <= 1e-12 * partition
+            assert abs(mean - energy) <= 1e-12 * scale
+            assert mean_energy(sys_, t) == pytest.approx(mean, rel=1e-12, abs=1e-12 * scale)
 
     def test_slope_matches_central_difference(self):
         cases = [record.system(convention) for record in COUPLED
@@ -493,6 +509,6 @@ class TestKernel:
         steps = 3 * thermal._KERNEL_ELEMENTS // len(multiplets(sys_)) + 7
         curve = witness_curve(sys_, 1.0, 6000.0, steps)
         for k in (0, steps // 3 - 1, steps // 3, steps - 1):
-            point = curve.points[k]
-            assert point.mean_energy == pytest.approx(
-                mean_energy(sys_, point.temperature), rel=1e-12, abs=1e-9)
+            t = float(curve.temperatures[k])
+            assert curve.mean_energy[k] == pytest.approx(
+                mean_energy(sys_, t), rel=1e-12, abs=1e-9)
