@@ -1,11 +1,12 @@
 """Dense-matrix route: explicit product-basis operators, a self-contained
 cyclic Jacobi eigensolver, and product-state sampling.
 
-Haar-random product states are drawn and evaluated in batches of at most
-``_SAMPLE_CHUNK`` states, so the work runs in array operations and memory
-does not grow with the sample count.  Each energy is still the expectation
-of the full Hamiltonian on the Kronecker product vector; one evaluator
-serves both the batches and single explicit states.
+One cached diagonalisation per system (``_eigh_of``) serves the Gibbs
+trace, the ground-state analysis and ``verify``'s spectrum check.  One
+evaluator gives the observables of product states, one per row, for the
+Haar-random batches of at most ``_SAMPLE_CHUNK`` states and for the explicit
+states of :func:`product_states`; each energy is the expectation of the
+full Hamiltonian on the Kronecker product vector.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
@@ -35,13 +36,12 @@ from .angular import SpinOrbitSystem
 
 __all__ = [
     "ConvergenceError",
-    "ProductStateSample",
     "ProductStateBatch",
     "GroundStateAnalysis",
     "build_hamiltonian",
     "jacobi_eigh",
     "thermal_mean_energy",
-    "product_state_sample",
+    "product_states",
     "sample_product_states",
     "ground_state_analysis",
 ]
@@ -158,10 +158,17 @@ def jacobi_eigh(
 
 
 @lru_cache(maxsize=128)
-def _spectrum_of(system: SpinOrbitSystem) -> np.ndarray:
-    values, _ = jacobi_eigh(build_hamiltonian(system))
-    values.flags.writeable = False
-    return values
+def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (values, vectors) of :func:`jacobi_eigh` on the Hamiltonian.
+
+    Kept for the last 128 systems (the catalog has 12 coupled ions).  An
+    entry holds 8 n (n + 1) bytes for n = (2s+1)(2l+1): at most 4.5 MB in all
+    for catalog shells (n <= 66), 128 entries of the largest n in general.
+    """
+    values, vectors = jacobi_eigh(build_hamiltonian(system))
+    for a in (values, vectors):
+        a.flags.writeable = False
+    return values, vectors
 
 
 def thermal_mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
@@ -172,21 +179,9 @@ def thermal_mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature!r}")
-    values = _spectrum_of(system)
+    values, _ = _eigh_of(system)
     weights = np.exp(-(values - values[0]) / temperature)
     return float(np.sum(weights * values) / np.sum(weights))
-
-
-@dataclass(frozen=True, eq=False)
-class ProductStateSample:
-    """A product state |spin> x |orbital> and its derived observables."""
-
-    spin_state: np.ndarray
-    orbital_state: np.ndarray
-    spin_vector: np.ndarray
-    orbital_vector: np.ndarray
-    cos_angle: float
-    energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +282,7 @@ def _evaluate(
     orbital_vec = _expectations(_cartesian_triplet(system.l.twice), o_re, o_im)
 
     def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
     product_re = kron_rows(s_re, o_re)
     product_re -= kron_rows(s_im, o_im)
@@ -304,26 +299,29 @@ def _evaluate(
     return ProductStateBatch(*fields)
 
 
-def product_state_sample(
-    system: SpinOrbitSystem, spin_state: np.ndarray, orbital_state: np.ndarray
-) -> ProductStateSample:
-    """Evaluate <S>, <L>, their angle, and <H> for one product state.
+def product_states(
+    system: SpinOrbitSystem, spin_states: np.ndarray, orbital_states: np.ndarray
+) -> ProductStateBatch:
+    """Evaluate <S>, <L>, their angle, and <H> for explicit product states.
 
-    States are normalized defensively.  This is the batch-of-one case of the
-    evaluator behind :func:`sample_product_states`, so the energy is the same
-    honest <psi| H |psi> on the product vector.
+    Row ``r`` of ``spin_states`` (shape ``(k, 2s+1)``) and of
+    ``orbital_states`` (shape ``(k, 2l+1)``) make up state ``r``.  Rows are
+    normalized defensively; other shapes, and a row whose norm is zero or
+    not finite, raise ValueError.  The evaluator is the one behind
+    :func:`sample_product_states`, so the energy is the same honest
+    <psi| H |psi> on the product vector.
     """
-    spin = np.asarray(spin_state, dtype=complex)
-    orbital = np.asarray(orbital_state, dtype=complex)
-    if spin.shape != (system.s.twice + 1,) or orbital.shape != (system.l.twice + 1,):
-        raise ValueError("factor state dimensions do not match the system")
-    factors = [(state.real[None], state.imag[None]) for state in (spin, orbital)]
-    batch = _evaluate(system, *[_scaled(f, _row_norms(*f)) for f in factors])
-    return ProductStateSample(
-        batch.spin_states[0], batch.orbital_states[0],
-        batch.spin_vectors[0], batch.orbital_vectors[0],
-        float(batch.cos_angles[0]), float(batch.energies[0]),
-    )
+    spin = np.asarray(spin_states, dtype=complex)
+    orbital = np.asarray(orbital_states, dtype=complex)
+    dims = system.s.twice + 1, system.l.twice + 1
+    if spin.ndim != 2 or (spin.shape, orbital.shape) != tuple((len(spin), d) for d in dims):
+        raise ValueError(f"factor states of shapes {spin.shape} and {orbital.shape} "
+                         f"do not match the system's (k, {dims[0]}) and (k, {dims[1]})")
+    factors = [(rows.real, rows.imag) for rows in (spin, orbital)]
+    norms = [_row_norms(*factor) for factor in factors]
+    if not all(np.all(np.isfinite(n) & (n > 0.0)) for n in norms):
+        raise ValueError("every factor state needs a finite, nonzero norm")
+    return _evaluate(system, *map(_scaled, factors, norms))
 
 
 def _haar_rows(
@@ -391,7 +389,7 @@ def ground_state_analysis(system: SpinOrbitSystem) -> GroundStateAnalysis:
     """
     if system.zeta == 0.0:
         raise ValueError("ground-state analysis requires a nonzero coupling")
-    values, vectors = jacobi_eigh(build_hamiltonian(system))
+    values, vectors = _eigh_of(system)
     threshold = 1e-6 * abs(system.zeta)
     degeneracy = int(np.count_nonzero(values <= values[0] + threshold))
     if degeneracy != 1:

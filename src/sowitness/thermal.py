@@ -228,10 +228,10 @@ def entanglement_temperature(
     tolerance/2 is certified by one probe tolerance/2 beyond its target; the
     target is returned when W changes sign between the iterate and the probe.
     No iteration cap is needed: the bracket shrinks at every step, so the
-    search ends for any positive tolerance, sub-ulp ones included.
+    search ends for any positive finite tolerance, sub-ulp ones included.
     """
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if system.witness_trivial:
         return EntanglementTemperature(None, WitnessStatus.WITNESS_DEGENERATE)
     table = _LevelTable(system)

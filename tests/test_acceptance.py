@@ -21,7 +21,7 @@ from sowitness.dense import (
     build_hamiltonian,
     ground_state_analysis,
     jacobi_eigh,
-    product_state_sample,
+    product_states,
     sample_product_states,
     thermal_mean_energy,
 )
@@ -86,8 +86,8 @@ def product_samples():
         orbital = np.zeros(record.l.twice + 1)
         spin[0] = 1.0
         orbital[-1 if record.zeta > 0 else 0] = 1.0
-        aligned = product_state_sample(sys_, spin, orbital)
-        aligned_rel = abs(aligned.energy + bound) / bound
+        aligned = product_states(sys_, spin[None], orbital[None])
+        aligned_rel = abs(aligned.energies[0] + bound) / bound
         stats[record.symbol] = (min_margin, max_identity_dev, aligned_rel)
     return stats
 

@@ -205,16 +205,26 @@ class TestWitness:
         assert result.stderr == "error: a curve needs at least 2 steps, got 1\n"
         assert not target.exists()
 
-    def test_closed_reader_exits_4(self):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "sowitness", "witness", "--ion", "Ce", "--steps", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert process.stdout.readline() == CURVE_HEADER + "\n"
-        process.stdout.close()
-        stderr = process.stderr.read()
-        process.stderr.close()
-        assert process.wait(timeout=60) == 4
-        assert stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    def test_closed_reader_exits_4(self, tmp_path):
+        """A reader that leaves mid-stream (witness) or before the first
+        line (verify, figure1) gives one error line and exit 4."""
+        for argv in (["witness", "--ion", "Ce", "--steps", "200000"],
+                     ["verify", "--samples", "20"],
+                     ["figure1", "--steps", "50", "--outdir", str(tmp_path)]):
+            read_end, write_end = os.pipe()
+            streamed = argv[0] == "witness"
+            if not streamed:
+                os.close(read_end)
+            process = subprocess.Popen([sys.executable, "-m", "sowitness", *argv],
+                                       stdout=write_end, stderr=subprocess.PIPE, text=True)
+            os.close(write_end)
+            if streamed:
+                with os.fdopen(read_end) as reader:
+                    assert reader.readline() == CURVE_HEADER + "\n"
+            stderr = process.stderr.read()
+            process.stderr.close()
+            assert process.wait(timeout=60) == 4, argv
+            assert stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ValueError):
@@ -362,6 +372,24 @@ class TestMissingCoupling:
         assert result.returncode == 2
         assert result.stderr == "error: tolerance must be positive\n"
 
+    @pytest.mark.parametrize("args", [
+        ("te", "--ion", "Ce"),
+        ("te", "--ion", "La"),
+        ("custom", "--two-s", "1", "--two-l", "6", "--zeta", "900", "te"),
+    ])
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "tolerance must be finite"),
+        ("-inf", "tolerance must be positive"),
+        ("nan", "tolerance must be positive"),
+    ])
+    def test_non_finite_tolerance_exits_2(self, capsys, args, value, message):
+        # W(2048 K) = +107 K for Ce, yet an infinite tolerance once printed
+        # "2048 K crossed".
+        assert main([*args, f"--tolerance={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestWriteFailures:
     """Every file the CLI writes fails the same way: exit 4, one error line."""
@@ -480,6 +508,30 @@ class TestVerify:
             assert result.returncode == 0, result.stdout + result.stderr
             peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
         assert peaks[1] - peaks[0] <= 4096, peaks
+
+    def test_one_diagonalisation_per_system(self, capsys, monkeypatch):
+        """A fresh verify diagonalises each coupled ion once; the ground-state
+        analysis after it only diagonalises reduced density matrices."""
+        shapes = []
+        jacobi_eigh = dense.jacobi_eigh
+
+        def counted(matrix, **kwargs):
+            shapes.append(matrix.shape)
+            return jacobi_eigh(matrix, **kwargs)
+
+        monkeypatch.setattr(dense, "jacobi_eigh", counted)
+        dense._eigh_of.cache_clear()
+        assert main(["verify", "--samples", "20"]) == 0
+        capsys.readouterr()
+        coupled = [r for r in CATALOG if r.zeta is not None]
+        assert len(coupled) == 12
+        assert shapes == [((r.s.twice + 1) * (r.l.twice + 1),) * 2 for r in coupled]
+        shapes.clear()
+        analyses = [dense.ground_state_analysis(r.system(_CONVENTIONS["multiplet"]))
+                    for r in coupled]
+        unique = [r for r, a in zip(coupled, analyses) if a.degeneracy == 1]
+        assert [r.symbol for r in unique] == ["Eu"]
+        assert shapes == [(r.s.twice + 1,) * 2 for r in unique]
 
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

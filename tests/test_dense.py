@@ -11,7 +11,7 @@ from sowitness.dense import (
     build_hamiltonian,
     ground_state_analysis,
     jacobi_eigh,
-    product_state_sample,
+    product_states,
     sample_product_states,
     thermal_mean_energy,
 )
@@ -281,31 +281,33 @@ class TestProductStates:
             assert np.all(np.abs(vectors.mean(axis=0)) <= 5.0 * errors + 1e-12), (symbol, j)
 
     def test_batch_matches_single_state_evaluation(self):
-        """10^4 draws over the distinct shells, every row against the scalar API."""
+        """10^4 draws over the distinct shells: each shell's rows evaluated
+        again in one explicit call, every 17th also alone and naively."""
         per_shell = -(-10_000 // len(DISTINCT_SHELLS))
         for symbol in DISTINCT_SHELLS:
             record = ion_record(symbol)
             sys_ = record.system()
             drawn = draw_all(sys_, np.random.default_rng(record.n4f), per_shell)
-            singles = [product_state_sample(sys_, spin, orbital) for spin, orbital
-                       in zip(drawn["spin_states"], drawn["orbital_states"])]
+            explicit = product_states(sys_, drawn["spin_states"], drawn["orbital_states"])
             s, l = record.s.value, record.l.value
             scale = abs(sys_.zeta) * s * l
-            single_spin = np.array([x.spin_vector for x in singles])
-            single_orbital = np.array([x.orbital_vector for x in singles])
-            single_energy = np.array([x.energy for x in singles])
-            assert np.allclose(drawn["spin_vectors"], single_spin, rtol=1e-12, atol=1e-12 * s)
-            assert np.allclose(drawn["orbital_vectors"], single_orbital,
+            assert np.allclose(drawn["spin_vectors"], explicit.spin_vectors,
+                               rtol=1e-12, atol=1e-12 * s)
+            assert np.allclose(drawn["orbital_vectors"], explicit.orbital_vectors,
                                rtol=1e-12, atol=1e-12 * l)
-            assert np.allclose(drawn["cos_angles"], [x.cos_angle for x in singles],
-                               rtol=1e-12, atol=1e-12)
-            assert np.allclose(drawn["energies"], single_energy, rtol=1e-12, atol=1e-12 * scale)
+            assert np.allclose(drawn["cos_angles"], explicit.cos_angles, rtol=1e-12, atol=1e-12)
+            assert np.allclose(drawn["energies"], explicit.energies,
+                               rtol=1e-12, atol=1e-12 * scale)
             for r in range(0, per_shell, 17):
-                spin_vec, orbital_vec, energy = naive_observables(
-                    sys_, drawn["spin_states"][r], drawn["orbital_states"][r])
-                assert np.allclose(single_spin[r], spin_vec, rtol=1e-12, atol=1e-12 * s)
-                assert np.allclose(single_orbital[r], orbital_vec, rtol=1e-12, atol=1e-12 * l)
-                assert abs(single_energy[r] - energy) <= 1e-12 * scale, symbol
+                spin, orbital = drawn["spin_states"][r], drawn["orbital_states"][r]
+                single = product_states(sys_, spin[None], orbital[None])
+                spin_vec, orbital_vec, energy = naive_observables(sys_, spin, orbital)
+                for vectors in (single.spin_vectors[0], explicit.spin_vectors[r]):
+                    assert np.allclose(vectors, spin_vec, rtol=1e-12, atol=1e-12 * s)
+                for vectors in (single.orbital_vectors[0], explicit.orbital_vectors[r]):
+                    assert np.allclose(vectors, orbital_vec, rtol=1e-12, atol=1e-12 * l)
+                for value in (single.energies[0], explicit.energies[r]):
+                    assert abs(value - energy) <= 1e-12 * scale, symbol
 
     def test_aligned_basis_state_saturates_bound(self):
         for record in COUPLED:
@@ -315,23 +317,46 @@ class TestProductStates:
             spin[0] = 1.0  # m_s = +s
             # zeta > 0 wants the moments antiparallel, zeta < 0 parallel.
             orbital[-1 if record.zeta > 0 else 0] = 1.0
-            sample = product_state_sample(sys_, spin, orbital)
-            assert sample.energy == pytest.approx(-sys_.separable_bound, rel=1e-12)
-            assert sample.cos_angle == pytest.approx(-1.0 if record.zeta > 0 else 1.0,
-                                                     abs=1e-12)
+            state = product_states(sys_, spin[None], orbital[None])
+            assert state.energies[0] == pytest.approx(-sys_.separable_bound, rel=1e-12)
+            assert state.cos_angles[0] == pytest.approx(-1.0 if record.zeta > 0 else 1.0,
+                                                        abs=1e-12)
 
     def test_states_normalized_defensively(self):
         ce = sys_of("Ce")
         spin = np.array([3.0, 4.0])
         orbital = np.zeros(7)
         orbital[2] = -2.5
-        scaled = product_state_sample(ce, spin, orbital)
-        unit = product_state_sample(ce, spin / 5.0, orbital / 2.5)
-        assert scaled.energy == pytest.approx(unit.energy, rel=1e-12)
+        scaled = product_states(ce, [spin, 2.0 * spin], [orbital, orbital])
+        unit = product_states(ce, [spin / 5.0], [orbital / 2.5])
+        assert scaled.energies == pytest.approx(np.repeat(unit.energies, 2), rel=1e-12)
+        assert np.allclose(np.linalg.norm(scaled.spin_states, axis=1), 1.0, atol=1e-15)
+        assert not scaled.energies.flags.writeable
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            product_state_sample(sys_of("Ce"), np.ones(3), np.ones(7))
+        for spin, orbital in [
+            (np.ones((1, 3)), np.ones((1, 7))),  # spin dimension
+            (np.ones((1, 2)), np.ones((1, 5))),  # orbital dimension
+            (np.ones((2, 2)), np.ones((1, 7))),  # row counts differ
+            (np.ones(2), np.ones(7)),            # single states need a row axis
+            (np.ones((1, 1, 2)), np.ones((1, 7))),
+        ]:
+            with pytest.raises(ValueError, match="do not match"):
+                product_states(sys_of("Ce"), spin, orbital)
+
+    @pytest.mark.parametrize("row", [np.zeros(7), np.full(7, np.inf), np.full(7, np.nan)])
+    def test_zero_or_non_finite_row_rejected(self, row):
+        orbital = np.ones((2, 7))
+        orbital[1] = row
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            product_states(sys_of("Ce"), np.ones((2, 2)), orbital)
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            product_states(sys_of("Ce"), orbital[:, :2], np.ones((2, 7)))
+
+    def test_empty_batch(self):
+        empty = product_states(sys_of("Ho"), np.ones((0, 5)), np.ones((0, 13)))
+        assert empty.energies.shape == (0,)
+        assert empty.spin_vectors.shape == empty.orbital_vectors.shape == (0, 3)
 
 
 class TestGroundStateAnalysis:

@@ -1,9 +1,10 @@
-"""Golden outputs: the CLI's curve CSVs hashed byte for byte.
+"""Golden outputs: the CLI's stdout and written files hashed byte for byte.
 
-The SHA-256 digests below were recorded before the curve evaluator became
-chunked and streamed.  Any change to a printed digit, to the row order or
-to the line endings of these invocations fails here; a change that is meant
-to alter them must record new digests and say why.
+The curve digests were recorded before the curve evaluator became chunked
+and streamed; the ``verify``, ``te`` and ``ions`` digests before the dense
+route shared one cached diagonalisation.  Any change to a printed digit, to
+the row order or to the line endings of these invocations fails here; a
+change that is meant to alter them must record new digests and say why.
 """
 
 import hashlib
@@ -56,6 +57,21 @@ FIGURE1 = {
     ("multiplet", "plot_figure1.py"): "094fbb57d61761c9431480c28eab5c85268f68c852a84044f7c25218e628dd75",
 }
 
+STDOUT = {
+    ("verify",): "8aa2eeb5fb68177c8a406e91bdd83295097e746fe40c9699356fa3cd3372c17b",
+    ("verify", "--seed", "3"):
+        "a3154b695381636592352b79e0950b3a1ccb6a8ec2dbab21d8460a99c54501fd",
+    ("verify", "--seed", "7", "--samples", "300"):
+        "a5df4e5436f6db9b04b0efcb2bf01f4c4990b5206400e68f087dc8449327aa64",
+    ("te", "--ion", "all", "--convention", "level"):
+        "9b2e34274271812118c337f49980fbea5eec851b0dc7c5f2e6ebf353a94a45d2",
+    ("te", "--ion", "all", "--convention", "multiplet"):
+        "826e8bc0b1cb91a85b7c3e99db038aaf4b6ac0eec6d6194e5e36c362d019150a",
+    ("ions",): "ba7b94120d95206ab145d07a6e94b0886f5d5a38defa433f2fa07d31dc0201be",
+    ("ions", "--format", "json"):
+        "ab91ed5a38b20511a99350a2303108b78da63cccc182cade51f4d7dfbf1354ba",
+}
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -76,3 +92,9 @@ def test_figure1_files(capsys, tmp_path, convention):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     for name, digest in files.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT), ids=" ".join)
+def test_command_stdout(capsys, argv):
+    assert main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT[argv]

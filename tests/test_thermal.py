@@ -305,6 +305,13 @@ class TestEntanglementTemperature:
         with pytest.raises(ValueError):
             entanglement_temperature(sys_of("Ce", LEVEL), tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # W(2048 K) = +107 K for Ce, yet an infinite tolerance once returned
+        # 2048 K as CROSSED.
+        with pytest.raises(ValueError, match="positive and finite"):
+            entanglement_temperature(sys_of("Ce", LEVEL), tolerance=tolerance)
+
     def test_coarse_tolerance_still_brackets_root(self):
         result = entanglement_temperature(sys_of("Ce", LEVEL), tolerance=100.0)
         assert result.temperature == pytest.approx(TE_LEVEL["Ce"], abs=50.0)
