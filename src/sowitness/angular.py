@@ -135,6 +135,11 @@ class Multiplet:
             )
 
 
+def _bracket(ts: int, tl: int, tj: int) -> int:
+    """8 [j(j+1) - s(s+1) - l(l+1)] from the doubled quantum numbers, exactly."""
+    return tj * (tj + 2) - ts * (ts + 2) - tl * (tl + 2)
+
+
 def level_energy(system: SpinOrbitSystem, j: HalfInt) -> float:
     """Energy of the j multiplet, exact up to the single multiplication by zeta.
 
@@ -147,8 +152,7 @@ def level_energy(system: SpinOrbitSystem, j: HalfInt) -> float:
         raise ValueError(
             f"j={j} is not in the coupling range of s={system.s}, l={system.l}"
         )
-    quad = tj * (tj + 2) - ts * (ts + 2) - tl * (tl + 2)
-    return system.zeta * (quad / 8.0)
+    return system.zeta * (_bracket(ts, tl, tj) / 8.0)
 
 
 def multiplets(system: SpinOrbitSystem) -> tuple[Multiplet, ...]:

@@ -44,6 +44,11 @@ _CONVENTIONS = {
     "multiplet": Convention.MULTIPLET_DEGENERATE,
 }
 
+#: ``custom`` rejects a shell with more levels, min(2s, 2l) + 1, than this.
+MAX_LEVELS = 10**6
+#: ``custom`` rejects a larger 2s or 2l; beyond it s and l are not exact floats.
+MAX_TWICE = 2**53
+
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
 # "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included.
 _CURVE_ROW = "%.6g,%.6g,%.6g\n"
@@ -384,6 +389,10 @@ def _run_figure1(args: argparse.Namespace) -> int:
 def _run_custom(args: argparse.Namespace) -> int:
     if args.two_s < 0 or args.two_l < 0:
         raise _CliError(EXIT_USAGE, "doubled quantum numbers must be non-negative")
+    if max(args.two_s, args.two_l) > MAX_TWICE:
+        raise _CliError(EXIT_USAGE, "doubled quantum numbers must not exceed 2**53")
+    if min(args.two_s, args.two_l) + 1 > MAX_LEVELS:
+        raise _CliError(EXIT_USAGE, f"the shell has more than {MAX_LEVELS} levels")
     if not math.isfinite(args.zeta):
         raise _CliError(EXIT_USAGE, "coupling must be finite")
     try:

@@ -7,8 +7,8 @@ is the unique zero of W: <H>_T is a nondecreasing function of T for any
 fixed positive weights, so at most one sign change exists.
 
 Every thermal quantity needs only the levels (g_j, E_j) of the shell.  Each
-call builds them once, from a single ``multiplets()`` call, into a level
-table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
+call builds them once, straight from the doubled quantum numbers, into a
+level table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
 convention), the energies E_j and the excitations E_j - E_min.  One kernel
 then evaluates, over a whole array of temperatures, the shifted weights
 w_j = g_j exp(-(E_j - E_min)/T), the partition sum Z = sum_j w_j, the mean
@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import Convention, Multiplet, SpinOrbitSystem, ground_multiplet, multiplets
+from .angular import Convention, Multiplet, SpinOrbitSystem, _bracket, ground_multiplet
 
 __all__ = [
     "WitnessCurve",
@@ -100,29 +100,29 @@ class EntanglementTemperature:
     residual: float | None = None
 
 
-def _effective_degeneracy(system: SpinOrbitSystem, level: Multiplet) -> float:
-    if system.convention is Convention.MULTIPLET_DEGENERATE:
-        return float(level.degeneracy)
-    return 1.0
-
-
 def weight(system: SpinOrbitSystem, level: Multiplet, temperature: float) -> float:
     """Boltzmann weight of one level, shifted so the ground level has weight g."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature!r}")
-    e_min = ground_multiplet(system).energy
-    return _effective_degeneracy(system, level) * math.exp(
-        -(level.energy - e_min) / temperature
-    )
+    g = level.degeneracy if system.convention is Convention.MULTIPLET_DEGENERATE else 1
+    return g * math.exp(-(level.energy - ground_multiplet(system).energy) / temperature)
 
 
 class _LevelTable:
-    """The levels of one system as arrays, from a single ``multiplets()`` call."""
+    """The levels of one system as arrays, built from its doubled quantum numbers.
+
+    ``brackets`` (q_j = 8 E_j / zeta) and ``degeneracies`` (g_j) are exact
+    Python ints; E_j = zeta (q_j / 8) takes the one rounding of ``level_energy``.
+    """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
-        self.levels = multiplets(system)
-        self.prefactors = np.array([_effective_degeneracy(system, m) for m in self.levels])
-        self.energies = np.array([m.energy for m in self.levels])
+        ts, tl = system.s.twice, system.l.twice
+        twice_j = range(abs(ts - tl), ts + tl + 1, 2)
+        self.brackets = [_bracket(ts, tl, tj) for tj in twice_j]
+        by_dimension = system.convention is Convention.MULTIPLET_DEGENERATE
+        self.degeneracies = [tj + 1 if by_dimension else 1 for tj in twice_j]
+        self.prefactors = np.array(self.degeneracies, dtype=float)
+        self.energies = system.zeta * (np.array(self.brackets, dtype=float) / 8.0)
         self.ground_energy = float(self.energies.min())
         self.excitations = self.energies - self.ground_energy
         # <H> is summed over the energies themselves; the fluctuation over
@@ -142,9 +142,9 @@ class _LevelTable:
         fluctuation = np.empty(len(temperatures))
         for start in range(0, len(temperatures), self.chunk_rows):
             chunk = slice(start, start + self.chunk_rows)
-            weights = self.prefactors * np.exp(
-                -self.excitations / temperatures[chunk, np.newaxis]
-            )
+            with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
+                exponents = -self.excitations / temperatures[chunk, np.newaxis]
+            weights = self.prefactors * np.exp(exponents)
             z = weights.sum(axis=1)
             sums = (weights @ self.powers) / z[:, np.newaxis]
             partition[chunk] = z
@@ -184,21 +184,16 @@ def witness(system: SpinOrbitSystem, temperature: float) -> float:
     return energy + system.separable_bound
 
 
-def _witness_sign_at_infinity(system: SpinOrbitSystem, levels: tuple[Multiplet, ...]) -> int:
+def _witness_sign_at_infinity(system: SpinOrbitSystem, table: _LevelTable) -> int:
     """The sign of lim W(T) for T -> infinity, in exact integer arithmetic.
 
     The limit is the prefactor-weighted mean energy plus |zeta| s l.  With
-    the doubled quantum numbers of ``level_energy``, 8 E_j = zeta quad_j for
-    the integer quad_j = 2j(2j+2) - 2s(2s+2) - 2l(2l+2), so the limit has the
-    sign of sum_j g_j (sign(zeta) quad_j + 2 (2s)(2l)).
+    8 E_j = zeta q_j for the table's integer brackets q_j, it has the sign
+    of sum_j g_j (sign(zeta) q_j + 2 (2s)(2l)).
     """
-    ts, tl = system.s.twice, system.l.twice
     sign = 1 if system.zeta > 0.0 else -1
-    total = 0
-    for level in levels:
-        tj = level.j.twice
-        quad = tj * (tj + 2) - ts * (ts + 2) - tl * (tl + 2)
-        total += int(_effective_degeneracy(system, level)) * (sign * quad + 2 * ts * tl)
+    cross = 2 * system.s.twice * system.l.twice
+    total = sum(g * (sign * q + cross) for g, q in zip(table.degeneracies, table.brackets))
     return (total > 0) - (total < 0)
 
 
@@ -238,7 +233,7 @@ def entanglement_temperature(
     bound = system.separable_bound
     if table.ground_energy + bound >= 0.0:
         return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
-    limit = _witness_sign_at_infinity(system, table.levels)
+    limit = _witness_sign_at_infinity(system, table)
     if limit <= 0:
         raise RuntimeError(
             f"witness stays negative at every temperature (its T -> infinity limit "

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -147,17 +148,44 @@ class TestWitness:
         assert all(w >= 0.0 for _, _, w in parse_witness_csv(result.stdout))
 
     @pytest.mark.parametrize("flags", [
-        ("--steps", "1"),
-        ("--tmin", "-5"),
-        ("--tmin", "100", "--tmax", "50"),
-        ("--steps", "100000000000000000000"),
-        ("--tmin", "1", "--tmax", "1.000000000001", "--steps", "100000"),
+        ("witness", "--ion", "Ce", "--steps", "1"),
+        ("witness", "--ion", "Ce", "--tmin", "-5"),
+        ("witness", "--ion", "Ce", "--tmin", "100", "--tmax", "50"),
+        ("witness", "--ion", "Ce", "--steps", "100000000000000000000"),
+        ("witness", "--ion", "Ce", "--tmin", "1", "--tmax", "1.000000000001",
+         "--steps", "100000"),
+        # more than cli.MAX_LEVELS levels, rejected before any work
+        ("custom", "--two-s", "20000000", "--two-l", "20000000", "--zeta", "1", "te"),
+        ("custom", "--two-s", "1000000", "--two-l", "1000000", "--zeta", "1",
+         "witness", "--steps", "2"),
+        # 2s above cli.MAX_TWICE, where s is no longer an exact float
+        ("custom", "--two-s", "1" + "0" * 400, "--two-l", "2", "--zeta", "1", "te"),
+        ("custom", "--two-s", str(2**53 + 1), "--two-l", "2", "--zeta", "1", "te"),
     ])
     def test_bad_flags_exit_2(self, flags):
-        result = run_cli("witness", "--ion", "Ce", *flags)
+        result = run_cli(*flags)
         assert result.returncode == 2
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
+    def test_largest_level_count_runs(self):
+        result = run_cli("custom", "--two-s", "999999", "--two-l", "999999", "--zeta", "1",
+                         "witness", "--steps", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[1:] == ["1,-2.5e+11,-499999", "6000,-2.5e+11,-494000"]
+
+    def test_tiny_tmin_warns_nothing(self, capsys):
+        # T = 1e-320 makes the exponent -x/T overflow to -inf: a weight of
+        # exactly 0, with no RuntimeWarning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["witness", "--ion", "Ce", "--tmin", "1e-320", "--tmax", "1",
+                         "--steps", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            CURVE_HEADER, "9.99989e-321,-1800,-450", "0.5,-1800,-450", "1,-1800,-450"]
 
     def test_byte_determinism(self):
         args = ("witness", "--ion", "Ce", "--steps", "50")

@@ -2,7 +2,9 @@
 
 The curve digests were recorded before the curve evaluator became chunked
 and streamed; the ``verify``, ``te`` and ``ions`` digests before the dense
-route shared one cached diagonalisation.  Any change to a printed digit, to
+route shared one cached diagonalisation; the ``custom ... te`` sweep digest
+before the level table was built straight from the doubled quantum numbers.
+Any change to a printed digit, to
 the row order or to the line endings of these invocations fails here; a
 change that is meant to alter them must record new digests and say why.
 """
@@ -72,6 +74,22 @@ STDOUT = {
         "ab91ed5a38b20511a99350a2303108b78da63cccc182cade51f4d7dfbf1354ba",
 }
 
+# ``custom ... te --tolerance 1e-3`` over 2s x 2l x zeta (K) x convention, then
+# one shell with 2s = 10**10; the digest is of the stdouts joined in this order.
+CUSTOM_TE_SWEEP = "84475e7364be2d47ba502f80a7e54ca9554946c559af84d71f3bf7824eb87f0a"
+
+
+def custom_te_sweep():
+    for two_s in (1, 2, 3, 5, 7, 10):
+        for two_l in (2, 4, 6, 9, 12):
+            for zeta in ("137", "0.37", "-483"):
+                for convention in ("level", "multiplet"):
+                    yield ["custom", "--two-s", str(two_s), "--two-l", str(two_l),
+                           "--zeta", zeta, "te", "--convention", convention,
+                           "--tolerance", "1e-3"]
+    yield ["custom", "--two-s", "10000000000", "--two-l", "2", "--zeta", "1",
+           "te", "--tolerance", "1e-3"]
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -98,3 +116,12 @@ def test_figure1_files(capsys, tmp_path, convention):
 def test_command_stdout(capsys, argv):
     assert main(list(argv)) == 0
     assert sha256(capsys.readouterr().out.encode()) == STDOUT[argv]
+
+
+def test_custom_te_sweep(capsys):
+    stdouts = []
+    for argv in custom_te_sweep():
+        assert main(argv) == 0, argv
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[-1] == "symbol,convention,te_K,reason\ncustom,multiplet,2.23887e+08,crossed\n"
+    assert sha256("".join(stdouts).encode()) == CUSTOM_TE_SWEEP

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sowitness import thermal
+from sowitness import angular, thermal
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, ground_multiplet, multiplets
 from sowitness.dense import build_hamiltonian, jacobi_eigh, thermal_mean_energy
 from sowitness.ions import CATALOG, ion_record
@@ -436,15 +436,55 @@ class TestWitnessCurve:
         assert np.all(np.diff(temps) > 0.0)
 
 
-def counting_multiplets(monkeypatch):
-    calls = []
+def counting_builds(monkeypatch):
+    """Counts of level tables built and of ``multiplets()`` calls, as they happen."""
+    # angular.multiplets sees every call only if thermal binds no name of its own
+    assert not hasattr(thermal, "multiplets")
+    counts = {"tables": 0, "multiplets": 0}
 
-    def counted(system):
-        calls.append(system)
+    class CountedTable(thermal._LevelTable):
+        def __init__(self, system):
+            counts["tables"] += 1
+            super().__init__(system)
+
+    def counted_multiplets(system):
+        counts["multiplets"] += 1
         return multiplets(system)
 
-    monkeypatch.setattr(thermal, "multiplets", counted)
-    return calls
+    monkeypatch.setattr(thermal, "_LevelTable", CountedTable)
+    monkeypatch.setattr(angular, "multiplets", counted_multiplets)
+    return counts
+
+
+def reference_table(sys_):
+    """(prefactors, energies, excitations) assembled from ``multiplets()``."""
+    levels = multiplets(sys_)
+    by_dimension = sys_.convention is MULTIPLET
+    prefactors = np.array([float(m.degeneracy) if by_dimension else 1.0 for m in levels])
+    energies = np.array([m.energy for m in levels])
+    return prefactors, energies, energies - energies.min()
+
+
+def reference_sign_at_infinity(sys_):
+    """sign W(T -> infinity) by math.fsum over ``multiplets()``.
+
+    The sign does not depend on |zeta|, so the sum runs at zeta = +-1, where
+    every level energy is a multiple of 1/8 and, for small shells, every term
+    is exact.
+    """
+    unit = SpinOrbitSystem(sys_.s, sys_.l, math.copysign(1.0, sys_.zeta), sys_.convention)
+    levels = multiplets(unit)
+    weights = [m.degeneracy if unit.convention is MULTIPLET else 1 for m in levels]
+    total = math.fsum(w * (m.energy + unit.separable_bound) for w, m in zip(weights, levels))
+    return (total > 0) - (total < 0)
+
+
+# shells far outside the hypothesis range: 2s = 10**10, and 2s = 2**70 beyond int64
+HUGE_SHELLS = [
+    SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+    for two_s in (10**10, 2**70) for two_l in (1, 2, 3)
+    for zeta in (1.0, -483.0) for convention in (LEVEL, MULTIPLET)
+]
 
 
 def reference_sums(sys_, t):
@@ -457,31 +497,58 @@ def reference_sums(sys_, t):
     return partition, energy, scale
 
 
-systems = st.builds(
-    lambda two_s, two_l, zeta, convention: SpinOrbitSystem(
-        HalfInt(two_s), HalfInt(two_l), zeta, convention),
-    st.integers(1, 40),
-    st.integers(1, 40),
-    st.one_of(st.floats(1e-2, 1e4), st.floats(-1e4, -1e-2)),
-    st.sampled_from([LEVEL, MULTIPLET]),
-)
+def shells(twice, magnitude):
+    """Systems with 2s, 2l drawn from ``twice`` and zeta = +-``magnitude``."""
+    return st.builds(
+        lambda two_s, two_l, zeta, convention: SpinOrbitSystem(
+            HalfInt(two_s), HalfInt(two_l), zeta, convention),
+        twice,
+        twice,
+        st.one_of(magnitude, magnitude.map(lambda x: -x)),
+        st.sampled_from([LEVEL, MULTIPLET]),
+    )
+
+
+systems = shells(st.integers(1, 40), st.floats(1e-2, 1e4))
 
 
 class TestKernel:
     def test_one_level_table_per_entanglement_temperature(self, monkeypatch):
-        calls = counting_multiplets(monkeypatch)
+        counts = counting_builds(monkeypatch)
         for record in COUPLED:
             for convention in (LEVEL, MULTIPLET):
-                before = len(calls)
+                before = counts["tables"]
                 entanglement_temperature(record.system(convention), tolerance=1e-9)
-                assert len(calls) - before == (0 if record.system(LEVEL).witness_trivial else 1)
+                expected = 0 if record.system(LEVEL).witness_trivial else 1
+                assert counts["tables"] - before == expected
+        assert counts["multiplets"] == 0
 
     def test_one_level_table_per_witness_curve(self, monkeypatch):
-        calls = counting_multiplets(monkeypatch)
+        counts = counting_builds(monkeypatch)
         witness_curve(sys_of("Eu", LEVEL), 1.0, 6000.0, 600)
-        assert len(calls) == 1
+        assert counts["tables"] == 1
         witness_curve(SpinOrbitSystem(HalfInt(60), HalfInt(80), 10.0), 1.0, 1e5, 3000)
-        assert len(calls) == 2
+        assert counts["tables"] == 2
+        assert counts["multiplets"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(shells(st.integers(0, 60), st.floats(1e-3, 1e6)))
+    def test_table_matches_multiplets(self, sys_):
+        self.check_table(sys_)
+
+    @pytest.mark.parametrize("sys_", HUGE_SHELLS, ids=lambda s: (
+        f"{s.s.twice}-{s.l.twice}-{s.zeta:g}-{s.convention.value}"))
+    def test_table_matches_multiplets_on_huge_shells(self, sys_):
+        self.check_table(sys_)
+
+    @staticmethod
+    def check_table(sys_):
+        table = thermal._LevelTable(sys_)
+        prefactors, energies, excitations = reference_table(sys_)
+        assert np.array_equal(table.prefactors, prefactors)
+        assert np.array_equal(table.energies, energies)
+        assert np.array_equal(table.excitations, excitations)
+        assert thermal._witness_sign_at_infinity(sys_, table) == reference_sign_at_infinity(sys_)
 
     @settings(max_examples=150, deadline=None)
     @given(systems, st.floats(1e-2, 1e7), st.integers(2, 5))
