@@ -444,10 +444,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         ]))
         deviation = np.max(np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0))
         spectrum_worst = max(spectrum_worst, float(deviation))
-        for temperature in grid:
-            a = dense.thermal_mean_energy(system, float(temperature))
-            b = mean_energy(system, float(temperature))
-            trace_worst = max(trace_worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+        a, b = dense.thermal_mean_energy(system, grid), mean_energy(system, grid)
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+        trace_worst = max(trace_worst, float(np.max(np.abs(a - b) / scale)))
         floor = -system.separable_bound
         for batch in dense.sample_product_states(system, rng, args.samples):
             factored = system.zeta * np.sum(

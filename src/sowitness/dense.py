@@ -1,12 +1,17 @@
 """Dense-matrix route: explicit product-basis operators, a self-contained
 cyclic Jacobi eigensolver, and product-state sampling.
 
-One cached diagonalisation per system (``_eigh_of``) serves the Gibbs
-trace, the ground-state analysis and ``verify``'s spectrum check.  One
-evaluator gives the observables of product states, one per row, for the
-Haar-random batches of at most ``_SAMPLE_CHUNK`` states and for the explicit
-states of :func:`product_states`; each energy is the expectation of the
-full Hamiltonian on the Kronecker product vector.
+One cached Hamiltonian per system (``_hamiltonian_of``) feeds both the
+diagonalisation and the sampling energies.  One cached diagonalisation
+(``_eigh_of``) serves the Gibbs trace, the ground-state analysis and
+``verify``'s spectrum check; the Gibbs trace takes one temperature or a
+whole 1-D grid of them.  One evaluator gives the observables of product
+states, for the Haar-random batches of at most ``_SAMPLE_CHUNK`` states and
+for the explicit states of :func:`product_states`; each energy is the
+expectation of the full Hamiltonian on the Kronecker product vector.  The
+evaluator holds amplitudes as (dimension, states) arrays, one column per
+state, and sums each state's terms entry by entry, so a state's rounding is
+the same in a batch of any size; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
@@ -158,6 +163,19 @@ def jacobi_eigh(
 
 
 @lru_cache(maxsize=128)
+def _hamiltonian_of(system: SpinOrbitSystem) -> np.ndarray:
+    """Read-only :func:`build_hamiltonian` of the system, built once for both
+    the diagonalisation and the sampling energies.
+
+    Kept for the last 128 systems; an entry holds 8 n^2 bytes for
+    n = (2s+1)(2l+1), at most 35 KB for a catalog shell (n <= 66).
+    """
+    matrix = build_hamiltonian(system)
+    matrix.flags.writeable = False
+    return matrix
+
+
+@lru_cache(maxsize=128)
 def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (values, vectors) of :func:`jacobi_eigh` on the Hamiltonian.
 
@@ -165,23 +183,33 @@ def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
     entry holds 8 n (n + 1) bytes for n = (2s+1)(2l+1): at most 4.5 MB in all
     for catalog shells (n <= 66), 128 entries of the largest n in general.
     """
-    values, vectors = jacobi_eigh(build_hamiltonian(system))
+    values, vectors = jacobi_eigh(_hamiltonian_of(system))
     for a in (values, vectors):
         a.flags.writeable = False
     return values, vectors
 
 
-def thermal_mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
+def thermal_mean_energy(
+    system: SpinOrbitSystem, temperature: float | np.ndarray
+) -> float | np.ndarray:
     """Gibbs mean energy over all (2s+1)(2l+1) eigenvalues.
 
     Every eigenvalue enters with unit weight, so this is by construction
     the multiplet-degenerate convention whatever tag the system carries.
+    A float gives a float; a 1-D array of temperatures gives an array of the
+    same length, each entry bit for bit the float of its temperature (one
+    row of weights per temperature, each summed along its own row).
     """
-    if not temperature > 0.0:
+    temperatures = np.asarray(temperature, dtype=float)
+    if temperatures.ndim > 1:
+        raise ValueError(f"temperatures must be a float or a 1-D array, "
+                         f"got shape {temperatures.shape}")
+    if not (temperatures > 0.0).all():
         raise ValueError(f"temperature must be positive, got {temperature!r}")
     values, _ = _eigh_of(system)
-    weights = np.exp(-(values - values[0]) / temperature)
-    return float(np.sum(weights * values) / np.sum(weights))
+    weights = np.exp(-(values - values[0]) / temperatures.reshape(-1, 1))
+    mean = (weights * values).sum(axis=1) / weights.sum(axis=1)
+    return float(mean[0]) if temperatures.ndim == 0 else mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,28 +258,51 @@ def _cartesian_triplet(twice_j: int) -> _Entries:
 
 @lru_cache(maxsize=128)
 def _hamiltonian_entries(system: SpinOrbitSystem) -> _Entries:
-    return _entries(build_hamiltonian(system))
+    return _entries(_hamiltonian_of(system))
 
 
 def _expectations(entries: _Entries, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Re <psi| A |psi> of each stacked operator A for each row psi = re + i im.
+    """Re <psi| A |psi> of each stacked operator A for each column psi = re + i im.
 
-    Returns shape (rows, operators).  The sum runs over the operators'
-    nonzero entries with real elementwise products and sums along each row
-    only, so the rounding of a row does not depend on the other rows of the
-    batch (a matrix product's does, through the BLAS kernel chosen for its
-    shape).
+    ``re`` and ``im`` have shape (dimension, states); the result has shape
+    (operators, states).  Gathering an operator's entries gathers whole rows,
+    and every product and sum runs along the states, so the rounding of a
+    state does not depend on the other states of the batch (a matrix
+    product's does, through the BLAS kernel chosen for its shape).
     """
     rows, cols, real, imag = entries
     # conj(psi_i) psi_j = (re_i re_j + im_i im_j) + i (re_i im_j - im_i re_j)
-    even = re[:, rows] * re[:, cols]
-    even += im[:, rows] * im[:, cols]
-    values = (real * even[:, None, :]).sum(axis=2)
+    even = re[rows]
+    even *= re[cols]
+    even += im[rows] * im[cols]
+    values = _entry_sums(real, even)
     if imag.any():
-        odd = re[:, rows] * im[:, cols]
-        odd -= im[:, rows] * re[:, cols]
-        values -= (imag * odd[:, None, :]).sum(axis=2)
+        odd = re[rows]
+        odd *= im[cols]
+        odd -= im[rows] * re[cols]
+        values -= _entry_sums(imag, odd)
     return values
+
+
+def _entry_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_e weights[a, e] terms[e] for each operator a, overwriting ``terms``.
+
+    Each state's sum runs entry by entry in order, whatever the batch size.
+    ``np.add.reduce`` over the entry axis does so while the states form the
+    contiguous axis.  With one state the entries are contiguous instead and
+    it would switch to pairwise summation, so one state is summed by
+    ``np.add.accumulate``, which is strictly sequential but slower.
+    """
+    if not len(terms):  # an operator with no nonzero entry, e.g. on j = 0
+        return np.zeros((len(weights), terms.shape[1]))
+    if len(weights) == 1:
+        terms *= weights[0, :, np.newaxis]
+        products = terms[np.newaxis]
+    else:
+        products = weights[:, :, np.newaxis] * terms
+    if terms.shape[1] == 1:
+        return np.add.accumulate(products, axis=1)[:, -1]
+    return np.add.reduce(products, axis=1)
 
 
 def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -259,19 +310,20 @@ def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.sqrt((re * re + im * im).sum(axis=1))
 
 
-def _scaled(
+def _unit_columns(
     factor: tuple[np.ndarray, np.ndarray], norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    re, im = factor
-    return re / norms[:, None], im / norms[:, None]
+    """The (real, imaginary) rows of ``factor`` over their ``norms``, as
+    C-contiguous (dimension, states) columns."""
+    return tuple(np.divide(part.T, norms, order="C") for part in factor)
 
 
 def _evaluate(
     system: SpinOrbitSystem, spin: tuple[np.ndarray, np.ndarray],
     orbital: tuple[np.ndarray, np.ndarray],
 ) -> ProductStateBatch:
-    """Observables of the product states spin[r] x orbital[r], given as unit
-    (real, imaginary) row pairs.
+    """Observables of the product states spin[:, r] x orbital[:, r], given as
+    unit (real, imaginary) column pairs of shape (dimension, states).
 
     The energy is the honest matrix expectation <psi| H |psi> on the full
     Kronecker product vector, not the factorized shortcut zeta <S>.<L>, so
@@ -281,19 +333,20 @@ def _evaluate(
     spin_vec = _expectations(_cartesian_triplet(system.s.twice), s_re, s_im)
     orbital_vec = _expectations(_cartesian_triplet(system.l.twice), o_re, o_im)
 
-    def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
+    def kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
 
-    product_re = kron_rows(s_re, o_re)
-    product_re -= kron_rows(s_im, o_im)
-    product_im = kron_rows(s_re, o_im)
-    product_im += kron_rows(s_im, o_re)
-    energies = _expectations(_hamiltonian_entries(system), product_re, product_im)[:, 0]
-    norms = np.linalg.norm(spin_vec, axis=1) * np.linalg.norm(orbital_vec, axis=1)
+    product_re = kron_columns(s_re, o_re)
+    product_re -= kron_columns(s_im, o_im)
+    product_im = kron_columns(s_re, o_im)
+    product_im += kron_columns(s_im, o_re)
+    energies = _expectations(_hamiltonian_entries(system), product_re, product_im)[0]
+    norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
     cos_angles = np.zeros(len(energies))
-    np.divide((spin_vec * orbital_vec).sum(axis=1), norms,
+    np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
               out=cos_angles, where=norms > 1e-12)
-    fields = (s_re + 1j * s_im, o_re + 1j * o_im, spin_vec, orbital_vec, cos_angles, energies)
+    fields = ((s_re + 1j * s_im).T, (o_re + 1j * o_im).T, spin_vec.T, orbital_vec.T,
+              cos_angles, energies)
     for a in fields:
         a.flags.writeable = False
     return ProductStateBatch(*fields)
@@ -321,13 +374,14 @@ def product_states(
     norms = [_row_norms(*factor) for factor in factors]
     if not all(np.all(np.isfinite(n) & (n > 0.0)) for n in norms):
         raise ValueError("every factor state needs a finite, nonzero norm")
-    return _evaluate(system, *map(_scaled, factors, norms))
+    return _evaluate(system, *map(_unit_columns, factors, norms))
 
 
 def _haar_rows(
     rng: np.random.Generator, count: int, spin_dim: int, orbital_dim: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``count`` unit spin and orbital rows as (real, imaginary) pairs.
+    """``count`` unit spin and orbital states as (real, imaginary) pairs of
+    (dimension, states) columns.
 
     Each state takes one row of 2(d_s + d_l) standard normals: the real then
     imaginary parts of the spin factor, then those of the orbital factor.  A
@@ -344,7 +398,7 @@ def _haar_rows(
         if not bad.any():
             break
         rows[bad] = rng.standard_normal((int(np.count_nonzero(bad)), rows.shape[1]))
-    return _scaled(spin, spin_norms), _scaled(orbital, orbital_norms)
+    return _unit_columns(spin, spin_norms), _unit_columns(orbital, orbital_norms)
 
 
 def sample_product_states(

@@ -140,16 +140,16 @@ class _LevelTable:
         partition = np.empty(len(temperatures))
         mean = np.empty(len(temperatures))
         fluctuation = np.empty(len(temperatures))
-        for start in range(0, len(temperatures), self.chunk_rows):
-            chunk = slice(start, start + self.chunk_rows)
-            with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
+        with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
+            for start in range(0, len(temperatures), self.chunk_rows):
+                chunk = slice(start, start + self.chunk_rows)
                 exponents = -self.excitations / temperatures[chunk, np.newaxis]
-            weights = self.prefactors * np.exp(exponents)
-            z = weights.sum(axis=1)
-            sums = (weights @ self.powers) / z[:, np.newaxis]
-            partition[chunk] = z
-            mean[chunk] = sums[:, 0]
-            fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
+                weights = self.prefactors * np.exp(exponents)
+                z = weights.sum(axis=1)
+                sums = (weights @ self.powers) / z[:, np.newaxis]
+                partition[chunk] = z
+                mean[chunk] = sums[:, 0]
+                fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
         return partition, mean, fluctuation
 
 
@@ -161,11 +161,24 @@ def _witness_and_slope(
     return mean + bound, fluctuation / (temperatures * temperatures)
 
 
-def mean_energy(system: SpinOrbitSystem, temperature: float) -> float:
-    """Thermal mean energy <H>_T under the system's weighting convention."""
-    if not temperature > 0.0:
+def mean_energy(
+    system: SpinOrbitSystem, temperature: float | np.ndarray
+) -> float | np.ndarray:
+    """Thermal mean energy <H>_T under the system's weighting convention.
+
+    A float gives a float.  A 1-D array of temperatures gives an array of the
+    same length from one level table and one kernel call; its values may
+    differ from the per-temperature floats in the last bits, because the
+    kernel's matrix product rounds differently with the number of rows.
+    """
+    temperatures = np.asarray(temperature, dtype=float)
+    if temperatures.ndim > 1:
+        raise ValueError(f"temperatures must be a float or a 1-D array, "
+                         f"got shape {temperatures.shape}")
+    if not (temperatures > 0.0).all():
         raise ValueError(f"temperature must be positive, got {temperature!r}")
-    return float(_LevelTable(system).averages(np.array([temperature], dtype=float))[1][0])
+    mean = _LevelTable(system).averages(temperatures.reshape(-1))[1]
+    return float(mean[0]) if temperatures.ndim == 0 else mean
 
 
 def mean_energy_at_zero(system: SpinOrbitSystem) -> float:

@@ -6,9 +6,10 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from sowitness import dense, thermal
+from sowitness import cli, dense, thermal
 from sowitness.angular import multiplets
 from sowitness.cli import _CONVENTIONS, CURVE_HEADER, main
 from sowitness.ions import CATALOG, ion_record, load_catalog
@@ -560,6 +561,44 @@ class TestVerify:
         unique = [r for r, a in zip(coupled, analyses) if a.degeneracy == 1]
         assert [r.symbol for r in unique] == ["Eu"]
         assert shapes == [(r.s.twice + 1,) * 2 for r in unique]
+
+    def test_one_hamiltonian_per_system(self, capsys, monkeypatch):
+        """A fresh verify builds each coupled ion's Hamiltonian once, for the
+        diagonalisation and the sampling energies alike."""
+        shapes = []
+        build_hamiltonian = dense.build_hamiltonian
+
+        def counted(system):
+            matrix = build_hamiltonian(system)
+            shapes.append(matrix.shape)
+            return matrix
+
+        monkeypatch.setattr(dense, "build_hamiltonian", counted)
+        for cache in (dense._hamiltonian_of, dense._eigh_of, dense._hamiltonian_entries):
+            cache.cache_clear()
+        assert main(["verify", "--samples", "20"]) == 0
+        capsys.readouterr()
+        coupled = [r for r in CATALOG if r.zeta is not None]
+        assert shapes == [((r.s.twice + 1) * (r.l.twice + 1),) * 2 for r in coupled]
+
+    def test_one_grid_call_per_route_and_system(self, capsys, monkeypatch):
+        """The Gibbs cross-check evaluates each route once per coupled ion, on
+        the whole 50-point temperature grid."""
+        calls = {"closed": [], "dense": []}
+
+        def counted(route, func):
+            def wrapper(system, temperature):
+                calls[route].append(np.shape(temperature))
+                return func(system, temperature)
+            return wrapper
+
+        monkeypatch.setattr(cli, "mean_energy", counted("closed", cli.mean_energy))
+        monkeypatch.setattr(dense, "thermal_mean_energy",
+                            counted("dense", dense.thermal_mean_energy))
+        assert main(["verify", "--samples", "20"]) == 0
+        capsys.readouterr()
+        coupled = [r for r in CATALOG if r.zeta is not None]
+        assert calls == {"closed": [(50,)] * len(coupled), "dense": [(50,)] * len(coupled)}
 
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

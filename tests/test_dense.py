@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sowitness import dense
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
@@ -20,6 +21,8 @@ from sowitness.ions import CATALOG, ion_record
 COUPLED = [r for r in CATALOG if r.zeta is not None]
 # one ion per distinct (s, l) pair of the catalog
 DISTINCT_SHELLS = sorted({(r.s.twice, r.l.twice): r.symbol for r in CATALOG}.values())
+CATALOG_SHELLS = {(r.s.twice, r.l.twice) for r in CATALOG}
+GRID = np.geomspace(1.0, 1e6, 50)
 
 
 def sys_of(symbol):
@@ -163,6 +166,21 @@ class TestThermalMeanEnergy:
             thermal_mean_energy(sys_of("Ce"), 0.0)
         with pytest.raises(ValueError):
             thermal_mean_energy(sys_of("Ce"), -10.0)
+
+    def test_grid_is_bitwise_the_per_temperature_floats(self):
+        for record in COUPLED:
+            sys_ = record.system()
+            values = thermal_mean_energy(sys_, GRID)
+            assert isinstance(values, np.ndarray) and values.shape == GRID.shape
+            floats = [thermal_mean_energy(sys_, float(t)) for t in GRID]
+            assert all(type(value) is float for value in floats)
+            assert np.array_equal(values, floats), record.symbol
+
+    @pytest.mark.parametrize("grid", [[300.0, 0.0], [-1.0], [1.0, math.nan, 2.0],
+                                      [[300.0]]])
+    def test_grid_temperatures_validated(self, grid):
+        with pytest.raises(ValueError):
+            thermal_mean_energy(sys_of("Ce"), np.array(grid))
 
 
 def draw_all(system, rng, n):
@@ -308,6 +326,28 @@ class TestProductStates:
                     assert np.allclose(vectors, orbital_vec, rtol=1e-12, atol=1e-12 * l)
                 for value in (single.energies[0], explicit.energies[r]):
                     assert abs(value - energy) <= 1e-12 * scale, symbol
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(
+               lambda shell: shell not in CATALOG_SHELLS),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_batch_is_bitwise_row_by_row(self, shell, count, seed):
+        """Every field of a batch of ``count`` states equals, exactly, that of
+        each state evaluated alone."""
+        sys_ = SpinOrbitSystem(HalfInt(shell[0]), HalfInt(shell[1]), -57.3)
+        rng = np.random.default_rng(seed)
+        spin, orbital = (rng.standard_normal((count, 2 * (twice + 1))).view(complex)
+                         for twice in shell)
+        batch = product_states(sys_, spin, orbital)
+        assert batch.spin_states.shape == spin.shape
+        assert batch.orbital_states.shape == orbital.shape
+        assert batch.spin_vectors.shape == batch.orbital_vectors.shape == (count, 3)
+        for r in range(count):
+            single = product_states(sys_, spin[r:r + 1], orbital[r:r + 1])
+            for name in ("spin_states", "orbital_states", "spin_vectors", "orbital_vectors",
+                         "cos_angles", "energies"):
+                assert np.array_equal(getattr(batch, name)[r], getattr(single, name)[0]), (
+                    name, r)
 
     def test_aligned_basis_state_saturates_bound(self):
         for record in COUPLED:

@@ -178,6 +178,27 @@ class TestMeanEnergy:
                 rhs = thermal_mean_energy(sys_, t)
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), record.symbol
 
+    def test_grid_agrees_with_per_temperature_floats(self):
+        """One call on a grid gives each temperature's float within 1e-13
+        relative, but not bit for bit: the kernel's matrix product of the
+        weights with the level powers is rounded by a BLAS kernel that
+        depends on the number of rows, so a 50-row product and a 1-row
+        product of the same row may differ in the last bits."""
+        grid = np.geomspace(1.0, 1e6, 50)
+        for record in COUPLED:
+            for convention in (LEVEL, MULTIPLET):
+                sys_ = record.system(convention)
+                values = mean_energy(sys_, grid)
+                assert isinstance(values, np.ndarray) and values.shape == grid.shape
+                floats = np.array([mean_energy(sys_, float(t)) for t in grid])
+                assert np.all(np.abs(values - floats) <= 1e-13 * np.abs(floats)), record.symbol
+
+    @pytest.mark.parametrize("grid", [[300.0, 0.0], [-1.0], [1.0, math.nan, 2.0],
+                                      [[300.0]]])
+    def test_grid_temperatures_validated(self, grid):
+        with pytest.raises(ValueError):
+            mean_energy(sys_of("Ce", LEVEL), np.array(grid))
+
     def test_shift_invariance_at_moderate_temperatures(self):
         # Above ~300 K the unshifted Boltzmann factors are representable, so
         # an unshifted reference sum must agree to near machine precision.
