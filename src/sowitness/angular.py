@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "HalfInt",
     "Convention",
@@ -178,3 +180,18 @@ def ground_multiplet(system: SpinOrbitSystem) -> Multiplet:
     if system.zeta < 0.0:
         return levels[-1]
     return levels[0]
+
+
+def _temperatures(value: float | np.ndarray) -> np.ndarray:
+    """A temperature or a 1-D array of them, as a float array of that shape.
+
+    Every temperature must be positive (``nan`` is not); the closed-form and
+    the dense route both check their input here.
+    """
+    temperatures = np.asarray(value, dtype=float)
+    if temperatures.ndim > 1:
+        raise ValueError(f"temperatures must be a float or a 1-D array, "
+                         f"got shape {temperatures.shape}")
+    if not (temperatures > 0.0).all():
+        raise ValueError(f"temperature must be positive, got {value!r}")
+    return temperatures

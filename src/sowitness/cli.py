@@ -413,6 +413,13 @@ def _check_line(name: str, ok: bool, detail: str) -> str:
     return f"{name}: {'pass' if ok else 'fail'} {detail}"
 
 
+def _worst(deviations: np.ndarray) -> float:
+    """The largest of the deviations, or inf if any is nan: a check that
+    cannot compare a value fails rather than skipping it."""
+    worst = float(np.max(deviations))
+    return math.inf if math.isnan(worst) else worst
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     if args.samples < 1:
@@ -442,19 +449,20 @@ def _run_verify(args: argparse.Namespace) -> int:
         expected = np.sort(np.concatenate([
             np.full(level.degeneracy, level.energy) for level in multiplets(system)
         ]))
-        deviation = np.max(np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0))
-        spectrum_worst = max(spectrum_worst, float(deviation))
+        deviations = np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0)
+        spectrum_worst = max(spectrum_worst, _worst(deviations))
         a, b = dense.thermal_mean_energy(system, grid), mean_energy(system, grid)
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        trace_worst = max(trace_worst, float(np.max(np.abs(a - b) / scale)))
+        trace_worst = max(trace_worst, _worst(np.abs(a - b) / scale))
         floor = -system.separable_bound
         for batch in dense.sample_product_states(system, rng, args.samples):
             factored = system.zeta * np.sum(
                 batch.spin_vectors * batch.orbital_vectors, axis=1
             )
             deviations = np.abs(batch.energies - factored) / (1.0 + np.abs(batch.energies))
-            identity_worst = max(identity_worst, float(np.max(deviations)))
-            bound_margin = min(bound_margin, float(np.min(batch.energies)) - floor)
+            identity_worst = max(identity_worst, _worst(deviations))
+            # min(E) - floor, and -inf if any energy is nan
+            bound_margin = min(bound_margin, -_worst(floor - batch.energies))
     record_check("spectrum-equivalence", spectrum_worst <= 1e-9,
                  f"max_rel_dev={_fmt(spectrum_worst)}")
     record_check("trace-equivalence", trace_worst <= 1e-10,

@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import SpinOrbitSystem
+from .angular import SpinOrbitSystem, _temperatures
 
 __all__ = [
     "ConvergenceError",
@@ -200,12 +200,7 @@ def thermal_mean_energy(
     same length, each entry bit for bit the float of its temperature (one
     row of weights per temperature, each summed along its own row).
     """
-    temperatures = np.asarray(temperature, dtype=float)
-    if temperatures.ndim > 1:
-        raise ValueError(f"temperatures must be a float or a 1-D array, "
-                         f"got shape {temperatures.shape}")
-    if not (temperatures > 0.0).all():
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    temperatures = _temperatures(temperature)
     values, _ = _eigh_of(system)
     weights = np.exp(-(values - values[0]) / temperatures.reshape(-1, 1))
     mean = (weights * values).sum(axis=1) / weights.sum(axis=1)
@@ -285,7 +280,7 @@ def _expectations(entries: _Entries, re: np.ndarray, im: np.ndarray) -> np.ndarr
 
 
 def _entry_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_e weights[a, e] terms[e] for each operator a, overwriting ``terms``.
+    """sum_e weights[a, e] terms[e] for each operator a.
 
     Each state's sum runs entry by entry in order, whatever the batch size.
     ``np.add.reduce`` over the entry axis does so while the states form the
@@ -295,11 +290,7 @@ def _entry_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """
     if not len(terms):  # an operator with no nonzero entry, e.g. on j = 0
         return np.zeros((len(weights), terms.shape[1]))
-    if len(weights) == 1:
-        terms *= weights[0, :, np.newaxis]
-        products = terms[np.newaxis]
-    else:
-        products = weights[:, :, np.newaxis] * terms
+    products = weights[:, :, np.newaxis] * terms
     if terms.shape[1] == 1:
         return np.add.accumulate(products, axis=1)[:, -1]
     return np.add.reduce(products, axis=1)

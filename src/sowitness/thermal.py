@@ -36,7 +36,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import Convention, Multiplet, SpinOrbitSystem, _bracket, ground_multiplet
+from .angular import (
+    Convention, Multiplet, SpinOrbitSystem, _bracket, _temperatures, ground_multiplet,
+)
 
 __all__ = [
     "WitnessCurve",
@@ -140,16 +142,16 @@ class _LevelTable:
         partition = np.empty(len(temperatures))
         mean = np.empty(len(temperatures))
         fluctuation = np.empty(len(temperatures))
-        with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
-            for start in range(0, len(temperatures), self.chunk_rows):
-                chunk = slice(start, start + self.chunk_rows)
+        for start in range(0, len(temperatures), self.chunk_rows):
+            chunk = slice(start, start + self.chunk_rows)
+            with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
                 exponents = -self.excitations / temperatures[chunk, np.newaxis]
-                weights = self.prefactors * np.exp(exponents)
-                z = weights.sum(axis=1)
-                sums = (weights @ self.powers) / z[:, np.newaxis]
-                partition[chunk] = z
-                mean[chunk] = sums[:, 0]
-                fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
+            weights = self.prefactors * np.exp(exponents)
+            z = weights.sum(axis=1)
+            sums = (weights @ self.powers) / z[:, np.newaxis]
+            partition[chunk] = z
+            mean[chunk] = sums[:, 0]
+            fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
         return partition, mean, fluctuation
 
 
@@ -171,12 +173,7 @@ def mean_energy(
     differ from the per-temperature floats in the last bits, because the
     kernel's matrix product rounds differently with the number of rows.
     """
-    temperatures = np.asarray(temperature, dtype=float)
-    if temperatures.ndim > 1:
-        raise ValueError(f"temperatures must be a float or a 1-D array, "
-                         f"got shape {temperatures.shape}")
-    if not (temperatures > 0.0).all():
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    temperatures = _temperatures(temperature)
     mean = _LevelTable(system).averages(temperatures.reshape(-1))[1]
     return float(mean[0]) if temperatures.ndim == 0 else mean
 

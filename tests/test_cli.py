@@ -600,6 +600,29 @@ class TestVerify:
         coupled = [r for r in CATALOG if r.zeta is not None]
         assert calls == {"closed": [(50,)] * len(coupled), "dense": [(50,)] * len(coupled)}
 
+    def test_nan_deviation_fails_the_check(self):
+        """One nan among finite deviations makes the worst deviation inf, so
+        a check cannot pass on a value it could not compare."""
+        assert cli._worst(np.array([1e-15, 3e-15])) == 3e-15
+        assert cli._worst(np.array([1e-15, math.nan, 2e-15])) == math.inf
+        assert cli._worst(np.array([math.inf, math.nan])) == math.inf
+
+    def test_overflowing_coupling_fails_verify(self, tmp_path):
+        """A catalog coupling of 1e308 K overflows both routes to nan; the
+        spectrum and trace checks then fail instead of skipping every value."""
+        ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
+                 "zeta_K": 1e308 if r.symbol == "Ce" else r.zeta,
+                 "te_paper_K": None if r.symbol == "Ce" else r.te_reference}
+                for r in CATALOG]
+        path = tmp_path / "huge_ce_zeta.json"
+        path.write_text(json.dumps({"ions": ions}))
+        result = run_cli("verify", "--samples", "50", "--catalog", str(path))
+        assert result.returncode == cli.EXIT_VERIFY
+        lines = result.stdout.splitlines()
+        assert lines[1] == "spectrum-equivalence: fail max_rel_dev=inf"
+        assert lines[2] == "trace-equivalence: fail max_rel_dev=inf"
+        assert lines[-1] == "verify: fail"
+
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"ions": [{"symbol": "Ce"}]}')
