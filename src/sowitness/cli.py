@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -152,6 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     output_flag(custom_te)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` uses, built on the first call in a process.
+
+    Parsing leaves no state on the parser: each call fills a new namespace
+    from the defaults, so one instance serves every call.
+    """
+    return build_parser()
 
 
 def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
@@ -424,6 +435,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     if args.samples < 1:
         raise _CliError(EXIT_USAGE, "samples must be at least 1")
+    if args.seed < 0:
+        raise _CliError(EXIT_USAGE, "seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     coupled = [r for r in catalog if r.zeta is not None]
     lines = []
@@ -500,8 +513,7 @@ _RUNNERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except _CliError as error:

@@ -97,6 +97,16 @@ def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
     )
 
 
+def _frobenius(a: np.ndarray, unit: float) -> float:
+    """Frobenius norm of ``a``, with the squares taken of ``a / unit``.
+
+    For a power of two ``unit`` this is ``sqrt(sum(a * a))`` bit for bit
+    wherever neither sum overflows or underflows.
+    """
+    scaled = a / unit
+    return unit * math.sqrt(float(np.sum(scaled * scaled)))
+
+
 def jacobi_eigh(
     matrix: np.ndarray, *, rel_tol: float = 1e-13, max_sweeps: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +129,11 @@ def jacobi_eigh(
         raise ValueError("matrix is not symmetric")
     a = 0.5 * (a + a.T)
     vectors = np.eye(n)
-    norm = math.sqrt(float(np.sum(a * a)))
+    # Both norms square the entries in units of a power of two near the
+    # largest one (at most 2**1023, the largest that is a float), so no
+    # square overflows; dividing by it is exact.
+    unit = math.ldexp(1.0, min(math.frexp(scale)[1], 1023))
+    norm = _frobenius(a, unit)
     if norm == 0.0:
         return np.zeros(n), vectors
     target = rel_tol * norm
@@ -151,7 +165,7 @@ def jacobi_eigh(
                 vectors[:, q] = s * vec_p + c * vec_q
         hollow = a.copy()
         np.fill_diagonal(hollow, 0.0)
-        off = math.sqrt(float(np.sum(hollow * hollow)))
+        off = _frobenius(hollow, unit)
         if off <= target:
             order = np.argsort(np.diag(a), kind="stable")
             return np.diag(a)[order].copy(), vectors[:, order].copy()

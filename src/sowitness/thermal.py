@@ -315,7 +315,9 @@ def _curve_chunks(
     Each grid value is within 3 rounding errors of its exact value, so a
     spacing of at least 8 ulp(tmax) keeps the computed grid strictly
     increasing; a finer grid is rejected.  It also bounds ``steps`` below
-    2**50, so the integer grid index never overflows.
+    2**50, so the integer grid index never overflows.  The grid values are
+    weighted sums with weights up to ``steps - 1``, so a grid whose
+    ``tmax * (steps - 1)`` overflows is rejected too.
     """
     if not (tmin > 0.0 and math.isfinite(tmin) and math.isfinite(tmax)):
         raise ValueError("temperatures must be positive and finite")
@@ -327,6 +329,8 @@ def _curve_chunks(
         raise ValueError(
             f"{steps} steps are finer than the float resolution of [{tmin}, {tmax}]"
         )
+    if not math.isfinite(tmax * (steps - 1)):
+        raise ValueError(f"{steps} steps up to tmax={tmax} overflow the float range")
     table = _LevelTable(system)
     bound = system.separable_bound
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -162,6 +163,9 @@ class TestWitness:
         # 2s above cli.MAX_TWICE, where s is no longer an exact float
         ("custom", "--two-s", "1" + "0" * 400, "--two-l", "2", "--zeta", "1", "te"),
         ("custom", "--two-s", str(2**53 + 1), "--two-l", "2", "--zeta", "1", "te"),
+        # tmax * (steps - 1) overflows in the grid arithmetic
+        ("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1",
+         "witness", "--tmin", "1e-320", "--tmax", "1e308", "--steps", "3"),
     ])
     def test_bad_flags_exit_2(self, flags):
         result = run_cli(*flags)
@@ -187,6 +191,15 @@ class TestWitness:
         assert captured.err == ""
         assert captured.out.splitlines() == [
             CURVE_HEADER, "9.99989e-321,-1800,-450", "0.5,-1800,-450", "1,-1800,-450"]
+
+    def test_overflowing_grid_exits_2(self, capsys):
+        # the grid once overflowed to inf, with a RuntimeWarning, and its last
+        # row read T = 5e+307 instead of 1e+308
+        assert main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1", "witness",
+                     "--tmin", "1e-320", "--tmax", "1e308", "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 3 steps up to tmax=1e+308 overflow the float range\n"
 
     def test_byte_determinism(self):
         args = ("witness", "--ion", "Ce", "--steps", "50")
@@ -629,3 +642,92 @@ class TestVerify:
         result = run_cli("verify", "--catalog", str(bad))
         assert result.returncode == 2
         assert "missing keys" in result.stderr
+
+    def test_negative_seed_exits_2(self, capsys, monkeypatch):
+        # NumPy's generator once raised from inside the run, with a traceback
+        monkeypatch.setattr(dense, "_eigh_of", None)  # no work may start
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative\n"
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser per process; no call may
+    leave anything on it that the next call sees."""
+
+    def test_one_build_for_many_calls(self, capsys, monkeypatch):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (["ions"], ["te", "--ion", "Ce"], ["verify", "--seed", "-1"],
+                     ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "5", "te"]) * 5:
+            main(argv)
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_golden_invocations_back_to_back(self, capsys, tmp_path):
+        """Each golden invocation runs after a call that failed or that set
+        other options, --output among them, and still prints its golden bytes."""
+        from test_golden import FIGURE1, STDOUT, WITNESS, sha256
+
+        out = str(tmp_path / "out.csv")
+        others = [
+            (["te", "--ion", "Ce", "--convention", "multiplet", "--tolerance", "0.5",
+              "--output", out], 0),
+            (["witness", "--ion", "Ce", "--steps", "1"], 2),
+            (["ions", "--format", "json", "--output", out], 0),
+            (["verify", "--seed", "-1", "--samples", "5"], 2),
+            (["witness", "--ion", "Pr", "--convention", "multiplet", "--tmin", "5",
+              "--tmax", "50", "--steps", "4", "--output", out], 0),
+            (["custom", "--two-s", "1", "--two-l", "2", "--zeta", "5", "witness",
+              "--tmax", "70", "--output", out], 0),
+            (["te", "--no-such-flag"], 2),
+        ]
+        golden = [(list(argv), digest) for argv, digest in sorted(STDOUT.items())]
+        golden += [(["witness", "--ion", ion, "--convention", convention,
+                     "--steps", str(steps)], digest)
+                   for (ion, convention, steps), digest in sorted(WITNESS.items())]
+        golden += [(["figure1", "--outdir", str(tmp_path / convention),
+                     "--convention", convention], None)
+                   for convention in ("level", "multiplet")]
+        for (argv, digest), (other, code) in zip(golden, itertools.cycle(others)):
+            try:
+                assert main(other) == code, other
+            except SystemExit as exit_:  # argparse's own usage errors
+                assert exit_.code == code, other
+            assert capsys.readouterr().out == ""
+            assert main(argv) == 0, argv
+            stdout = capsys.readouterr().out
+            if digest is not None:
+                assert sha256(stdout.encode()) == digest, argv
+        for (convention, name), digest in FIGURE1.items():
+            assert sha256((tmp_path / convention / name).read_bytes()) == digest, name
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["custom", "--help"], 0),
+        (["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1", "witness", "--help"], 0),
+        (["witness", "--steps", "x"], 2),
+    ])
+    def test_exits_like_a_fresh_parser(self, capsys, argv, code):
+        """Help screens and argparse's usage errors are byte-equal to a fresh
+        parser's, every time."""
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            assert reused.value.code == fresh.value.code == code
+            assert capsys.readouterr() == expected

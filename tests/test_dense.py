@@ -142,6 +142,14 @@ class TestJacobiEigh:
             jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
         assert err.value.residual > 0.0
 
+    @pytest.mark.parametrize("zeta", [1e160, -1e300, 1e-170, -1e-170])
+    def test_spectrum_relative_to_extreme_coupling(self, zeta):
+        # Entries above about 1e154 square to inf, and below about 1e-162 to
+        # 0; the norms must not, or the sweep stops on the unrotated diagonal
+        sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(6), zeta, Convention.MULTIPLET_DEGENERATE)
+        values, _ = jacobi_eigh(build_hamiltonian(sys_))
+        assert values / zeta == pytest.approx(closed_form_spectrum(sys_) / zeta, rel=1e-12)
+
     def test_europium_multiplicities(self):
         values, _ = jacobi_eigh(build_hamiltonian(sys_of("Eu")))
         unique, counts = np.unique(np.round(values, 6), return_counts=True)

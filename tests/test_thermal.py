@@ -427,6 +427,9 @@ class TestWitnessCurve:
         (1.0, float("inf"), 10),
         (1.0, 1.0 + 1e-12, 100000),
         (1.0, 6000.0, 10**20),
+        # tmax * (steps - 1) overflows in the grid arithmetic
+        (1e-320, 1e308, 3),
+        (1.0, 1e305, 10**4),
     ])
     def test_invalid_ranges_rejected(self, args):
         with pytest.raises(ValueError):
@@ -450,6 +453,7 @@ class TestWitnessCurve:
 
     @pytest.mark.parametrize("tmin,tmax,steps", [
         (1.0, 6000.0, 600), (1.0, 1.0 + 1e-9, 7), (1e-3, 1e7, 100000),
+        (1e-300, 8e307, 3),  # tmax * (steps - 1) is just below the float limit
     ])
     def test_grid_is_strictly_increasing(self, tmin, tmax, steps):
         temps = witness_curve(sys_of("Ce", LEVEL), tmin, tmax, steps).temperatures
