@@ -13,7 +13,6 @@ from .angular import (
     HalfInt,
     Multiplet,
     SpinOrbitSystem,
-    ground_multiplet,
     level_energy,
     multiplets,
 )
@@ -22,7 +21,6 @@ from .ions import (
     CatalogError,
     IonRecord,
     UnknownIonError,
-    coupling_from_gap,
     hund_rules,
     ion_record,
     load_catalog,
@@ -33,8 +31,6 @@ from .thermal import (
     WitnessStatus,
     entanglement_temperature,
     mean_energy,
-    mean_energy_at_zero,
-    weight,
     witness,
     witness_curve,
 )
@@ -46,14 +42,12 @@ __all__ = [
     "HalfInt",
     "Multiplet",
     "SpinOrbitSystem",
-    "ground_multiplet",
     "level_energy",
     "multiplets",
     "CATALOG",
     "CatalogError",
     "IonRecord",
     "UnknownIonError",
-    "coupling_from_gap",
     "hund_rules",
     "ion_record",
     "load_catalog",
@@ -62,8 +56,6 @@ __all__ = [
     "WitnessStatus",
     "entanglement_temperature",
     "mean_energy",
-    "mean_energy_at_zero",
-    "weight",
     "witness",
     "witness_curve",
     "dense",

@@ -26,7 +26,6 @@ __all__ = [
     "Multiplet",
     "multiplets",
     "level_energy",
-    "ground_multiplet",
 ]
 
 
@@ -168,18 +167,6 @@ def multiplets(system: SpinOrbitSystem) -> tuple[Multiplet, ...]:
         Multiplet(HalfInt(tj), tj + 1, level_energy(system, HalfInt(tj)))
         for tj in range(abs(ts - tl), ts + tl + 1, 2)
     )
-
-
-def ground_multiplet(system: SpinOrbitSystem) -> Multiplet:
-    """The lowest-energy multiplet: j = |l-s| for zeta > 0, j = l+s for zeta < 0.
-
-    With zeta = 0 (legal only for s l = 0) the two coincide, because the
-    shell then has a single multiplet.
-    """
-    levels = multiplets(system)
-    if system.zeta < 0.0:
-        return levels[-1]
-    return levels[0]
 
 
 def _temperatures(value: float | np.ndarray) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Dense-matrix route: explicit product-basis operators, a self-contained
 cyclic Jacobi eigensolver, and product-state sampling.
 
-One cached Hamiltonian per system (``_hamiltonian_of``) feeds both the
-diagonalisation and the sampling energies.  One cached diagonalisation
-(``_eigh_of``) serves the Gibbs trace, the ground-state analysis and
-``verify``'s spectrum check; the Gibbs trace takes one temperature or a
-whole 1-D grid of them.  One evaluator gives the observables of product
-states, for the Haar-random batches of at most ``_SAMPLE_CHUNK`` states and
-for the explicit states of :func:`product_states`; each energy is the
-expectation of the full Hamiltonian on the Kronecker product vector.  The
-evaluator holds amplitudes as (dimension, states) arrays, one column per
-state, and sums each state's terms entry by entry, so a state's rounding is
-the same in a batch of any size; the batch it returns has one row per state.
+H = zeta S.L has the eigenvectors of S.L and zeta times its eigenvalues, so
+the route works on the zeta-free S.L of the shell (2s, 2l).  One cached
+solve per shell (``_shell``) builds S.L, diagonalises it and keeps its
+nonzero entries; every system on that shell, whatever its coupling or
+weighting convention, reads it.  ``_eigh_of`` scales that solve by zeta
+(reversing the order for zeta < 0) for the Gibbs trace, the ground-state
+analysis and ``verify``'s spectrum check; the Gibbs trace takes one
+temperature or a whole 1-D grid of them.  One evaluator gives the
+observables of product states, for the Haar-random batches of at most
+``_SAMPLE_CHUNK`` states and for the explicit states of
+:func:`product_states`; each energy is zeta times the expectation of the
+full S.L matrix on the Kronecker product vector.  The evaluator holds
+amplitudes as (dimension, states) arrays, one column per state, and sums
+each state's terms entry by entry, so a state's rounding is the same in a
+batch of any size; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
@@ -23,7 +27,7 @@ Basis convention: the product space is ordered spin-major, index
 ``i = i_s * (2l+1) + i_l`` with ``m_s = s - i_s`` and ``m_l = l - i_l``,
 i.e. both magnetic quantum numbers run downward from their maximum.  The
 ladder operators are real in the Condon-Shortley phase convention, so
-zeta S.L is a real symmetric matrix and its spectrum comes straight from
+S.L is a real symmetric matrix and its spectrum comes straight from
 :func:`jacobi_eigh`; the one complex operator, J_y, enters only the Bloch
 vectors of product states.
 """
@@ -84,17 +88,20 @@ def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jz, jplus, jminus
 
 
-def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
-    """zeta * S.L as a real symmetric matrix on the spin-major product basis.
+def _spin_orbit(twice_s: int, twice_l: int) -> np.ndarray:
+    """S.L = Sz Lz + (S+ L- + S- L+)/2 on the spin-major product basis.
 
-    S.L = Sz Lz + (S+ L- + S- L+)/2; the matrix is traceless because every
-    factor operator is.
+    The matrix is real, symmetric and traceless (every factor operator is
+    traceless), with entries of magnitude at most about s l.
     """
-    sz, splus, sminus = _ladder_triplet(system.s.twice)
-    lz, lplus, lminus = _ladder_triplet(system.l.twice)
-    return system.zeta * (
-        np.kron(sz, lz) + 0.5 * (np.kron(splus, lminus) + np.kron(sminus, lplus))
-    )
+    sz, splus, sminus = _ladder_triplet(twice_s)
+    lz, lplus, lminus = _ladder_triplet(twice_l)
+    return np.kron(sz, lz) + 0.5 * (np.kron(splus, lminus) + np.kron(sminus, lplus))
+
+
+def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
+    """zeta * S.L as a real symmetric matrix on the spin-major product basis."""
+    return system.zeta * _spin_orbit(system.s.twice, system.l.twice)
 
 
 def _frobenius(a: np.ndarray, unit: float) -> float:
@@ -118,6 +125,12 @@ def jacobi_eigh(
     target are skipped; the skip threshold is small enough that an
     all-skip sweep implies convergence, so the loop cannot stall.
 
+    Every entry must be finite and below 2**1023 / n in magnitude for an
+    n x n matrix, else ValueError: then the symmetrisation, the Frobenius
+    norm (at most n times the largest entry) and the differences of the
+    diagonal entries (each at most that norm) stay finite.  A larger matrix
+    would overflow one of them and end on a wrong or unrotated diagonal.
+
     Returns (eigenvalues ascending, eigenvectors as matching columns).
     """
     a = np.array(matrix, dtype=float, copy=True)
@@ -125,14 +138,16 @@ def jacobi_eigh(
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     n = a.shape[0]
     scale = float(np.max(np.abs(a))) if n else 0.0
+    if not scale < math.ldexp(1.0, 1023) / max(n, 1):
+        raise ValueError(f"matrix entries must be finite and below 2**1023/{n} "
+                         f"in magnitude, got {scale!r}")
     if scale and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     a = 0.5 * (a + a.T)
     vectors = np.eye(n)
-    # Both norms square the entries in units of a power of two near the
-    # largest one (at most 2**1023, the largest that is a float), so no
-    # square overflows; dividing by it is exact.
-    unit = math.ldexp(1.0, min(math.frexp(scale)[1], 1023))
+    # Both norms square the entries in units of the power of two just above
+    # the largest one, so no square overflows; dividing by it is exact.
+    unit = math.ldexp(1.0, math.frexp(scale)[1])
     norm = _frobenius(a, unit)
     if norm == 0.0:
         return np.zeros(n), vectors
@@ -176,31 +191,46 @@ def jacobi_eigh(
     )
 
 
+# A stack of operators as (rows, cols) of every entry nonzero in any of them,
+# and the real and imaginary parts there, each of shape (operators, entries)
+_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _entries(*operators: np.ndarray) -> _Entries:
+    stack = np.array(operators)
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    values = stack[:, rows, cols]
+    entries = rows, cols, np.real(values).copy(), np.imag(values).copy()
+    for a in entries:
+        a.flags.writeable = False
+    return entries
+
+
 @lru_cache(maxsize=128)
-def _hamiltonian_of(system: SpinOrbitSystem) -> np.ndarray:
-    """Read-only :func:`build_hamiltonian` of the system, built once for both
-    the diagonalisation and the sampling energies.
+def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray, _Entries]:
+    """Read-only eigenvalues (ascending), eigenvectors and nonzero entries
+    of S.L on the shell (2s, 2l), from one build and one :func:`jacobi_eigh`.
 
-    Kept for the last 128 systems; an entry holds 8 n^2 bytes for
-    n = (2s+1)(2l+1), at most 35 KB for a catalog shell (n <= 66).
+    Kept for the last 128 shells; the 12 coupled catalog ions make 6, since
+    4f^n and 4f^(14-n) share (s, l).  An entry holds at most 8 n (n + 13)
+    bytes for n = (2s+1)(2l+1) (S.L has at most 3n nonzero entries): about
+    140 KB in all for the 6 catalog shells (n <= 66).
     """
-    matrix = build_hamiltonian(system)
-    matrix.flags.writeable = False
-    return matrix
-
-
-@lru_cache(maxsize=128)
-def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (values, vectors) of :func:`jacobi_eigh` on the Hamiltonian.
-
-    Kept for the last 128 systems (the catalog has 12 coupled ions).  An
-    entry holds 8 n (n + 1) bytes for n = (2s+1)(2l+1): at most 4.5 MB in all
-    for catalog shells (n <= 66), 128 entries of the largest n in general.
-    """
-    values, vectors = jacobi_eigh(_hamiltonian_of(system))
+    matrix = _spin_orbit(twice_s, twice_l)
+    values, vectors = jacobi_eigh(matrix)
     for a in (values, vectors):
         a.flags.writeable = False
-    return values, vectors
+    return values, vectors, _entries(matrix)
+
+
+def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (read-only columns) of the
+    Hamiltonian: zeta times the shell's S.L solve, both reversed for zeta < 0.
+    """
+    values, vectors, _ = _shell(system.s.twice, system.l.twice)
+    if system.zeta < 0.0:
+        return system.zeta * values[::-1], vectors[:, ::-1]
+    return system.zeta * values, vectors
 
 
 def thermal_mean_energy(
@@ -243,31 +273,11 @@ class ProductStateBatch:
 # array operations, small enough that memory does not grow with the count.
 _SAMPLE_CHUNK = 256
 
-# A stack of operators as (rows, cols) of every entry nonzero in any of them,
-# and the real and imaginary parts there, each of shape (operators, entries)
-_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _entries(*operators: np.ndarray) -> _Entries:
-    stack = np.array(operators)
-    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
-    values = stack[:, rows, cols]
-    entries = rows, cols, np.real(values).copy(), np.imag(values).copy()
-    for a in entries:
-        a.flags.writeable = False
-    return entries
-
-
 @lru_cache(maxsize=None)
 def _cartesian_triplet(twice_j: int) -> _Entries:
     """Jx, Jy, Jz on the 2j+1 basis states, as stacked nonzero entries."""
     jz, jplus, jminus = _ladder_triplet(twice_j)
     return _entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
-
-
-@lru_cache(maxsize=128)
-def _hamiltonian_entries(system: SpinOrbitSystem) -> _Entries:
-    return _entries(_hamiltonian_of(system))
 
 
 def _expectations(entries: _Entries, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -330,9 +340,10 @@ def _evaluate(
     """Observables of the product states spin[:, r] x orbital[:, r], given as
     unit (real, imaginary) column pairs of shape (dimension, states).
 
-    The energy is the honest matrix expectation <psi| H |psi> on the full
-    Kronecker product vector, not the factorized shortcut zeta <S>.<L>, so
-    that identity is something the batch exhibits rather than assumes.
+    The energy is zeta times the honest matrix expectation <psi| S.L |psi>
+    on the full Kronecker product vector, not the factorized shortcut
+    zeta <S>.<L>, so that identity is something the batch exhibits rather
+    than assumes.
     """
     (s_re, s_im), (o_re, o_im) = spin, orbital
     spin_vec = _expectations(_cartesian_triplet(system.s.twice), s_re, s_im)
@@ -345,7 +356,8 @@ def _evaluate(
     product_re -= kron_columns(s_im, o_im)
     product_im = kron_columns(s_re, o_im)
     product_im += kron_columns(s_im, o_re)
-    energies = _expectations(_hamiltonian_entries(system), product_re, product_im)[0]
+    _, _, spin_orbit = _shell(system.s.twice, system.l.twice)
+    energies = system.zeta * _expectations(spin_orbit, product_re, product_im)[0]
     norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
     cos_angles = np.zeros(len(energies))
     np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,

@@ -26,7 +26,6 @@ __all__ = [
     "CatalogError",
     "UnknownIonError",
     "hund_rules",
-    "coupling_from_gap",
     "ion_record",
     "load_catalog",
     "CATALOG",
@@ -56,24 +55,6 @@ def hund_rules(n4f: int) -> tuple[HalfInt, HalfInt, HalfInt]:
     tl = k * (7 - k)
     tj0 = abs(tl - ts) if n4f < 7 else tl + ts
     return HalfInt(ts), HalfInt(tl), HalfInt(tj0)
-
-
-def coupling_from_gap(delta_e: float, j0: HalfInt, light: bool) -> float:
-    """Coupling constant implied by the gap to the first excited multiplet.
-
-    For a light ion the excited multiplet sits at j0+1, so
-    delta_e = zeta (j0+1); for a heavy ion it sits at j0-1, so
-    delta_e = -zeta j0 (and zeta comes out negative).
-    """
-    if not (isinstance(delta_e, (int, float)) and math.isfinite(delta_e) and delta_e > 0):
-        raise ValueError(f"gap must be a positive finite number, got {delta_e!r}")
-    if not isinstance(j0, HalfInt):
-        raise TypeError("j0 must be a HalfInt")
-    if light:
-        return 2.0 * float(delta_e) / (j0.twice + 2)
-    if j0.twice == 0:
-        raise ValueError("a heavy ion with j0 = 0 has no lower multiplet to define a gap")
-    return -2.0 * float(delta_e) / j0.twice
 
 
 @dataclass(frozen=True)

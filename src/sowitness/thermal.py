@@ -16,7 +16,7 @@ energy <H> and the fluctuation <H^2> - <H>^2.  Every exponent is
 non-positive, so the sums cannot overflow at any temperature, and a
 temperature costs O(levels).  ``mean_energy``, ``witness``,
 ``witness_curve`` and ``entanglement_temperature`` all go through the
-kernel; ``weight`` is the per-level reference it is tested against.
+kernel.
 
 A witness curve is evaluated in chunks of the kernel's own size by
 ``_curve_chunks``: ``witness_curve`` joins the chunks into read-only arrays,
@@ -36,17 +36,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import (
-    Convention, Multiplet, SpinOrbitSystem, _bracket, _temperatures, ground_multiplet,
-)
+from .angular import Convention, SpinOrbitSystem, _bracket, _temperatures
 
 __all__ = [
     "WitnessCurve",
     "WitnessStatus",
     "EntanglementTemperature",
-    "weight",
     "mean_energy",
-    "mean_energy_at_zero",
     "witness",
     "entanglement_temperature",
     "witness_curve",
@@ -100,14 +96,6 @@ class EntanglementTemperature:
     status: WitnessStatus
     iterations: int = 0
     residual: float | None = None
-
-
-def weight(system: SpinOrbitSystem, level: Multiplet, temperature: float) -> float:
-    """Boltzmann weight of one level, shifted so the ground level has weight g."""
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    g = level.degeneracy if system.convention is Convention.MULTIPLET_DEGENERATE else 1
-    return g * math.exp(-(level.energy - ground_multiplet(system).energy) / temperature)
 
 
 class _LevelTable:
@@ -178,15 +166,13 @@ def mean_energy(
     return float(mean[0]) if temperatures.ndim == 0 else mean
 
 
-def mean_energy_at_zero(system: SpinOrbitSystem) -> float:
-    """The T -> 0+ limit of the mean energy: the ground level energy."""
-    return ground_multiplet(system).energy
-
-
 def witness(system: SpinOrbitSystem, temperature: float) -> float:
-    """W(T) = <H>_T + |zeta| s l; negative values certify entanglement."""
+    """W(T) = <H>_T + |zeta| s l; negative values certify entanglement.
+
+    At T = 0 the mean energy is its T -> 0+ limit, the ground level energy.
+    """
     if temperature == 0.0:
-        energy = mean_energy_at_zero(system)
+        energy = _LevelTable(system).ground_energy
     elif temperature > 0.0:
         energy = mean_energy(system, temperature)
     else:

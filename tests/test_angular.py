@@ -8,7 +8,6 @@ from sowitness.angular import (
     HalfInt,
     Multiplet,
     SpinOrbitSystem,
-    ground_multiplet,
     level_energy,
     multiplets,
 )
@@ -164,33 +163,34 @@ class TestLevelEnergy:
         assert abs(trace) <= 1e-10 * max(scale, 1.0)
 
 
-class TestGroundMultiplet:
+class TestGroundLevel:
+    """The ground level is the first multiplet (j = |l-s|) for zeta > 0 and
+    the last (j = l+s) for zeta < 0."""
+
     def test_neodymium(self):
-        assert ground_multiplet(system(3, 12, 500.0)).j == HalfInt(9)
+        assert multiplets(system(3, 12, 500.0))[0].j == HalfInt(9)
 
     def test_terbium(self):
-        assert ground_multiplet(system(6, 6, -483.0)).j == HalfInt(12)
+        assert multiplets(system(6, 6, -483.0))[-1].j == HalfInt(12)
 
     def test_gadolinium_single_multiplet(self):
-        gd = system(7, 0, 0.0)
-        assert len(multiplets(gd)) == 1
-        ground = ground_multiplet(gd)
+        (ground,) = multiplets(system(7, 0, 0.0))
         assert ground.j == HalfInt(7)
         assert ground.energy == 0.0
 
     def test_is_argmin_of_level_energy(self):
         for ts, tl, zeta in ((1, 6, 900.0), (6, 6, -483.0), (5, 10, 414.0), (4, 12, -937.0)):
             levels = multiplets(system(ts, tl, zeta))
-            assert ground_multiplet(system(ts, tl, zeta)).energy == min(
-                m.energy for m in levels
-            )
+            ground = levels[0] if zeta > 0 else levels[-1]
+            assert ground.energy == min(m.energy for m in levels)
+            assert sum(m.energy == ground.energy for m in levels) == 1
 
     def test_closed_forms_for_catalog_ions(self):
         for record in CATALOG:
             if record.zeta is None:
                 continue
-            sys_ = record.system()
-            ground = ground_multiplet(sys_).energy
+            levels = multiplets(record.system())
+            ground = (levels[0] if record.zeta > 0 else levels[-1]).energy
             s, l, zeta = record.s.value, record.l.value, record.zeta
             if zeta > 0:
                 assert ground == pytest.approx(-zeta * s * (l + 1), rel=1e-14)

@@ -551,48 +551,48 @@ class TestVerify:
             peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
         assert peaks[1] - peaks[0] <= 4096, peaks
 
-    def test_one_diagonalisation_per_system(self, capsys, monkeypatch):
-        """A fresh verify diagonalises each coupled ion once; the ground-state
+    def test_one_diagonalisation_per_shell(self, capsys, monkeypatch):
+        """A fresh verify diagonalises S.L once per shell: the 12 coupled ions
+        make 6, since 4f^n and 4f^(14-n) share (s, l).  The ground-state
         analysis after it only diagonalises reduced density matrices."""
-        shapes = []
+        sizes = []
         jacobi_eigh = dense.jacobi_eigh
 
         def counted(matrix, **kwargs):
-            shapes.append(matrix.shape)
+            sizes.append(matrix.shape)
             return jacobi_eigh(matrix, **kwargs)
 
         monkeypatch.setattr(dense, "jacobi_eigh", counted)
-        dense._eigh_of.cache_clear()
+        dense._shell.cache_clear()
         assert main(["verify", "--samples", "20"]) == 0
         capsys.readouterr()
+        assert sizes == [(n, n) for n in (14, 33, 52, 65, 66, 49)]
+        sizes.clear()
         coupled = [r for r in CATALOG if r.zeta is not None]
         assert len(coupled) == 12
-        assert shapes == [((r.s.twice + 1) * (r.l.twice + 1),) * 2 for r in coupled]
-        shapes.clear()
         analyses = [dense.ground_state_analysis(r.system(_CONVENTIONS["multiplet"]))
                     for r in coupled]
-        unique = [r for r, a in zip(coupled, analyses) if a.degeneracy == 1]
-        assert [r.symbol for r in unique] == ["Eu"]
-        assert shapes == [(r.s.twice + 1,) * 2 for r in unique]
+        unique = [r.symbol for r, a in zip(coupled, analyses) if a.degeneracy == 1]
+        assert unique == ["Eu"]
+        assert sizes == [(7, 7)]
 
-    def test_one_hamiltonian_per_system(self, capsys, monkeypatch):
-        """A fresh verify builds each coupled ion's Hamiltonian once, for the
-        diagonalisation and the sampling energies alike."""
-        shapes = []
-        build_hamiltonian = dense.build_hamiltonian
+    def test_one_spin_orbit_build_per_shell(self, capsys, monkeypatch):
+        """A fresh verify builds S.L once per shell, for the diagonalisation
+        and the sampling energies alike, and never builds zeta S.L."""
+        sizes = []
+        spin_orbit = dense._spin_orbit
 
-        def counted(system):
-            matrix = build_hamiltonian(system)
-            shapes.append(matrix.shape)
+        def counted(twice_s, twice_l):
+            matrix = spin_orbit(twice_s, twice_l)
+            sizes.append(len(matrix))
             return matrix
 
-        monkeypatch.setattr(dense, "build_hamiltonian", counted)
-        for cache in (dense._hamiltonian_of, dense._eigh_of, dense._hamiltonian_entries):
-            cache.cache_clear()
+        monkeypatch.setattr(dense, "_spin_orbit", counted)
+        monkeypatch.setattr(dense, "build_hamiltonian", None)
+        dense._shell.cache_clear()
         assert main(["verify", "--samples", "20"]) == 0
         capsys.readouterr()
-        coupled = [r for r in CATALOG if r.zeta is not None]
-        assert shapes == [((r.s.twice + 1) * (r.l.twice + 1),) * 2 for r in coupled]
+        assert sizes == [14, 33, 52, 65, 66, 49]
 
     def test_one_grid_call_per_route_and_system(self, capsys, monkeypatch):
         """The Gibbs cross-check evaluates each route once per coupled ion, on

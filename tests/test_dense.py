@@ -142,6 +142,29 @@ class TestJacobiEigh:
             jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
         assert err.value.residual > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", [
+        8e307 * (np.eye(4, k=1) + np.eye(4, k=-1)),  # norm 1.96e308 overflows
+        np.array([[0.0, 1e308], [1e308, 0.0]]),      # a + a.T overflows
+        np.array([[0.0, 1e308], [-1e308, 0.0]]),     # so would a - a.T
+        np.array([[math.ldexp(1.0, 1023)]]),         # 2a overflows at n = 1
+        np.array([[math.inf]]),
+        np.array([[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["path-4", "pair", "antisymmetric", "n1-limit", "inf", "nan"])
+    def test_rejects_entries_beyond_float_range_over_n(self, matrix):
+        # These once returned the unrotated diagonal ([0, 0, 0, 0] and [0, 0])
+        with pytest.raises(ValueError, match="finite and below"):
+            jacobi_eigh(matrix)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_entries_within_the_limit(self):
+        below = math.nextafter(math.ldexp(1.0, 1023), 0.0)
+        assert jacobi_eigh(np.array([[-below]]))[0] == [-below]
+        half = math.nextafter(math.ldexp(1.0, 1022), 0.0)
+        values, _ = jacobi_eigh(np.array([[half, half], [half, -half]]))
+        assert values == pytest.approx([-math.sqrt(2.0) * half, math.sqrt(2.0) * half],
+                                       rel=1e-15)
+
     @pytest.mark.parametrize("zeta", [1e160, -1e300, 1e-170, -1e-170])
     def test_spectrum_relative_to_extreme_coupling(self, zeta):
         # Entries above about 1e154 square to inf, and below about 1e-162 to
@@ -156,6 +179,55 @@ class TestJacobiEigh:
         assert list(counts) == [1, 3, 5, 7, 9, 11, 13]
         expected = [m.energy for m in multiplets(sys_of("Eu"))]
         assert list(unique) == pytest.approx(expected, abs=1e-6)
+
+
+def check_scaled_shell_solve(system):
+    """``_eigh_of`` ascends and solves ``build_hamiltonian`` of the system."""
+    values, vectors = dense._eigh_of(system)
+    assert np.all(np.diff(values) >= 0.0)
+    h = build_hamiltonian(system)
+    scale = abs(system.zeta) * max(1.0, system.s.value * system.l.value)
+    assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12 * scale
+    assert np.allclose(vectors.T @ vectors, np.eye(system.dimension), rtol=0, atol=1e-12)
+
+
+class TestShellSolve:
+    """One zeta-free S.L solve per shell (2s, 2l), scaled by each system's zeta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8),
+           st.floats(1e-3, 1e4).flatmap(lambda x: st.sampled_from([x, -x])))
+    def test_scaled_solve_of_drawn_shells(self, two_s, two_l, zeta):
+        check_scaled_shell_solve(SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta))
+
+    @pytest.mark.parametrize("symbol", [r.symbol for r in COUPLED])
+    def test_scaled_solve_of_catalog_ions(self, symbol):
+        check_scaled_shell_solve(sys_of(symbol))
+
+    def test_opposite_couplings_and_conventions_share_one_solve(self):
+        dense._shell.cache_clear()
+        ce, yb = ion_record("Ce"), ion_record("Yb")  # 4f^1 and 4f^13: s = 1/2, l = 3
+        assert (ce.s, ce.l) == (yb.s, yb.l) and ce.zeta * yb.zeta < 0.0
+        light = ce.system(Convention.LEVEL_UNIFORM)
+        heavy = yb.system(Convention.MULTIPLET_DEGENERATE)
+        light_values, light_vectors = dense._eigh_of(light)
+        heavy_values, heavy_vectors = dense._eigh_of(heavy)
+        info = dense._shell.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        values, vectors, _ = dense._shell(1, 6)
+        assert np.array_equal(light_values, ce.zeta * values)
+        assert np.array_equal(heavy_values, yb.zeta * values[::-1])
+        assert np.array_equal(light_vectors, vectors)
+        assert np.array_equal(heavy_vectors, vectors[:, ::-1])
+        assert not heavy_vectors.flags.writeable
+        assert heavy_values == pytest.approx(closed_form_spectrum(heavy), rel=1e-12)
+
+    def test_sampling_reads_the_shell_solve(self):
+        dense._shell.cache_clear()
+        for symbol in ("Pr", "Tm"):  # 4f^2 and 4f^12 share a shell
+            next(sample_product_states(sys_of(symbol), np.random.default_rng(1), 3))
+        info = dense._shell.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestThermalMeanEnergy:

@@ -9,7 +9,6 @@ from sowitness.ions import (
     CatalogError,
     IonRecord,
     UnknownIonError,
-    coupling_from_gap,
     hund_rules,
     ion_record,
     load_catalog,
@@ -69,51 +68,21 @@ class TestHundRules:
             hund_rules(bad)
 
 
-class TestCouplingFromGap:
-    def test_cerium_exact(self):
-        assert coupling_from_gap(3150.0, HalfInt(5), light=True) == 900.0
-
-    def test_europium_exact(self):
-        assert coupling_from_gap(500.0, HalfInt(0), light=True) == 500.0
-
-    def test_terbium(self):
-        assert coupling_from_gap(2900.0, HalfInt(12), light=False) == pytest.approx(
-            -2900.0 / 6.0
-        )
-
-    def test_heavy_with_j0_zero_rejected(self):
-        with pytest.raises(ValueError):
-            coupling_from_gap(500.0, HalfInt(0), light=False)
-
-    @pytest.mark.parametrize("bad", [0.0, -10.0, float("nan"), float("inf")])
-    def test_bad_gap_rejected(self, bad):
-        with pytest.raises(ValueError):
-            coupling_from_gap(bad, HalfInt(5), light=True)
-
-    def test_j0_type_checked(self):
-        with pytest.raises(TypeError):
-            coupling_from_gap(3150.0, 2.5, light=True)
-
-    def test_reproduces_tabulated_couplings_within_rounding(self):
-        # The tabulated couplings are the gap-implied values rounded to
-        # integer kelvin, so the two must agree to better than 1 K.
+class TestCatalogCouplings:
+    def test_gap_implied_couplings_round_to_tabulated(self):
+        # The gap to the first excited multiplet (j0 + 1 for a light ion,
+        # j0 - 1 for a heavy one) is zeta times a gap per unit coupling.  The
+        # tabulated couplings are the gap-implied values rounded to integer
+        # kelvin, so the two must agree to better than 1 K.
         for record in CATALOG:
             if record.zeta is None:
                 continue
-            implied = coupling_from_gap(record.delta_e, record.j0, record.light)
-            assert abs(implied - record.zeta) < 1.0, record.symbol
-
-    def test_round_trip_through_level_energies(self):
-        # gap -> coupling -> spectrum -> gap closes to well under 0.5 K.
-        for record in CATALOG:
-            if record.n4f == 7:
-                continue
-            implied = coupling_from_gap(record.delta_e, record.j0, record.light)
-            sys_ = SpinOrbitSystem(record.s, record.l, implied)
+            unit = SpinOrbitSystem(record.s, record.l, 1.0)
             step = 2 if record.light else -2
-            gap = (level_energy(sys_, HalfInt(record.j0.twice + step))
-                   - level_energy(sys_, record.j0))
-            assert gap == pytest.approx(record.delta_e, abs=0.5)
+            gap_per_kelvin = (level_energy(unit, HalfInt(record.j0.twice + step))
+                              - level_energy(unit, record.j0))
+            implied = record.delta_e / gap_per_kelvin
+            assert abs(implied - record.zeta) < 1.0, record.symbol
 
 
 class TestIonRecord:
