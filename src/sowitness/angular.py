@@ -120,20 +120,19 @@ class SpinOrbitSystem:
 
 @dataclass(frozen=True)
 class Multiplet:
-    """One fine-structure level: total momentum j, its dimension, its energy."""
+    """One fine-structure level: total momentum j and its energy."""
 
     j: HalfInt
-    degeneracy: int
     energy: float
 
     def __post_init__(self) -> None:
         if self.j.twice < 0:
             raise ValueError(f"total momentum must be non-negative, got j={self.j}")
-        if self.degeneracy != self.j.twice + 1:
-            raise ValueError(
-                f"degeneracy {self.degeneracy} inconsistent with j={self.j} "
-                f"(expected {self.j.twice + 1})"
-            )
+
+    @property
+    def degeneracy(self) -> int:
+        """The dimension 2j+1 of the multiplet."""
+        return self.j.twice + 1
 
 
 def _bracket(ts: int, tl: int, tj: int) -> int:
@@ -164,7 +163,7 @@ def multiplets(system: SpinOrbitSystem) -> tuple[Multiplet, ...]:
     """
     ts, tl = system.s.twice, system.l.twice
     return tuple(
-        Multiplet(HalfInt(tj), tj + 1, level_energy(system, HalfInt(tj)))
+        Multiplet(HalfInt(tj), level_energy(system, HalfInt(tj)))
         for tj in range(abs(ts - tl), ts + tl + 1, 2)
     )
 

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -28,6 +27,7 @@ from .ions import (
     CatalogError,
     IonRecord,
     UnknownIonError,
+    _to_json,
     hund_rules,
     ion_record,
     load_catalog,
@@ -270,19 +270,7 @@ def _witness_system(record: IonRecord, convention: Convention) -> SpinOrbitSyste
 def _run_ions(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     if args.format == "json":
-        document = {
-            "ions": [
-                {
-                    "symbol": record.symbol,
-                    "n4f": record.n4f,
-                    "deltaE_K": record.delta_e,
-                    "zeta_K": record.zeta,
-                    "te_paper_K": record.te_reference,
-                }
-                for record in catalog
-            ]
-        }
-        _emit(args, [json.dumps(document, indent=2) + "\n"])
+        _emit(args, [_to_json(catalog)])
         return EXIT_OK
     lines = ["symbol,n4f,s,l,j0,deltaE_K,zeta_K,dim"]
     for record in catalog:

@@ -64,13 +64,11 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@lru_cache(maxsize=None)
 def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (Jz, J+, J-) on the 2j+1 basis states, m descending from +j.
+    """(Jz, J+, J-) on the 2j+1 basis states, m descending from +j.
 
     Entries are assembled from exact integer quarters, so e.g. the Casimir
     combination Jz^2 + (J+J- + J-J+)/2 reproduces j(j+1) to rounding error.
-    The arrays are frozen read-only.
     """
     dim = twice_j + 1
     jz = np.zeros((dim, dim))
@@ -82,10 +80,7 @@ def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if k > 0:
             # raising connects |j, m> to |j, m+1>, one row up
             jplus[k - 1, k] = math.sqrt(jj - tm * (tm + 2) / 4.0)
-    jminus = jplus.T.copy()
-    for a in (jz, jplus, jminus):
-        a.flags.writeable = False
-    return jz, jplus, jminus
+    return jz, jplus, jplus.T
 
 
 def _spin_orbit(twice_s: int, twice_l: int) -> np.ndarray:
@@ -114,16 +109,19 @@ def _frobenius(a: np.ndarray, unit: float) -> float:
     return unit * math.sqrt(float(np.sum(scaled * scaled)))
 
 
-def jacobi_eigh(
-    matrix: np.ndarray, *, rel_tol: float = 1e-13, max_sweeps: int = 50
-) -> tuple[np.ndarray, np.ndarray]:
+_REL_TOL = 1e-13
+_MAX_SWEEPS = 50
+
+
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
 
     Sweeps classical (p, q) rotations in row-cyclic order until the
-    off-diagonal Frobenius norm drops below ``rel_tol`` times the Frobenius
-    norm of the input.  Rotations whose pivot is already far below the
-    target are skipped; the skip threshold is small enough that an
-    all-skip sweep implies convergence, so the loop cannot stall.
+    off-diagonal Frobenius norm drops below ``_REL_TOL`` (1e-13) times the
+    Frobenius norm of the input, and raises ConvergenceError if it has not
+    after ``_MAX_SWEEPS`` (50) sweeps.  Rotations whose pivot is already far
+    below the target are skipped; the skip threshold is small enough that
+    an all-skip sweep implies convergence, so the loop cannot stall.
 
     Every entry must be finite and below 2**1023 / n in magnitude for an
     n x n matrix, else ValueError: then the symmetrisation, the Frobenius
@@ -151,12 +149,12 @@ def jacobi_eigh(
     norm = _frobenius(a, unit)
     if norm == 0.0:
         return np.zeros(n), vectors
-    target = rel_tol * norm
+    target = _REL_TOL * norm
     # If every pivot is below this, the total off-diagonal norm is already
     # under target/10, so skipping all of them never prevents convergence.
     skip = target / (10.0 * n)
     off = norm
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 pivot = a[p, q]
@@ -185,7 +183,7 @@ def jacobi_eigh(
             order = np.argsort(np.diag(a), kind="stable")
             return np.diag(a)[order].copy(), vectors[:, order].copy()
     raise ConvergenceError(
-        f"no convergence after {max_sweeps} sweeps: off-diagonal norm "
+        f"no convergence after {_MAX_SWEEPS} sweeps: off-diagonal norm "
         f"{off:.3e} > target {target:.3e}",
         residual=off,
     )

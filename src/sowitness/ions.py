@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Union
 
 from .angular import Convention, HalfInt, SpinOrbitSystem
@@ -61,35 +61,34 @@ def hund_rules(n4f: int) -> tuple[HalfInt, HalfInt, HalfInt]:
 class IonRecord:
     """One catalog row: identity, occupation, quantum numbers, energetics.
 
-    ``te_reference`` is a tabulated entanglement temperature kept purely as
-    a cross-check target; nothing in the library computes from it.
+    The constructor takes the five fields of the catalog document; the
+    ground-term quantum numbers ``s``, ``l`` and ``j0`` follow from the
+    occupation by :func:`hund_rules`.  ``te_reference`` is a tabulated
+    entanglement temperature kept purely as a cross-check target; nothing
+    in the library computes from it.
     """
 
     symbol: str
     n4f: int
-    s: HalfInt
-    l: HalfInt
-    j0: HalfInt
+    s: HalfInt = field(init=False)
+    l: HalfInt = field(init=False)
+    j0: HalfInt = field(init=False)
     delta_e: float | None
     zeta: float | None
     te_reference: float | None
 
     def __post_init__(self) -> None:
-        s, l, j0 = hund_rules(self.n4f)
-        if (self.s, self.l, self.j0) != (s, l, j0):
-            raise CatalogError(
-                f"{self.symbol}: quantum numbers {self.s}, {self.l}, {self.j0} "
-                f"disagree with the occupation n4f={self.n4f}"
-            )
-        for field in ("delta_e", "zeta", "te_reference"):
-            value = getattr(self, field)
+        for name, value in zip(("s", "l", "j0"), hund_rules(self.n4f)):
+            object.__setattr__(self, name, value)
+        for name in ("delta_e", "zeta", "te_reference"):
+            value = getattr(self, name)
             if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CatalogError(f"{self.symbol}: {field} must be a number or null")
+                raise CatalogError(f"{self.symbol}: {name} must be a number or null")
             if not math.isfinite(value):
-                raise CatalogError(f"{self.symbol}: {field} must be finite")
-            object.__setattr__(self, field, float(value))
+                raise CatalogError(f"{self.symbol}: {name} must be finite")
+            object.__setattr__(self, name, float(value))
         if self.delta_e is not None and self.delta_e <= 0:
             raise CatalogError(f"{self.symbol}: delta_e must be positive")
         if self.te_reference is not None and self.te_reference <= 0:
@@ -120,12 +119,6 @@ class IonRecord:
         return SpinOrbitSystem(self.s, self.l, self.zeta or 0.0, convention)
 
 
-def _record(symbol: str, n4f: int, delta_e: float | None, zeta: float | None,
-            te_reference: float | None) -> IonRecord:
-    s, l, j0 = hund_rules(n4f)
-    return IonRecord(symbol, n4f, s, l, j0, delta_e, zeta, te_reference)
-
-
 # symbol, n4f, gap (K), coupling (K), tabulated T_E (K)
 _EMBEDDED: tuple[tuple[str, int, float, float | None, float | None], ...] = (
     ("Ce", 1, 3150.0, 900.0, 1758.0),
@@ -143,7 +136,7 @@ _EMBEDDED: tuple[tuple[str, int, float, float | None, float | None], ...] = (
     ("Yb", 13, 14800.0, -4229.0, None),
 )
 
-CATALOG: tuple[IonRecord, ...] = tuple(_record(*row) for row in _EMBEDDED)
+CATALOG: tuple[IonRecord, ...] = tuple(IonRecord(*row) for row in _EMBEDDED)
 
 
 def ion_record(symbol: str, catalog: tuple[IonRecord, ...] = CATALOG) -> IonRecord:
@@ -157,6 +150,13 @@ def ion_record(symbol: str, catalog: tuple[IonRecord, ...] = CATALOG) -> IonReco
 
 
 _FIELDS = ("symbol", "n4f", "deltaE_K", "zeta_K", "te_paper_K")
+
+
+def _to_json(catalog: tuple[IonRecord, ...]) -> str:
+    """The catalog as the document :func:`load_catalog` reads: JSON indented
+    by two spaces, keys in schema order, ending in a newline."""
+    rows = ((r.symbol, r.n4f, r.delta_e, r.zeta, r.te_reference) for r in catalog)
+    return json.dumps({"ions": [dict(zip(_FIELDS, row)) for row in rows]}, indent=2) + "\n"
 
 
 def load_catalog(source: Union[bytes, str, IO[bytes]]) -> tuple[IonRecord, ...]:
@@ -212,8 +212,7 @@ def load_catalog(source: Union[bytes, str, IO[bytes]]) -> tuple[IonRecord, ...]:
         if isinstance(n4f, bool) or not isinstance(n4f, int):
             raise CatalogError(f"{where} ({symbol}): n4f must be an integer")
         try:
-            record = _record(symbol, n4f, entry["deltaE_K"], entry["zeta_K"],
-                             entry["te_paper_K"])
+            record = IonRecord(symbol, n4f, *(entry[key] for key in _FIELDS[2:]))
         except (CatalogError, ValueError) as exc:
             raise CatalogError(f"{where} ({symbol}): {exc}") from exc
         if symbol in seen:

@@ -82,13 +82,12 @@ class TestSpinOrbitSystem:
 
 
 class TestMultiplet:
-    def test_degeneracy_must_match_j(self):
-        with pytest.raises(ValueError):
-            Multiplet(HalfInt(5), 7, 0.0)
-
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
-            Multiplet(HalfInt(-1), 0, 0.0)
+            Multiplet(HalfInt(-1), 0.0)
+
+    def test_degeneracy_is_two_j_plus_one(self):
+        assert [Multiplet(HalfInt(tj), 0.0).degeneracy for tj in range(5)] == [1, 2, 3, 4, 5]
 
 
 class TestMultiplets:

@@ -362,6 +362,20 @@ class TestCustom:
         assert result.returncode == 1
         assert "no zero below" in result.stderr
 
+    def test_zero_above_the_cap_exits_1(self, capsys):
+        # W(infinity) > 0, so the zero exists, but near 1e12 K: above the cap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e12", "te"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: witness is still negative at 5.37e+08 K; no zero below 1e+09 K "
+            "(its T -> infinity limit is positive, so a zero exists, above the "
+            "searched range)\n"
+        )
+
     @pytest.mark.parametrize("convention", ["level", "multiplet"])
     def test_401_level_te_is_fast(self, convention):
         start = time.perf_counter()

@@ -122,32 +122,33 @@ class TestIonRecord:
         assert sum(r.light for r in CATALOG) == 6
         assert sum(r.heavy for r in CATALOG) == 6
 
-    def test_quantum_numbers_must_match_occupation(self):
-        with pytest.raises(CatalogError):
-            IonRecord("Xx", 3, HalfInt(1), HalfInt(12), HalfInt(9),
-                      None, None, None)
+    def test_quantum_numbers_follow_occupation(self):
+        for record in CATALOG:
+            assert (record.s, record.l, record.j0) == hund_rules(record.n4f)
+        ce = IonRecord("Ce", 1, 3150.0, 900.0, 1758.0)
+        assert ce == ion_record("Ce") and hash(ce) == hash(ion_record("Ce"))
+        assert repr(ce) == (
+            "IonRecord(symbol='Ce', n4f=1, s=HalfInt(twice=1), l=HalfInt(twice=6), "
+            "j0=HalfInt(twice=5), delta_e=3150.0, zeta=900.0, te_reference=1758.0)"
+        )
 
     def test_coupling_sign_enforced(self):
-        s, l, j0 = hund_rules(1)
         with pytest.raises(CatalogError):
-            IonRecord("Ce", 1, s, l, j0, 3150.0, -900.0, None)
-        s, l, j0 = hund_rules(8)
+            IonRecord("Ce", 1, 3150.0, -900.0, None)
         with pytest.raises(CatalogError):
-            IonRecord("Tb", 8, s, l, j0, 2900.0, 483.0, None)
+            IonRecord("Tb", 8, 2900.0, 483.0, None)
 
     def test_half_filled_shell_cannot_carry_coupling(self):
-        s, l, j0 = hund_rules(7)
         with pytest.raises(CatalogError):
-            IonRecord("Gd", 7, s, l, j0, 43200.0, 100.0, None)
+            IonRecord("Gd", 7, 43200.0, 100.0, None)
 
     def test_numeric_field_types(self):
-        s, l, j0 = hund_rules(1)
         with pytest.raises(CatalogError):
-            IonRecord("Ce", 1, s, l, j0, 3150.0, True, None)
+            IonRecord("Ce", 1, 3150.0, True, None)
         with pytest.raises(CatalogError):
-            IonRecord("Ce", 1, s, l, j0, -3150.0, 900.0, None)
+            IonRecord("Ce", 1, -3150.0, 900.0, None)
         with pytest.raises(CatalogError):
-            IonRecord("Ce", 1, s, l, j0, float("inf"), 900.0, None)
+            IonRecord("Ce", 1, float("inf"), 900.0, None)
 
 
 class TestLoadCatalog:
