@@ -477,12 +477,14 @@ def _run_verify(args: argparse.Namespace) -> int:
     for record in coupled:
         if record.te_reference is None:
             continue
-        system = record.system(Convention.LEVEL_UNIFORM)
-        result = entanglement_temperature(system)
-        if result.temperature is None:
+        try:
+            found = entanglement_temperature(record.system(Convention.LEVEL_UNIFORM))
+        except RuntimeError:  # no zero below the bracket cap
+            found = None
+        if found is None or found.temperature is None:
             te_worst = math.inf
-            continue
-        te_worst = max(te_worst, abs(result.temperature - record.te_reference))
+        else:
+            te_worst = max(te_worst, abs(found.temperature - record.te_reference))
     record_check("reference-te", te_worst <= 1.0, f"max_abs_dev_K={_fmt(te_worst)}")
 
     lines.append(f"verify: {'pass' if all_ok else 'fail'}")

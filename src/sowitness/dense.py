@@ -3,19 +3,24 @@ cyclic Jacobi eigensolver, and product-state sampling.
 
 H = zeta S.L has the eigenvectors of S.L and zeta times its eigenvalues, so
 the route works on the zeta-free S.L of the shell (2s, 2l).  One cached
-solve per shell (``_shell``) builds S.L, diagonalises it and keeps its
-nonzero entries; every system on that shell, whatever its coupling or
-weighting convention, reads it.  ``_eigh_of`` scales that solve by zeta
-(reversing the order for zeta < 0) for the Gibbs trace, the ground-state
-analysis and ``verify``'s spectrum check; the Gibbs trace takes one
-temperature or a whole 1-D grid of them.  One evaluator gives the
-observables of product states, for the Haar-random batches of at most
-``_SAMPLE_CHUNK`` states and for the explicit states of
-:func:`product_states`; each energy is zeta times the expectation of the
-full S.L matrix on the Kronecker product vector.  The evaluator holds
-amplitudes as (dimension, states) arrays, one column per state, and sums
-each state's terms entry by entry, so a state's rounding is the same in a
-batch of any size; the batch it returns has one row per state.
+solve per shell (``_shell``) builds S.L and diagonalises it; every system on
+that shell, whatever its coupling or weighting convention, reads it.
+``_eigh_of`` scales that solve by zeta (reversing the order for zeta < 0)
+for the Gibbs trace, the ground-state analysis and ``verify``'s spectrum
+check; the Gibbs trace takes one temperature or a whole 1-D grid of them.
+
+Product states need no solve.  S.L is nonzero only on its diagonal and at
+offsets +-2l, J_z only on its diagonal, and J_x and J_y only at offsets +-1,
+so one evaluator reads every operator on those diagonals through slices
+(``_bands`` caches the two of S.L per shell), for the Haar-random batches of
+at most ``_SAMPLE_CHUNK`` states and for the explicit states of
+:func:`product_states`.  S.L and J_x are symmetric and J_y antisymmetric, so
+an entry and its mirror give the same term bit for bit, and each such pair
+is computed once.  Each energy is zeta times the expectation of the full S.L
+matrix on the Kronecker product vector.  The evaluator holds amplitudes as
+(dimension, states) arrays, one column per state, and sums each state's
+terms in the row-major order of the matrix entries, so a state's rounding is
+the same in a batch of any size; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
@@ -189,43 +194,50 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-# A stack of operators as (rows, cols) of every entry nonzero in any of them,
-# and the real and imaginary parts there, each of shape (operators, entries)
-_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _entries(*operators: np.ndarray) -> _Entries:
-    stack = np.array(operators)
-    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
-    values = stack[:, rows, cols]
-    entries = rows, cols, np.real(values).copy(), np.imag(values).copy()
-    for a in entries:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place."""
+    for a in arrays:
         a.flags.writeable = False
-    return entries
+    return arrays
 
 
 @lru_cache(maxsize=128)
-def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray, _Entries]:
-    """Read-only eigenvalues (ascending), eigenvectors and nonzero entries
-    of S.L on the shell (2s, 2l), from one build and one :func:`jacobi_eigh`.
+def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues (ascending) and eigenvectors of S.L on the
+    shell (2s, 2l), from one build and one :func:`jacobi_eigh`.
 
     Kept for the last 128 shells; the 12 coupled catalog ions make 6, since
-    4f^n and 4f^(14-n) share (s, l).  An entry holds at most 8 n (n + 13)
-    bytes for n = (2s+1)(2l+1) (S.L has at most 3n nonzero entries): about
-    140 KB in all for the 6 catalog shells (n <= 66).
+    4f^n and 4f^(14-n) share (s, l).  An entry holds 8 n (n + 1) bytes for
+    n = (2s+1)(2l+1): about 120 KB in all for the 6 catalog shells (n <= 66).
+    Product states read :func:`_bands` instead, so they never wait for it.
     """
-    matrix = _spin_orbit(twice_s, twice_l)
-    values, vectors = jacobi_eigh(matrix)
-    for a in (values, vectors):
-        a.flags.writeable = False
-    return values, vectors, _entries(matrix)
+    return _read_only(*jacobi_eigh(_spin_orbit(twice_s, twice_l)))
+
+
+@lru_cache(maxsize=128)
+def _bands(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal (Sz Lz) and the band at offset +2l (S+ L- / 2) of S.L on
+    the shell (2s, 2l), read-only, with every value the one :func:`_spin_orbit`
+    puts there, bit for bit.  S.L is symmetric, so offset -2l mirrors the
+    band, and it has no other nonzero entry.
+
+    Band entry ``r`` couples row ``r = i_s (2l+1) + i_l`` to column
+    ``r + 2l = (i_s+1)(2l+1) + i_l - 1``, and is zero where ``i_l = 0``;
+    there are n - 2l of them for n = (2s+1)(2l+1).  No solve is needed.
+    Kept for the last 128 shells, about 16 n bytes each.
+    """
+    (sz, splus, _), (lz, lplus, _) = map(_ladder_triplet, (twice_s, twice_l))
+    diagonal = np.outer(np.diag(sz), np.diag(lz)).ravel()
+    steps = np.zeros((twice_s, twice_l + 1))
+    steps[:, 1:] = 0.5 * np.outer(np.diag(splus, 1), np.diag(lplus, 1))
+    return _read_only(diagonal, np.append(steps.ravel(), 0.0))
 
 
 def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (read-only columns) of the
     Hamiltonian: zeta times the shell's S.L solve, both reversed for zeta < 0.
     """
-    values, vectors, _ = _shell(system.s.twice, system.l.twice)
+    values, vectors = _shell(system.s.twice, system.l.twice)
     if system.zeta < 0.0:
         return system.zeta * values[::-1], vectors[:, ::-1]
     return system.zeta * values, vectors
@@ -272,50 +284,84 @@ class ProductStateBatch:
 _SAMPLE_CHUNK = 256
 
 @lru_cache(maxsize=None)
-def _cartesian_triplet(twice_j: int) -> _Entries:
-    """Jx, Jy, Jz on the 2j+1 basis states, as stacked nonzero entries."""
-    jz, jplus, jminus = _ladder_triplet(twice_j)
-    return _entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
+def _ladder_weights(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of Jz and the weights w_k = <k| J+ |k+1> / 2, read-only.
 
-
-def _expectations(entries: _Entries, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Re <psi| A |psi> of each stacked operator A for each column psi = re + i im.
-
-    ``re`` and ``im`` have shape (dimension, states); the result has shape
-    (operators, states).  Gathering an operator's entries gathers whole rows,
-    and every product and sum runs along the states, so the rounding of a
-    state does not depend on the other states of the batch (a matrix
-    product's does, through the BLAS kernel chosen for its shape).
+    Jx = (J+ + J-)/2 is w_k on both entries (k, k+1) and (k+1, k), and
+    Jy = -i (J+ - J-)/2 is -i w_k and +i w_k there.
     """
-    rows, cols, real, imag = entries
-    # conj(psi_i) psi_j = (re_i re_j + im_i im_j) + i (re_i im_j - im_i re_j)
-    even = re[rows]
-    even *= re[cols]
-    even += im[rows] * im[cols]
-    values = _entry_sums(real, even)
-    if imag.any():
-        odd = re[rows]
-        odd *= im[cols]
-        odd -= im[rows] * re[cols]
-        values -= _entry_sums(imag, odd)
-    return values
+    jz, jplus, _ = _ladder_triplet(twice_j)
+    return _read_only(np.diag(jz), 0.5 * np.diag(jplus, 1))
 
 
-def _entry_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_e weights[a, e] terms[e] for each operator a.
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... in that order, for every index of the rest.
 
-    Each state's sum runs entry by entry in order, whatever the batch size.
-    ``np.add.reduce`` over the entry axis does so while the states form the
-    contiguous axis.  With one state the entries are contiguous instead and
-    it would switch to pairwise summation, so one state is summed by
-    ``np.add.accumulate``, which is strictly sequential but slower.
+    ``np.add.reduce`` over the first axis adds whole rows in order while the
+    states form the contiguous last axis.  With one state the terms are
+    contiguous instead and it would switch to pairwise summation, so one
+    state is summed by ``np.add.accumulate``, which is strictly sequential
+    but slower.
     """
-    if not len(terms):  # an operator with no nonzero entry, e.g. on j = 0
-        return np.zeros((len(weights), terms.shape[1]))
-    products = weights[:, :, np.newaxis] * terms
-    if terms.shape[1] == 1:
-        return np.add.accumulate(products, axis=1)[:, -1]
-    return np.add.reduce(products, axis=1)
+    if terms.shape[-1] == 1 and len(terms):
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def _weighted_real(
+    weights: np.ndarray, re_r: np.ndarray, im_r: np.ndarray, re_c: np.ndarray,
+    im_c: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """``out`` = weights times Re conj(psi_r) psi_c = re_r re_c + im_r im_c,
+    one weight per row of (rows, states) amplitudes."""
+    np.multiply(re_r, re_c, out=out)
+    out += im_r * im_c
+    out *= weights[:, np.newaxis]
+    return out
+
+
+def _bloch_vectors(twice_j: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """<Jx>, <Jy>, <Jz> of each column psi = re + i im, as a (3, states) array.
+
+    conj(psi_r) psi_c = (re_r re_c + im_r im_c) + i (re_r im_c - im_r re_c).
+    On (k, k+1) the Jx term is w_k times the real part and the Jy term w_k
+    times the imaginary part; on (k+1, k) both are the same bit for bit
+    (a b = b a, x - y = -(y - x)), so each is computed once and added twice,
+    in the row-major order of the entries.  The Jz terms run down the
+    diagonal.
+    """
+    m, w = _ladder_weights(twice_j)
+    dim, count = re.shape
+    pairs = np.empty((dim - 1, 2, count))
+    _weighted_real(w, re[:-1], im[:-1], re[1:], im[1:], out=pairs[:, 0])
+    np.multiply(re[:-1], im[1:], out=pairs[:, 1])
+    pairs[:, 1] -= im[:-1] * re[1:]
+    pairs[:, 1] *= w[:, np.newaxis]
+    vectors = np.empty((3, count))
+    vectors[:2] = _ordered_sum(np.repeat(pairs, 2, axis=0))
+    vectors[2] = _ordered_sum(_weighted_real(m, re, im, re, im, out=np.empty_like(re)))
+    return vectors
+
+
+def _spin_orbit_expectations(
+    twice_s: int, twice_l: int, re: np.ndarray, im: np.ndarray
+) -> np.ndarray:
+    """<psi| S.L |psi> of each column psi = re + i im of the product space.
+
+    Row r of S.L holds the entries (r, r - 2l), (r, r) and (r, r + 2l), and
+    (r, r - 2l) mirrors (r - 2l, r), so its term is the band term of row
+    r - 2l, bit for bit.  The terms are laid out as (row, entry) and summed
+    in that row-major order; entries missing at the edges are zeros.
+    """
+    diagonal, band = _bands(twice_s, twice_l)
+    dim, count = re.shape
+    width = len(band)
+    terms = np.empty((dim, 3, count))
+    terms[:twice_l, 0] = terms[width:, 2] = 0.0
+    _weighted_real(diagonal, re, im, re, im, out=terms[:, 1])
+    terms[twice_l:, 0] = _weighted_real(band, re[:width], im[:width], re[twice_l:],
+                                        im[twice_l:], out=terms[:width, 2])
+    return _ordered_sum(terms.reshape(3 * dim, count))
 
 
 def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -344,8 +390,8 @@ def _evaluate(
     than assumes.
     """
     (s_re, s_im), (o_re, o_im) = spin, orbital
-    spin_vec = _expectations(_cartesian_triplet(system.s.twice), s_re, s_im)
-    orbital_vec = _expectations(_cartesian_triplet(system.l.twice), o_re, o_im)
+    spin_vec = _bloch_vectors(system.s.twice, s_re, s_im)
+    orbital_vec = _bloch_vectors(system.l.twice, o_re, o_im)
 
     def kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
@@ -354,17 +400,15 @@ def _evaluate(
     product_re -= kron_columns(s_im, o_im)
     product_im = kron_columns(s_re, o_im)
     product_im += kron_columns(s_im, o_re)
-    _, _, spin_orbit = _shell(system.s.twice, system.l.twice)
-    energies = system.zeta * _expectations(spin_orbit, product_re, product_im)[0]
+    energies = system.zeta * _spin_orbit_expectations(
+        system.s.twice, system.l.twice, product_re, product_im)
     norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
     cos_angles = np.zeros(len(energies))
     np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
               out=cos_angles, where=norms > 1e-12)
-    fields = ((s_re + 1j * s_im).T, (o_re + 1j * o_im).T, spin_vec.T, orbital_vec.T,
-              cos_angles, energies)
-    for a in fields:
-        a.flags.writeable = False
-    return ProductStateBatch(*fields)
+    return ProductStateBatch(*_read_only(
+        (s_re + 1j * s_im).T, (o_re + 1j * o_im).T, spin_vec.T, orbital_vec.T,
+        cos_angles, energies))
 
 
 def product_states(

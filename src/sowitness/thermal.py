@@ -51,8 +51,10 @@ __all__ = [
 #: Bracket doubling for the witness zero stops here; see entanglement_temperature.
 BRACKET_CAP_K = 1.0e9
 
-# The doubling bracket 1, 2, 4, ... K up to the cap, evaluated in one kernel call.
-_BRACKET_GRID = np.exp2(np.arange(math.floor(math.log2(BRACKET_CAP_K)) + 1))
+# The doubling bracket 1, 2, 4, ... K below the cap, then the cap itself,
+# evaluated in one kernel call.
+_BRACKET_GRID = np.append(np.exp2(np.arange(math.ceil(math.log2(BRACKET_CAP_K)))),
+                          BRACKET_CAP_K)
 
 # The kernel works on at most this many (temperature, level) weights at a
 # time, so its temporary arrays stay bounded for any grid length.
@@ -204,13 +206,13 @@ def entanglement_temperature(
     whose sign is computed exactly, is not positive, W never reaches zero
     and a RuntimeError is raised at once.
 
-    Otherwise W is evaluated at 1, 2, 4, ... K up to ``BRACKET_CAP_K`` in one
-    kernel call, and the first non-negative value closes the bracket (a
-    RuntimeError if none does).  Inside it, Newton steps use the exact slope
-    dW/dT = (<H^2> - <H>^2)/T^2; a step that would leave the bracket, or that
-    is not at most half the step before the last, is replaced by bisection
-    (``rtsafe``, Numerical Recipes section 9.4).  Every evaluated point
-    narrows the bracket.
+    Otherwise W is evaluated at 1, 2, 4, ... K below ``BRACKET_CAP_K`` and
+    at the cap itself in one kernel call, and the first non-negative value
+    closes the bracket (a RuntimeError if none does).  Inside it, Newton
+    steps use the exact slope dW/dT = (<H^2> - <H>^2)/T^2; a step that would
+    leave the bracket, or that is not at most half the step before the last,
+    is replaced by bisection (``rtsafe``, Numerical Recipes section 9.4).
+    Every evaluated point narrows the bracket.
 
     The returned temperature lies within ``tolerance`` (kelvin) of the zero
     wherever the tolerance is above the rounding floor of the float
@@ -245,9 +247,9 @@ def entanglement_temperature(
     crossed = np.flatnonzero(values >= 0.0)
     if not crossed.size:
         raise RuntimeError(
-            f"witness is still negative at {_BRACKET_GRID[-1]:.3g} K; no zero below "
-            f"{BRACKET_CAP_K:.0e} K (its T -> infinity limit is positive, so a zero "
-            "exists, above the searched range)"
+            f"witness is still negative at {BRACKET_CAP_K:.0e} K, the top of the "
+            "searched range (its T -> infinity limit is positive, so a zero exists "
+            "above it)"
         )
     k = int(crossed[0])
     low = float(_BRACKET_GRID[k - 1]) if k else 0.0

@@ -371,10 +371,14 @@ class TestCustom:
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: witness is still negative at 5.37e+08 K; no zero below 1e+09 K "
-            "(its T -> infinity limit is positive, so a zero exists, above the "
-            "searched range)\n"
+            "error: witness is still negative at 1e+09 K, the top of the searched "
+            "range (its T -> infinity limit is positive, so a zero exists above it)\n"
         )
+
+    def test_zero_just_below_the_cap(self, capsys):
+        # 1.5 zeta / ln 4 = 7.574e8 K, above the last power of two, 2**29 K
+        assert main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "7e8", "te"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "custom,multiplet,7.57415e+08,crossed"
 
     @pytest.mark.parametrize("convention", ["level", "multiplet"])
     def test_401_level_te_is_fast(self, convention):
@@ -592,7 +596,8 @@ class TestVerify:
 
     def test_one_spin_orbit_build_per_shell(self, capsys, monkeypatch):
         """A fresh verify builds S.L once per shell, for the diagonalisation
-        and the sampling energies alike, and never builds zeta S.L."""
+        alone, and never builds zeta S.L; the sampling reads the two S.L
+        diagonals it needs from one band build per shell."""
         sizes = []
         spin_orbit = dense._spin_orbit
 
@@ -604,9 +609,12 @@ class TestVerify:
         monkeypatch.setattr(dense, "_spin_orbit", counted)
         monkeypatch.setattr(dense, "build_hamiltonian", None)
         dense._shell.cache_clear()
+        dense._bands.cache_clear()
         assert main(["verify", "--samples", "20"]) == 0
         capsys.readouterr()
         assert sizes == [14, 33, 52, 65, 66, 49]
+        info = dense._bands.cache_info()
+        assert (info.misses, info.hits) == (6, 6)
 
     def test_one_grid_call_per_route_and_system(self, capsys, monkeypatch):
         """The Gibbs cross-check evaluates each route once per coupled ion, on
@@ -649,6 +657,28 @@ class TestVerify:
         assert lines[1] == "spectrum-equivalence: fail max_rel_dev=inf"
         assert lines[2] == "trace-equivalence: fail max_rel_dev=inf"
         assert lines[-1] == "verify: fail"
+
+    def test_te_above_the_cap_fails_only_its_check(self, tmp_path, capsys):
+        """A Ce coupling of 1e12 K puts its T_E near 1e12 K, above the bracket
+        cap; the root find raises, and verify still prints every check."""
+        ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
+                 "zeta_K": 1e12 if r.symbol == "Ce" else r.zeta,
+                 "te_paper_K": r.te_reference}
+                for r in CATALOG]
+        path = tmp_path / "te_above_cap.json"
+        path.write_text(json.dumps({"ions": ions}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--samples", "50", "--catalog", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VERIFY
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "hund-rules", "spectrum-equivalence", "trace-equivalence",
+            "product-energy-identity", "separable-bound", "reference-te", "verify"]
+        assert all(": pass " in line for line in lines[:5])
+        assert lines[5:] == ["reference-te: fail max_abs_dev_K=inf", "verify: fail"]
 
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

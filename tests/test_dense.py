@@ -215,7 +215,7 @@ class TestShellSolve:
         heavy_values, heavy_vectors = dense._eigh_of(heavy)
         info = dense._shell.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        values, vectors, _ = dense._shell(1, 6)
+        values, vectors = dense._shell(1, 6)
         assert np.array_equal(light_values, ce.zeta * values)
         assert np.array_equal(heavy_values, yb.zeta * values[::-1])
         assert np.array_equal(light_vectors, vectors)
@@ -223,12 +223,33 @@ class TestShellSolve:
         assert not heavy_vectors.flags.writeable
         assert heavy_values == pytest.approx(closed_form_spectrum(heavy), rel=1e-12)
 
-    def test_sampling_reads_the_shell_solve(self):
+    def test_fresh_sampling_solves_nothing(self, monkeypatch):
+        """Product states read the cached S.L bands, never the shell solve."""
+        calls = []
+        monkeypatch.setattr(dense, "jacobi_eigh", lambda matrix: calls.append(matrix.shape))
         dense._shell.cache_clear()
+        dense._bands.cache_clear()
         for symbol in ("Pr", "Tm"):  # 4f^2 and 4f^12 share a shell
             next(sample_product_states(sys_of(symbol), np.random.default_rng(1), 3))
-        info = dense._shell.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        product_states(SpinOrbitSystem(HalfInt(12), HalfInt(12), 1.0),
+                       np.ones((1, 13)), np.ones((1, 13)))
+        assert calls == []
+        assert dense._shell.cache_info().currsize == 0
+        info = dense._bands.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+
+class TestBands:
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_bands_are_the_matrix_diagonals(self, two_s):
+        for two_l in range(13):
+            matrix = dense._spin_orbit(two_s, two_l)
+            diagonal, band = dense._bands(two_s, two_l)
+            assert np.array_equal(np.diag(matrix), diagonal)
+            assert np.array_equal(np.diag(matrix, two_l), band)
+            assert not diagonal.flags.writeable and not band.flags.writeable
+            rest = matrix - np.diag(diagonal) - np.diag(band, two_l) - np.diag(band, -two_l)
+            assert not rest.any(), (two_s, two_l)
 
 
 class TestThermalMeanEnergy:
@@ -282,6 +303,124 @@ def naive_observables(system, spin, orbital):
     product = np.kron(spin, orbital)
     energy = np.vdot(product, build_hamiltonian(system) @ product).real
     return bloch(system.s.twice, spin), bloch(system.l.twice, orbital), energy
+
+
+# The gather evaluator that the band evaluator replaced, kept as its
+# bit-for-bit reference: it gathers every entry that is nonzero in any operator
+# of a stack, in row-major order, and sums each state's terms in that order.
+def gather_entries(*operators):
+    stack = np.array(operators)
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    values = stack[:, rows, cols]
+    return rows, cols, np.real(values), np.imag(values)
+
+
+def gather_sums(weights, terms):
+    if not len(terms):
+        return np.zeros((len(weights), terms.shape[1]))
+    products = weights[:, :, np.newaxis] * terms
+    if terms.shape[1] == 1:
+        return np.add.accumulate(products, axis=1)[:, -1]
+    return np.add.reduce(products, axis=1)
+
+
+def gather_expectations(entries, re, im):
+    rows, cols, real, imag = entries
+    even = re[rows]
+    even *= re[cols]
+    even += im[rows] * im[cols]
+    values = gather_sums(real, even)
+    if imag.any():
+        odd = re[rows]
+        odd *= im[cols]
+        odd -= im[rows] * re[cols]
+        values -= gather_sums(imag, odd)
+    return values
+
+
+def gather_evaluate(system, spin, orbital):
+    """The ProductStateBatch fields of unit (real, imaginary) column pairs."""
+    def bloch(twice_j, re, im):
+        jz, jplus, jminus = _ladder_triplet(twice_j)
+        entries = gather_entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
+        return gather_expectations(entries, re, im)
+
+    def kron_columns(a, b):
+        return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
+
+    (s_re, s_im), (o_re, o_im) = spin, orbital
+    spin_vec = bloch(system.s.twice, s_re, s_im)
+    orbital_vec = bloch(system.l.twice, o_re, o_im)
+    product_re = kron_columns(s_re, o_re)
+    product_re -= kron_columns(s_im, o_im)
+    product_im = kron_columns(s_re, o_im)
+    product_im += kron_columns(s_im, o_re)
+    spin_orbit = gather_entries(dense._spin_orbit(system.s.twice, system.l.twice))
+    energies = system.zeta * gather_expectations(spin_orbit, product_re, product_im)[0]
+    norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
+    cos_angles = np.zeros(len(energies))
+    np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
+              out=cos_angles, where=norms > 1e-12)
+    return {"spin_states": (s_re + 1j * s_im).T, "orbital_states": (o_re + 1j * o_im).T,
+            "spin_vectors": spin_vec.T, "orbital_vectors": orbital_vec.T,
+            "cos_angles": cos_angles, "energies": energies}
+
+
+def basis_rows(dim, indices):
+    return np.eye(dim, dtype=complex)[indices]
+
+
+def columns_of(rows):
+    """Unit rows as the evaluator's C-contiguous (real, imaginary) columns."""
+    return rows.real.T.copy(), rows.imag.T.copy()
+
+
+def assert_matches_gather_oracle(system, spin, orbital):
+    """The evaluator equals the oracle exactly, field by field, on unit
+    (real, imaginary) column pairs; so does product_states on their rows,
+    against the oracle on the unit states it normalised them to."""
+    def check(batch, spin, orbital):
+        for name, expected in gather_evaluate(system, spin, orbital).items():
+            assert np.array_equal(getattr(batch, name), expected), name
+
+    check(dense._evaluate(system, spin, orbital), spin, orbital)
+    explicit = product_states(system, *[(re + 1j * im).T for re, im in (spin, orbital)])
+    check(explicit, columns_of(explicit.spin_states), columns_of(explicit.orbital_states))
+
+
+class TestGatherOracle:
+    """Bit-for-bit agreement with the gather evaluator the bands replaced."""
+
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_every_shell(self, two_s):
+        rng = np.random.default_rng(two_s)
+        for two_l in range(13):
+            ds, dl = two_s + 1, two_l + 1
+            sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), 3.7)
+            for count in (1, 5):
+                assert_matches_gather_oracle(sys_, *dense._haar_rows(rng, count, ds, dl))
+            # every product basis state |m_s> |m_l>, as one batch and alone
+            spin = basis_rows(ds, np.repeat(np.arange(ds), dl))
+            orbital = basis_rows(dl, np.tile(np.arange(dl), ds))
+            columns = [columns_of(rows) for rows in (spin, orbital)]
+            assert_matches_gather_oracle(sys_, *columns)
+            assert_matches_gather_oracle(sys_, *[(re[:, -1:].copy(), im[:, -1:].copy())
+                                                for re, im in columns])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.one_of(st.just(1), st.integers(2, 300)),
+           st.booleans(), st.sampled_from([-57.3, 1e-3, 2.0e4]), st.integers(0, 2**32 - 1))
+    def test_drawn_batches(self, two_s, two_l, count, basis, zeta, seed):
+        rng = np.random.default_rng(seed)
+        ds, dl = two_s + 1, two_l + 1
+        sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta)
+        if basis:
+            rows = (basis_rows(ds, rng.integers(ds, size=count)),
+                    basis_rows(dl, rng.integers(dl, size=count)))
+            columns = [columns_of(r) for r in rows]
+        else:
+            columns = dense._haar_rows(rng, count, ds, dl)
+        assert_matches_gather_oracle(sys_, *columns)
 
 
 class _ZeroFirstRng:

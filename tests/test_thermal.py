@@ -328,6 +328,29 @@ class TestEntanglementTemperature:
         assert time.perf_counter() - start < 0.05
         assert BRACKET_CAP_K == 1e9
 
+    @pytest.mark.parametrize("zeta", [5.0e8, 7.0e8, 9.2e8])
+    def test_zero_between_the_last_power_of_two_and_the_cap(self, zeta):
+        # s = 1/2, l = 1 with multiplet weights crosses at 1.5 zeta / ln 4,
+        # here between 2**29 K and the 1e9 K cap.  Reference: bisection on
+        # the dense route's Gibbs trace.
+        sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(2), zeta, MULTIPLET)
+
+        def dense_witness(t):
+            return thermal_mean_energy(sys_, t) + sys_.separable_bound
+
+        low, high = 2.0**29, BRACKET_CAP_K
+        assert dense_witness(low) < 0.0 < dense_witness(high)
+        for _ in range(100):
+            mid = 0.5 * (low + high)
+            if dense_witness(mid) < 0.0:
+                low = mid
+            else:
+                high = mid
+        result = entanglement_temperature(sys_)
+        assert result.status is WitnessStatus.CROSSED
+        assert abs(result.temperature - low) <= 1e-3 + 1e-6
+        assert result.temperature == pytest.approx(1.5 * zeta / math.log(4.0), rel=1e-12)
+
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             entanglement_temperature(sys_of("Ce", LEVEL), tolerance=0.0)
