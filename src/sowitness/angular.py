@@ -109,8 +109,12 @@ class SpinOrbitSystem:
 
     @property
     def separable_bound(self) -> float:
-        """|zeta| s l, the magnitude of the product-state energy floor."""
-        return abs(self.zeta) * (self.s.twice * self.l.twice) / 4.0
+        """|zeta| s l, the magnitude of the product-state energy floor.
+
+        The exact /4 comes before the product with zeta, so the bound is
+        finite whenever |zeta| s l is.
+        """
+        return abs(self.zeta) * ((self.s.twice * self.l.twice) / 4.0)
 
     @property
     def witness_trivial(self) -> bool:

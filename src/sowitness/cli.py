@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -28,7 +29,6 @@ from .ions import (
     IonRecord,
     UnknownIonError,
     _to_json,
-    hund_rules,
     ion_record,
     load_catalog,
 )
@@ -49,6 +49,9 @@ _CONVENTIONS = {
 MAX_LEVELS = 10**6
 #: ``custom`` rejects a larger 2s or 2l; beyond it s and l are not exact floats.
 MAX_TWICE = 2**53
+
+# argparse's negative-number pattern, each branch with an optional exponent
+_NEGATIVE_NUMBER = re.compile(r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
 
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
 # "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included.
@@ -74,8 +77,18 @@ def _fmt_optional(value: float | None) -> str:
     return "" if value is None else _fmt(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that takes ``-1e-3``, ``-2.5E+2`` or ``-.5e1`` as a
+    negative number, not as an unknown option; argparse's own pattern knows
+    only ``-123`` and ``-1.5``.  Its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sowitness",
         description="Spin-orbit thermal entanglement witnesses for rare-earth ions.",
     )
@@ -419,6 +432,19 @@ def _worst(deviations: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
+def _aufbau_term(n4f: int) -> tuple[int, int, int]:
+    """Doubled (s, l, j0) of the ground term by filling the 14 4f spin-orbitals.
+
+    The electrons take m_l = 3 ... -3 spin up, then spin down; 2S = |sum 2 m_s|,
+    2L = 2 |sum m_l|, and j0 = |L - S| below half filling, L + S from half
+    filling up.  It checks ``ions.hund_rules`` without sharing its formulas.
+    """
+    orbitals = [(m, spin) for spin in (1, -1) for m in range(3, -4, -1)][:n4f]
+    ts = abs(sum(spin for _, spin in orbitals))
+    tl = 2 * abs(sum(m for m, _ in orbitals))
+    return ts, tl, abs(tl - ts) if n4f < 7 else tl + ts
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     if args.samples < 1:
@@ -436,7 +462,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         lines.append(_check_line(name, ok, detail))
 
     mismatches = sum(
-        1 for r in catalog if hund_rules(r.n4f) != (r.s, r.l, r.j0)
+        1 for r in catalog if _aufbau_term(r.n4f) != (r.s.twice, r.l.twice, r.j0.twice)
     )
     record_check("hund-rules", mismatches == 0, f"mismatches={mismatches}")
 

@@ -16,7 +16,8 @@ energy <H> and the fluctuation <H^2> - <H>^2.  Every exponent is
 non-positive, so the sums cannot overflow at any temperature, and a
 temperature costs O(levels).  ``mean_energy``, ``witness``,
 ``witness_curve`` and ``entanglement_temperature`` all go through the
-kernel.
+kernel, which returns a grid of up to ``chunk_rows`` temperatures as one
+chunk and runs a longer one chunk by chunk into preallocated arrays.
 
 A witness curve is evaluated in chunks of the kernel's own size by
 ``_curve_chunks``: ``witness_curve`` joins the chunks into read-only arrays,
@@ -24,13 +25,16 @@ and the command line formats and writes each chunk as it comes, so the
 memory a curve needs on its way to a CSV file is bounded for any length.
 
 The fluctuation gives the exact slope dW/dT = (<H^2> - <H>^2)/T^2 under
-either convention, which the root finder for T_E uses for Newton steps.
+either convention, for the Newton steps of the root finder for T_E.  Each
+step is one kernel call on a one-element array; W and the slope are then
+formed on Python floats, with the same IEEE operations as on arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -51,14 +55,17 @@ __all__ = [
 #: Bracket doubling for the witness zero stops here; see entanglement_temperature.
 BRACKET_CAP_K = 1.0e9
 
-# The doubling bracket 1, 2, 4, ... K below the cap, then the cap itself,
-# evaluated in one kernel call.
+# The doubling bracket 1, 2, 4, ... K below the cap and the cap, in one kernel call.
 _BRACKET_GRID = np.append(np.exp2(np.arange(math.ceil(math.log2(BRACKET_CAP_K)))),
                           BRACKET_CAP_K)
 
 # The kernel works on at most this many (temperature, level) weights at a
 # time, so its temporary arrays stay bounded for any grid length.
 _KERNEL_ELEMENTS = 1 << 16
+
+# Division for the kernel's exponents, which are <= 0: an overflow is -inf, a
+# weight of 0.  As a decorator, errstate costs less per call than as `with`.
+_divide_ignoring_overflow = np.errstate(over="ignore")(np.divide)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,40 +124,32 @@ class _LevelTable:
         self.energies = system.zeta * (np.array(self.brackets, dtype=float) / 8.0)
         self.ground_energy = float(self.energies.min())
         self.excitations = self.energies - self.ground_energy
+        self.drops = -self.excitations  # exact: drops / T has the bits of -x / T
         # <H> is summed over the energies themselves; the fluctuation over
         # the excitations x, which are non-negative with a zero at the
         # ground level, so <x^2> - <x>^2 does not cancel catastrophically.
-        self.powers = np.stack(
-            (self.energies, self.excitations, self.excitations * self.excitations), axis=1
-        )
-        # temperatures per kernel chunk, so a chunk holds at most
-        # _KERNEL_ELEMENTS weights
+        self.powers = np.empty((len(self.energies), 3))
+        self.powers[:, 0], self.powers[:, 1] = self.energies, self.excitations
+        self.powers[:, 2] = self.excitations * self.excitations
+        # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
 
     def averages(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Z, <H> and <H^2> - <H>^2 at each of a 1-D array of positive temperatures."""
-        partition = np.empty(len(temperatures))
-        mean = np.empty(len(temperatures))
-        fluctuation = np.empty(len(temperatures))
+        if len(temperatures) <= self.chunk_rows:
+            return self._chunk(temperatures)
+        partition, mean, fluctuation = (np.empty(len(temperatures)) for _ in range(3))
         for start in range(0, len(temperatures), self.chunk_rows):
             chunk = slice(start, start + self.chunk_rows)
-            with np.errstate(over="ignore"):  # exponents are <= 0: -inf is a weight of 0
-                exponents = -self.excitations / temperatures[chunk, np.newaxis]
-            weights = self.prefactors * np.exp(exponents)
-            z = weights.sum(axis=1)
-            sums = (weights @ self.powers) / z[:, np.newaxis]
-            partition[chunk] = z
-            mean[chunk] = sums[:, 0]
-            fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
+            partition[chunk], mean[chunk], fluctuation[chunk] = self._chunk(temperatures[chunk])
         return partition, mean, fluctuation
 
-
-def _witness_and_slope(
-    table: _LevelTable, bound: float, temperatures: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """W(T) and the fluctuation identity dW/dT = (<H^2> - <H>^2)/T^2."""
-    _, mean, fluctuation = table.averages(temperatures)
-    return mean + bound, fluctuation / (temperatures * temperatures)
+    def _chunk(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        exponents = _divide_ignoring_overflow(self.drops, temperatures[:, np.newaxis])
+        weights = self.prefactors * np.exp(exponents)
+        z = weights.sum(axis=1)
+        sums = (weights @ self.powers) / z[:, np.newaxis]
+        return z, sums[:, 0], sums[:, 2] - sums[:, 1] * sums[:, 1]
 
 
 def mean_energy(
@@ -186,12 +185,13 @@ def _witness_sign_at_infinity(system: SpinOrbitSystem, table: _LevelTable) -> in
     """The sign of lim W(T) for T -> infinity, in exact integer arithmetic.
 
     The limit is the prefactor-weighted mean energy plus |zeta| s l.  With
-    8 E_j = zeta q_j for the table's integer brackets q_j, it has the sign
-    of sum_j g_j (sign(zeta) q_j + 2 (2s)(2l)).
+    8 E_j = zeta q_j for the table's integer brackets q_j, it has the sign of
+    sum_j g_j (sign(zeta) q_j + 2 (2s)(2l)), summed as two integer sums.
     """
     sign = 1 if system.zeta > 0.0 else -1
     cross = 2 * system.s.twice * system.l.twice
-    total = sum(g * (sign * q + cross) for g, q in zip(table.degeneracies, table.brackets))
+    total = (sign * sum(map(operator.mul, table.degeneracies, table.brackets))
+             + cross * sum(table.degeneracies))
     return (total > 0) - (total < 0)
 
 
@@ -208,11 +208,10 @@ def entanglement_temperature(
 
     Otherwise W is evaluated at 1, 2, 4, ... K below ``BRACKET_CAP_K`` and
     at the cap itself in one kernel call, and the first non-negative value
-    closes the bracket (a RuntimeError if none does).  Inside it, Newton
-    steps use the exact slope dW/dT = (<H^2> - <H>^2)/T^2; a step that would
-    leave the bracket, or that is not at most half the step before the last,
-    is replaced by bisection (``rtsafe``, Numerical Recipes section 9.4).
-    Every evaluated point narrows the bracket.
+    closes the bracket (a RuntimeError if none does).  Inside it, a Newton
+    step that would leave the bracket, or that is not at most half the step
+    before the last, is replaced by bisection (``rtsafe``, Numerical Recipes
+    section 9.4).  Every evaluated point narrows the bracket.
 
     The returned temperature lies within ``tolerance`` (kelvin) of the zero
     wherever the tolerance is above the rounding floor of the float
@@ -243,8 +242,8 @@ def entanglement_temperature(
             f"is {'zero' if limit == 0 else 'negative'}); no zero below "
             f"{BRACKET_CAP_K:.0e} K"
         )
-    values, slopes = _witness_and_slope(table, bound, _BRACKET_GRID)
-    crossed = np.flatnonzero(values >= 0.0)
+    _, mean, fluctuation = table.averages(_BRACKET_GRID)
+    crossed = np.flatnonzero(mean + bound >= 0.0)
     if not crossed.size:
         raise RuntimeError(
             f"witness is still negative at {BRACKET_CAP_K:.0e} K, the top of the "
@@ -253,12 +252,13 @@ def entanglement_temperature(
         )
     k = int(crossed[0])
     low = float(_BRACKET_GRID[k - 1]) if k else 0.0
-    high = float(_BRACKET_GRID[k])
-    x, w, slope = high, float(values[k]), float(slopes[k])
+    x = high = float(_BRACKET_GRID[k])
+    w, slope = mean[k].item() + bound, fluctuation[k].item() / (high * high)
 
     def evaluate(t: float) -> tuple[float, float]:
-        value, derivative = _witness_and_slope(table, bound, np.array([t]))
-        return float(value[0]), float(derivative[0])
+        _, mean, fluctuation = table.averages(np.array([t]))
+        square = t * t  # 0 below about 1.5e-162 K, where the slope is unknown
+        return mean.item() + bound, fluctuation.item() / square if square else math.nan
 
     iterations = 0
     step = before_last = high - low

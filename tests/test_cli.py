@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -10,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sowitness import cli, dense, thermal
-from sowitness.angular import multiplets
+import sowitness
+from sowitness import cli, dense, ions, thermal
+from sowitness.angular import HalfInt, multiplets
 from sowitness.cli import _CONVENTIONS, CURVE_HEADER, main
 from sowitness.ions import CATALOG, ion_record, load_catalog
 
@@ -375,6 +377,23 @@ class TestCustom:
             "range (its T -> infinity limit is positive, so a zero exists above it)\n"
         )
 
+    def test_huge_coupling_exits_1_above_the_cap(self):
+        # W(0) = -zeta/2 < 0 and T_E is near 1e308 K; |zeta| s l once
+        # overflowed to inf before its /4 and reported no-crossing.
+        result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e308", "te")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            "error: witness is still negative at 1e+09 K, the top of the searched "
+            "range (its T -> infinity limit is positive, so a zero exists above it)")
+
+    def test_underflowing_slope_writes_no_stderr(self):
+        result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e-200",
+                         "te", "--tolerance", "1e-300", timeout=20)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[1] == "custom,multiplet,1.08202e-200,crossed"
+
     def test_zero_just_below_the_cap(self, capsys):
         # 1.5 zeta / ln 4 = 7.574e8 K, above the last power of two, 2**29 K
         assert main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "7e8", "te"]) == 0
@@ -680,6 +699,28 @@ class TestVerify:
         assert all(": pass " in line for line in lines[:5])
         assert lines[5:] == ["reference-te: fail max_abs_dev_K=inf", "verify: fail"]
 
+    def test_wrong_hund_rule_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        """The records' (s, l, j0) are checked against an aufbau filling of
+        the 4f spin-orbitals, not against the rule that derived them."""
+        path = tmp_path / "catalog.json"
+        path.write_text(ions._to_json(CATALOG))
+        rule = ions.hund_rules
+
+        def third_rule_inverted(n4f):
+            s, l, _ = rule(n4f)
+            return s, l, HalfInt(l.twice + s.twice if n4f < 7 else abs(l.twice - s.twice))
+
+        # the rule is replaced wherever the package binds it
+        for module in (sowitness, ions, cli):
+            if hasattr(module, "hund_rules"):
+                monkeypatch.setattr(module, "hund_rules", third_rule_inverted)
+        code = main(["verify", "--samples", "20", "--catalog", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_VERIFY
+        assert lines[0] == "hund-rules: fail mismatches=12"
+        assert all(": pass " in line for line in lines[1:-1])
+        assert lines[-1] == "verify: fail"
+
     def test_corrupted_catalog_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"ions": [{"symbol": "Ce"}]}')
@@ -775,3 +816,65 @@ class TestParserReuse:
                 main(argv)
             assert reused.value.code == fresh.value.code == code
             assert capsys.readouterr() == expected
+
+
+class TestNegativeNumbers:
+    """Every parser takes a negative number in exponent form as a value.
+    argparse decides this with a private pattern, so the behaviour is pinned
+    here rather than the pattern."""
+
+    FLOAT_OPTIONS = [
+        (["custom", "--two-s", "1", "--two-l", "2", "--zeta", "{}", "te"], "zeta"),
+        (["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1", "te", "--tolerance", "{}"],
+         "tolerance"),
+        (["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1", "witness", "--tmin", "{}"],
+         "tmin"),
+        (["witness", "--ion", "Ce", "--tmax", "{}"], "tmax"),
+        (["te", "--tolerance", "{}"], "tolerance"),
+        (["figure1", "--tmin", "{}"], "tmin"),
+    ]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-.5e1", "-7e+0", "-3"])
+    @pytest.mark.parametrize("argv, name", FLOAT_OPTIONS)
+    def test_exponent_form_is_a_value(self, argv, name, value):
+        args = cli.build_parser().parse_args([a.format(value) for a in argv])
+        assert getattr(args, name) == float(value)
+
+    def test_int_option_reports_the_value(self, capsys):
+        # the verify parser takes the token as --seed's value, which int() rejects
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--seed", "-1e-3"])
+        assert exit_.value.code == 2
+        assert "argument --seed: invalid int value: '-1e-3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-x", "-e5", "-1e", "-1e-", "-inf", "--1"])
+    def test_other_dash_tokens_stay_options(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", value, "te"])
+        assert exit_.value.code == 2
+        assert "argument --zeta: expected one argument" in capsys.readouterr().err
+
+    def test_exponent_form_runs_like_the_equals_form(self, capsys):
+        assert main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "-1e-3", "te"]) == 0
+        spaced = capsys.readouterr()
+        assert main(["custom", "--two-s", "1", "--two-l", "2", "--zeta=-1e-3", "te"]) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.out.splitlines()[1] == "custom,multiplet,none,no-crossing"
+
+    def test_scan_argv_parses_as_with_argparse_pattern(self):
+        """Tokens argparse's own pattern takes, as the scan benchmark passes
+        them, parse to the same namespace as with that pattern."""
+        default = argparse.ArgumentParser()._negative_number_matcher
+        plain = cli.build_parser()
+        stack = [plain]
+        while stack:
+            parser = stack.pop()
+            parser._negative_number_matcher = default
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    stack.extend(action.choices.values())
+        for zeta in ("-137.5", "-483.0", "-4229.0", "-0.37", "512.25"):
+            for tolerance in ("0.001", "1e-06", "1e-09"):
+                argv = ["custom", "--two-s", "7", "--two-l", "12", "--zeta", zeta, "te",
+                        "--convention", "level", "--tolerance", tolerance]
+                assert cli.build_parser().parse_args(argv) == plain.parse_args(argv)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,52 @@ class TestEntanglementTemperature:
                 assert result.residual == pytest.approx(
                     witness(sys_, result.temperature), abs=1e-9)
 
+    @pytest.mark.parametrize("two_s, two_l, zeta, tolerance, expected", [
+        # T * T underflows to 0 near T_E, so the slope is unknown and the
+        # step bisects, as the 0/0 of the old array division did
+        (1, 2, 1e-200, 1e-300, 1.0820212806667228e-200),
+        # the fluctuation stays nonzero while T * T is 0; the old slope of
+        # inf stopped the search at 1.47e-162 K, where |W| was 1.4 |zeta|
+        (2, 11, 3e-163, 1e-320, 8.506896934441922e-163),
+    ])
+    def test_underflowing_slope_bisects_without_a_warning(
+            self, two_s, two_l, zeta, tolerance, expected):
+        sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, MULTIPLET)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entanglement_temperature(sys_, tolerance=tolerance)
+        assert result.status is WitnessStatus.CROSSED
+        assert result.temperature == expected
+        assert abs(result.residual) <= 1e-14 * zeta
+
+    def test_kernel_calls_per_root_find(self, monkeypatch):
+        """One call for the bracket grid, then one per Newton or bisection
+        step, probe and final residual: the counts on the catalog are pinned."""
+        calls = []
+        averages = thermal._LevelTable.averages
+
+        def counted(table, temperatures):
+            calls.append(len(temperatures))
+            return averages(table, temperatures)
+
+        monkeypatch.setattr(thermal._LevelTable, "averages", counted)
+        expected = {
+            (1e-3, MULTIPLET): [6, 6, 5, 5, 5, 6],
+            (1e-3, LEVEL): [6, 5, 5, 5, 5, 6],
+            (1e-9, MULTIPLET): [5, 6, 4, 6, 6, 7],
+            (1e-9, LEVEL): [5, 6, 6, 6, 6, 5],
+        }
+        for (tolerance, convention), counts in expected.items():
+            for record in COUPLED:
+                calls.clear()
+                entanglement_temperature(record.system(convention), tolerance)
+                if record.heavy:
+                    assert calls == [], record.symbol
+                    continue
+                assert calls[0] == len(thermal._BRACKET_GRID)
+                assert calls[1:] == [1] * (len(calls) - 1)
+                assert len(calls) == counts[LIGHT.index(record)], (record.symbol, tolerance)
+
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-6, 1e-9])
     def test_within_tolerance_of_the_zero(self, tolerance):
         # The witness changes sign across [T - tol, T + tol] for every
@@ -521,6 +568,28 @@ def reference_table(sys_):
     return prefactors, energies, energies - energies.min()
 
 
+def preallocating_averages(table, temperatures):
+    """The kernel as it was once written, the oracle for its outputs' bits:
+    ``powers`` built by ``np.stack``, exponents -x/T, and every grid run
+    chunk by chunk into three preallocated arrays."""
+    excitations = table.excitations
+    powers = np.stack((table.energies, excitations, excitations * excitations), axis=1)
+    partition = np.empty(len(temperatures))
+    mean = np.empty(len(temperatures))
+    fluctuation = np.empty(len(temperatures))
+    for start in range(0, len(temperatures), table.chunk_rows):
+        chunk = slice(start, start + table.chunk_rows)
+        with np.errstate(over="ignore"):
+            exponents = -excitations / temperatures[chunk, np.newaxis]
+        weights = table.prefactors * np.exp(exponents)
+        z = weights.sum(axis=1)
+        sums = (weights @ powers) / z[:, np.newaxis]
+        partition[chunk] = z
+        mean[chunk] = sums[:, 0]
+        fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
+    return partition, mean, fluctuation
+
+
 def reference_sign_at_infinity(sys_):
     """sign W(T -> infinity) by math.fsum over ``multiplets()``.
 
@@ -624,13 +693,26 @@ class TestKernel:
         for sys_ in cases:
             table = thermal._LevelTable(sys_)
             for t in (300.0, 1000.0, 3000.0, 1e5):
-                _, slope = thermal._witness_and_slope(
-                    table, sys_.separable_bound, np.array([t]))
+                _, _, fluctuation = table.averages(np.array([t]))
+                slope = fluctuation / (t * t)
                 h = 1e-4 * t
                 central = (witness(sys_, t + h) - witness(sys_, t - h)) / (2.0 * h)
                 # rounding of W, about 1e-13 of the largest |E|, limits the difference
                 noise = 1e-13 * float(np.abs(table.energies).max()) / h
                 assert slope[0] == pytest.approx(central, rel=1e-6, abs=noise)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shells(st.integers(0, 40), st.floats(1e-3, 1e6)), st.floats(1e-310, 1e7),
+           st.floats(1.0, 1e6), st.data())
+    def test_kernel_matches_the_preallocating_chunk_loop(self, sys_, tmin, ratio, data):
+        table = thermal._LevelTable(sys_)
+        rows = table.chunk_rows
+        for length in (1, rows, rows + 1, data.draw(st.integers(2, 3 * rows + 5))):
+            temperatures = np.geomspace(tmin, tmin * ratio, length)
+            expected = preallocating_averages(table, temperatures)
+            for got, want in zip(table.averages(temperatures), expected):
+                assert got.shape == (length,)
+                assert np.array_equal(got, want, equal_nan=True)
 
     def test_long_grid_is_chunked_consistently(self):
         # More points than one kernel chunk holds: the chunked evaluation
