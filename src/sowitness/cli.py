@@ -445,6 +445,10 @@ def _aufbau_term(n4f: int) -> tuple[int, int, int]:
     return ts, tl, abs(tl - ts) if n4f < 7 else tl + ts
 
 
+# A coupling so large that the arithmetic overflows gives inf or nan residuals,
+# which _worst turns into failing checks; the floating-point warnings on the
+# way would only repeat that on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_verify(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     if args.samples < 1:

@@ -1,19 +1,21 @@
 """Dense-matrix route: explicit product-basis operators, a self-contained
 cyclic Jacobi eigensolver, and product-state sampling.
 
-H = zeta S.L has the eigenvectors of S.L and zeta times its eigenvalues, so
-the route works on the zeta-free S.L of the shell (2s, 2l).  One cached
-solve per shell (``_shell``) builds S.L and diagonalises it; every system on
-that shell, whatever its coupling or weighting convention, reads it.
-``_eigh_of`` scales that solve by zeta (reversing the order for zeta < 0)
-for the Gibbs trace, the ground-state analysis and ``verify``'s spectrum
-check; the Gibbs trace takes one temperature or a whole 1-D grid of them.
+Every operator is read from one cached per-j ladder (``_ladder``): the
+diagonal m_k of J_z and the weights w_k = <k| J+ |k+1> / 2.  J_z lives on
+its diagonal, J_x and J_y at offsets +-1; S.L lives on its diagonal and at
+offsets +-2l, and ``_bands`` builds those two diagonals from the spin and
+orbital ladders once per shell (2s, 2l): the one definition of S.L here.
+``_spin_orbit`` assembles the dense S.L from them.  H = zeta S.L has the
+eigenvectors of S.L and zeta times its eigenvalues, so one cached solve per
+shell (``_shell``) serves every system on it, whatever its coupling or
+weighting convention; ``_eigh_of`` scales it by zeta (reversing the order
+for zeta < 0) for the Gibbs trace (over one temperature or a 1-D grid), the
+ground-state analysis and ``verify``'s spectrum check.
 
-Product states need no solve.  S.L is nonzero only on its diagonal and at
-offsets +-2l, J_z only on its diagonal, and J_x and J_y only at offsets +-1,
-so one evaluator reads every operator on those diagonals through slices
-(``_bands`` caches the two of S.L per shell), for the Haar-random batches of
-at most ``_SAMPLE_CHUNK`` states and for the explicit states of
+Product states need no solve and no dense matrix: one evaluator reads the
+bands and the ladders through slices, for the Haar-random batches of at
+most ``_SAMPLE_CHUNK`` states and for the explicit states of
 :func:`product_states`.  S.L and J_x are symmetric and J_y antisymmetric, so
 an entry and its mirror give the same term bit for bit, and each such pair
 is computed once.  Each energy is zeta times the expectation of the full S.L
@@ -23,10 +25,12 @@ terms in the row-major order of the matrix entries, so a state's rounding is
 the same in a batch of any size; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
-level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`;
-agreement between the two routes is part of the test contract, so nothing
-here may call back into the level formulas (and the eigensolver may not
-delegate to an external one).
+level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
+S.L comes from the m ladders, never from the j levels, and the package
+gives it only ``SpinOrbitSystem`` and the temperature check.  Agreement
+between the two routes is part of the test contract, so nothing here may
+call back into the level formulas (and the eigensolver may not delegate to
+an external one).
 
 Basis convention: the product space is ordered spin-major, index
 ``i = i_s * (2l+1) + i_l`` with ``m_s = s - i_s`` and ``m_l = l - i_l``,
@@ -69,34 +73,47 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _ladder_triplet(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jz, J+, J-) on the 2j+1 basis states, m descending from +j.
-
-    Entries are assembled from exact integer quarters, so e.g. the Casimir
-    combination Jz^2 + (J+J- + J-J+)/2 reproduces j(j+1) to rounding error.
+@lru_cache(maxsize=None)
+def _ladder(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal m_k of Jz and the weights w_k = <k| J+ |k+1> / 2 on the
+    2j+1 basis states, m descending from +j, read-only, from exact integer
+    quarters.  Jx is w_k on (k, k+1) and (k+1, k), and Jy is -i w_k and
+    +i w_k there.
     """
-    dim = twice_j + 1
-    jz = np.zeros((dim, dim))
-    jplus = np.zeros((dim, dim))
+    twice_m = np.arange(twice_j, -twice_j - 1, -2)  # 2m, descending from +2j
     jj = twice_j * (twice_j + 2) / 4.0  # j(j+1), exact
-    for k in range(dim):
-        tm = twice_j - 2 * k  # 2*m, descending from +2j
-        jz[k, k] = tm / 2.0
-        if k > 0:
-            # raising connects |j, m> to |j, m+1>, one row up
-            jplus[k - 1, k] = math.sqrt(jj - tm * (tm + 2) / 4.0)
-    return jz, jplus, jplus.T
+    raised = twice_m[1:]  # 2m of the state J+ raises, one row down
+    return _read_only(twice_m / 2.0,
+                      0.5 * np.sqrt(jj - raised * (raised + 2) / 4.0))
+
+
+@lru_cache(maxsize=128)
+def _bands(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal (Sz Lz = m_s m_l) and the band at offset +2l
+    (S+ L- / 2 = (2 w_s)(2 w_l) / 2) of S.L on the shell (2s, 2l), read-only,
+    from the two :func:`_ladder` results.  S.L is symmetric, so offset -2l
+    mirrors the band, and it has no other nonzero entry.
+
+    Band entry ``r`` couples row ``r = i_s (2l+1) + i_l`` to column
+    ``r + 2l = (i_s+1)(2l+1) + i_l - 1``, and is zero where ``i_l = 0``;
+    there are n - 2l of them for n = (2s+1)(2l+1).  Kept for the last 128
+    shells, about 16 n bytes each.
+    """
+    (m_s, w_s), (m_l, w_l) = _ladder(twice_s), _ladder(twice_l)
+    steps = np.zeros((twice_s, twice_l + 1))
+    steps[:, 1:] = 2.0 * np.outer(w_s, w_l)
+    return _read_only(np.outer(m_s, m_l).ravel(), np.append(steps.ravel(), 0.0))
 
 
 def _spin_orbit(twice_s: int, twice_l: int) -> np.ndarray:
-    """S.L = Sz Lz + (S+ L- + S- L+)/2 on the spin-major product basis.
+    """S.L = Sz Lz + (S+ L- + S- L+)/2 on the spin-major product basis, as a
+    dense matrix assembled from :func:`_bands`.
 
     The matrix is real, symmetric and traceless (every factor operator is
     traceless), with entries of magnitude at most about s l.
     """
-    sz, splus, sminus = _ladder_triplet(twice_s)
-    lz, lplus, lminus = _ladder_triplet(twice_l)
-    return np.kron(sz, lz) + 0.5 * (np.kron(splus, lminus) + np.kron(sminus, lplus))
+    diagonal, band = _bands(twice_s, twice_l)
+    return np.diag(diagonal) + np.diag(band, twice_l) + np.diag(band, -twice_l)
 
 
 def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
@@ -204,33 +221,15 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=128)
 def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenvalues (ascending) and eigenvectors of S.L on the
-    shell (2s, 2l), from one build and one :func:`jacobi_eigh`.
+    shell (2s, 2l): one :func:`jacobi_eigh` of the matrix that
+    :func:`_spin_orbit` assembles from the shell's :func:`_bands`.
 
     Kept for the last 128 shells; the 12 coupled catalog ions make 6, since
     4f^n and 4f^(14-n) share (s, l).  An entry holds 8 n (n + 1) bytes for
     n = (2s+1)(2l+1): about 120 KB in all for the 6 catalog shells (n <= 66).
-    Product states read :func:`_bands` instead, so they never wait for it.
+    Product states read the bands alone, so they never wait for the solve.
     """
     return _read_only(*jacobi_eigh(_spin_orbit(twice_s, twice_l)))
-
-
-@lru_cache(maxsize=128)
-def _bands(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal (Sz Lz) and the band at offset +2l (S+ L- / 2) of S.L on
-    the shell (2s, 2l), read-only, with every value the one :func:`_spin_orbit`
-    puts there, bit for bit.  S.L is symmetric, so offset -2l mirrors the
-    band, and it has no other nonzero entry.
-
-    Band entry ``r`` couples row ``r = i_s (2l+1) + i_l`` to column
-    ``r + 2l = (i_s+1)(2l+1) + i_l - 1``, and is zero where ``i_l = 0``;
-    there are n - 2l of them for n = (2s+1)(2l+1).  No solve is needed.
-    Kept for the last 128 shells, about 16 n bytes each.
-    """
-    (sz, splus, _), (lz, lplus, _) = map(_ladder_triplet, (twice_s, twice_l))
-    diagonal = np.outer(np.diag(sz), np.diag(lz)).ravel()
-    steps = np.zeros((twice_s, twice_l + 1))
-    steps[:, 1:] = 0.5 * np.outer(np.diag(splus, 1), np.diag(lplus, 1))
-    return _read_only(diagonal, np.append(steps.ravel(), 0.0))
 
 
 def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -283,16 +282,6 @@ class ProductStateBatch:
 # array operations, small enough that memory does not grow with the count.
 _SAMPLE_CHUNK = 256
 
-@lru_cache(maxsize=None)
-def _ladder_weights(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of Jz and the weights w_k = <k| J+ |k+1> / 2, read-only.
-
-    Jx = (J+ + J-)/2 is w_k on both entries (k, k+1) and (k+1, k), and
-    Jy = -i (J+ - J-)/2 is -i w_k and +i w_k there.
-    """
-    jz, jplus, _ = _ladder_triplet(twice_j)
-    return _read_only(np.diag(jz), 0.5 * np.diag(jplus, 1))
-
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     """terms[0] + terms[1] + ... in that order, for every index of the rest.
@@ -330,7 +319,7 @@ def _bloch_vectors(twice_j: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     in the row-major order of the entries.  The Jz terms run down the
     diagonal.
     """
-    m, w = _ladder_weights(twice_j)
+    m, w = _ladder(twice_j)
     dim, count = re.shape
     pairs = np.empty((dim - 1, 2, count))
     _weighted_real(w, re[:-1], im[:-1], re[1:], im[1:], out=pairs[:, 0])

@@ -615,8 +615,8 @@ class TestVerify:
 
     def test_one_spin_orbit_build_per_shell(self, capsys, monkeypatch):
         """A fresh verify builds S.L once per shell, for the diagonalisation
-        alone, and never builds zeta S.L; the sampling reads the two S.L
-        diagonals it needs from one band build per shell."""
+        alone, and never builds zeta S.L; that build and the sampling both
+        read the two S.L diagonals from one band build per shell."""
         sizes = []
         spin_orbit = dense._spin_orbit
 
@@ -633,7 +633,7 @@ class TestVerify:
         capsys.readouterr()
         assert sizes == [14, 33, 52, 65, 66, 49]
         info = dense._bands.cache_info()
-        assert (info.misses, info.hits) == (6, 6)
+        assert (info.misses, info.hits) == (6, 12)
 
     def test_one_grid_call_per_route_and_system(self, capsys, monkeypatch):
         """The Gibbs cross-check evaluates each route once per coupled ion, on
@@ -661,21 +661,43 @@ class TestVerify:
         assert cli._worst(np.array([1e-15, math.nan, 2e-15])) == math.inf
         assert cli._worst(np.array([math.inf, math.nan])) == math.inf
 
-    def test_overflowing_coupling_fails_verify(self, tmp_path):
-        """A catalog coupling of 1e308 K overflows both routes to nan; the
-        spectrum and trace checks then fail instead of skipping every value."""
+    @staticmethod
+    def huge_ce_catalog(tmp_path):
+        """The catalog with Ce's coupling at 1e308 K and no Ce reference T_E."""
         ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
                  "zeta_K": 1e308 if r.symbol == "Ce" else r.zeta,
                  "te_paper_K": None if r.symbol == "Ce" else r.te_reference}
                 for r in CATALOG]
         path = tmp_path / "huge_ce_zeta.json"
         path.write_text(json.dumps({"ions": ions}))
-        result = run_cli("verify", "--samples", "50", "--catalog", str(path))
+        return str(path)
+
+    def test_overflowing_coupling_fails_verify(self, tmp_path):
+        """A catalog coupling of 1e308 K overflows both routes to nan; the
+        spectrum and trace checks then fail instead of skipping every value."""
+        result = run_cli("verify", "--samples", "50", "--catalog",
+                         self.huge_ce_catalog(tmp_path))
         assert result.returncode == cli.EXIT_VERIFY
         lines = result.stdout.splitlines()
         assert lines[1] == "spectrum-equivalence: fail max_rel_dev=inf"
         assert lines[2] == "trace-equivalence: fail max_rel_dev=inf"
         assert lines[-1] == "verify: fail"
+        assert result.stderr == ""
+
+    def test_overflowing_coupling_warns_nothing(self, tmp_path, capsys):
+        """In-process, where a RuntimeWarning is an error: the overflow shows
+        only as failing checks, with nothing on stderr."""
+        path = self.huge_ce_catalog(tmp_path)
+        assert main(["verify", "--samples", "50", "--catalog", path]) == cli.EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert out == ("hund-rules: pass mismatches=0\n"
+                       "spectrum-equivalence: fail max_rel_dev=inf\n"
+                       "trace-equivalence: fail max_rel_dev=inf\n"
+                       "product-energy-identity: pass max_rel_dev=6.45582e-14\n"
+                       "separable-bound: pass min_margin_K=2296.01\n"
+                       "reference-te: pass max_abs_dev_K=0.427336\n"
+                       "verify: fail\n")
+        assert err == ""
 
     def test_te_above_the_cap_fails_only_its_check(self, tmp_path, capsys):
         """A Ce coupling of 1e12 K puts its T_E near 1e12 K, above the bracket

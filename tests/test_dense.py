@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from sowitness import dense
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.dense import (
     ConvergenceError,
-    _ladder_triplet,
     build_hamiltonian,
     ground_state_analysis,
     jacobi_eigh,
@@ -36,15 +37,46 @@ def closed_form_spectrum(system):
     )
 
 
+# The textbook construction, kept as the reference for the ladder and S.L
+# that dense.py reads from one per-j ladder: (Jz, J+, J-) on the 2j+1 basis
+# states, m descending from +j, from exact integer quarters.
+def ladder_triplet(twice_j):
+    dim = twice_j + 1
+    jz = np.zeros((dim, dim))
+    jplus = np.zeros((dim, dim))
+    jj = twice_j * (twice_j + 2) / 4.0  # j(j+1), exact
+    for k in range(dim):
+        tm = twice_j - 2 * k  # 2*m, descending from +2j
+        jz[k, k] = tm / 2.0
+        if k > 0:
+            # raising connects |j, m> to |j, m+1>, one row up
+            jplus[k - 1, k] = math.sqrt(jj - tm * (tm + 2) / 4.0)
+    return jz, jplus, jplus.T
+
+
+def reference_spin_orbit(twice_s, twice_l):
+    """S.L = Sz Lz + (S+ L- + S- L+)/2 by Kronecker products of the triplets."""
+    sz, splus, sminus = ladder_triplet(twice_s)
+    lz, lplus, lminus = ladder_triplet(twice_l)
+    return np.kron(sz, lz) + 0.5 * (np.kron(splus, lminus) + np.kron(sminus, lplus))
+
+
+def ladder_matrices(twice_j):
+    """(Jz, J+, J-) assembled from the production ladder ``dense._ladder``."""
+    m, w = dense._ladder(twice_j)
+    jplus = np.diag(2.0 * w, 1)
+    return np.diag(m), jplus, jplus.T
+
+
 class TestAngularMomentumMatrices:
     def test_spin_half(self):
-        jz, jplus, jminus = _ladder_triplet(1)
+        jz, jplus, jminus = ladder_matrices(1)
         assert np.array_equal(jz, np.diag([0.5, -0.5]))
         assert np.array_equal(jplus, [[0.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(jminus, jplus.T)
 
     def test_spin_one(self):
-        _, jplus, _ = _ladder_triplet(2)
+        _, jplus, _ = ladder_matrices(2)
         root2 = math.sqrt(2.0)
         assert jplus == pytest.approx(
             np.array([[0, root2, 0], [0, 0, root2], [0, 0, 0]])
@@ -52,17 +84,25 @@ class TestAngularMomentumMatrices:
 
     @pytest.mark.parametrize("twice_j", range(17))
     def test_ladder_algebra(self, twice_j):
-        jz, jplus, jminus = _ladder_triplet(twice_j)
+        jz, jplus, jminus = ladder_matrices(twice_j)
         # [Jz, J+] = J+,  [J+, J-] = 2 Jz
         assert jz @ jplus - jplus @ jz == pytest.approx(jplus, abs=1e-12)
         assert jplus @ jminus - jminus @ jplus == pytest.approx(2.0 * jz, abs=1e-12)
 
     @pytest.mark.parametrize("twice_j", range(17))
     def test_casimir(self, twice_j):
-        jz, jplus, jminus = _ladder_triplet(twice_j)
+        jz, jplus, jminus = ladder_matrices(twice_j)
         casimir = jz @ jz + 0.5 * (jplus @ jminus + jminus @ jplus)
         jj = twice_j * (twice_j + 2) / 4.0
         assert casimir == pytest.approx(jj * np.eye(twice_j + 1), abs=1e-12)
+
+    def test_ladder_is_the_reference_diagonals(self):
+        for twice_j in range(65):
+            m, w = dense._ladder(twice_j)
+            jz, jplus, _ = ladder_triplet(twice_j)
+            assert np.array_equal(m, np.diag(jz)), twice_j
+            assert np.array_equal(w, 0.5 * np.diag(jplus, 1)), twice_j
+            assert not m.flags.writeable and not w.flags.writeable
 
 
 class TestBuildHamiltonian:
@@ -241,15 +281,39 @@ class TestShellSolve:
 
 class TestBands:
     @pytest.mark.parametrize("two_s", range(13))
-    def test_bands_are_the_matrix_diagonals(self, two_s):
+    def test_spin_orbit_is_the_kron_reference_bit_for_bit(self, two_s):
         for two_l in range(13):
+            reference = reference_spin_orbit(two_s, two_l)
             matrix = dense._spin_orbit(two_s, two_l)
+            assert np.array_equal(matrix, reference), (two_s, two_l)
+            # the same bits, signed zeros included
+            assert matrix.shape == reference.shape
+            assert matrix.tobytes() == reference.tobytes(), (two_s, two_l)
+            # the reference itself has no entry the two bands leave out
+            rows, cols = np.indices(reference.shape)
+            off_bands = ~np.isin(cols - rows, (0, two_l, -two_l))
+            assert not reference[off_bands].any(), (two_s, two_l)
             diagonal, band = dense._bands(two_s, two_l)
-            assert np.array_equal(np.diag(matrix), diagonal)
-            assert np.array_equal(np.diag(matrix, two_l), band)
             assert not diagonal.flags.writeable and not band.flags.writeable
-            rest = matrix - np.diag(diagonal) - np.diag(band, two_l) - np.diag(band, -two_l)
-            assert not rest.any(), (two_s, two_l)
+
+
+class TestRouteIndependence:
+    def test_dense_imports_no_level_arithmetic(self):
+        """From the package, dense.py imports only the system type and the
+        temperature check of angular: nothing from thermal or ions."""
+        tree = ast.parse(Path(dense.__file__).read_text())
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                module, names = "", [alias.name for alias in node.names]
+            else:
+                continue
+            package |= {(module, name) for name in names
+                        if module.startswith(".") or "sowitness" in f"{module}.{name}"}
+        assert package == {(".angular", "SpinOrbitSystem"), (".angular", "_temperatures")}
 
 
 class TestThermalMeanEnergy:
@@ -296,12 +360,13 @@ def draw_all(system, rng, n):
 def naive_observables(system, spin, orbital):
     """<S>, <L> and <psi|H|psi> of one product state, by explicit kron and vdot."""
     def bloch(twice_j, state):
-        jz, jplus, jminus = _ladder_triplet(twice_j)
+        jz, jplus, jminus = ladder_triplet(twice_j)
         ops = (0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
         return np.array([np.vdot(state, op @ state).real for op in ops])
 
     product = np.kron(spin, orbital)
-    energy = np.vdot(product, build_hamiltonian(system) @ product).real
+    hamiltonian = system.zeta * reference_spin_orbit(system.s.twice, system.l.twice)
+    energy = np.vdot(product, hamiltonian @ product).real
     return bloch(system.s.twice, spin), bloch(system.l.twice, orbital), energy
 
 
@@ -341,7 +406,7 @@ def gather_expectations(entries, re, im):
 def gather_evaluate(system, spin, orbital):
     """The ProductStateBatch fields of unit (real, imaginary) column pairs."""
     def bloch(twice_j, re, im):
-        jz, jplus, jminus = _ladder_triplet(twice_j)
+        jz, jplus, jminus = ladder_triplet(twice_j)
         entries = gather_entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
         return gather_expectations(entries, re, im)
 
@@ -355,7 +420,7 @@ def gather_evaluate(system, spin, orbital):
     product_re -= kron_columns(s_im, o_im)
     product_im = kron_columns(s_re, o_im)
     product_im += kron_columns(s_im, o_re)
-    spin_orbit = gather_entries(dense._spin_orbit(system.s.twice, system.l.twice))
+    spin_orbit = gather_entries(reference_spin_orbit(system.s.twice, system.l.twice))
     energies = system.zeta * gather_expectations(spin_orbit, product_re, product_im)[0]
     norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
     cos_angles = np.zeros(len(energies))
