@@ -432,6 +432,25 @@ def _worst(deviations: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
+def _sampled_residuals(
+    system: SpinOrbitSystem, rng: np.random.Generator, samples: int
+) -> tuple[float, float]:
+    """Over ``samples`` Haar product states: the worst relative deviation of
+    an energy from zeta <S>.<L>, and min(E) minus the separable floor (-inf if
+    any energy is nan).  Each batch is freed before the next is drawn, and
+    nothing of the last one outlives the call.
+    """
+    identity_worst, bound_margin = 0.0, math.inf
+    floor = -system.separable_bound
+    for batch in dense.sample_product_states(system, rng, samples):
+        factored = system.zeta * np.sum(batch.spin_vectors * batch.orbital_vectors, axis=1)
+        deviations = np.abs(batch.energies - factored) / (1.0 + np.abs(batch.energies))
+        identity_worst = max(identity_worst, _worst(deviations))
+        bound_margin = min(bound_margin, -_worst(floor - batch.energies))
+        del batch
+    return identity_worst, bound_margin
+
+
 def _aufbau_term(n4f: int) -> tuple[int, int, int]:
     """Doubled (s, l, j0) of the ground term by filling the 14 4f spin-orbitals.
 
@@ -485,15 +504,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         a, b = dense.thermal_mean_energy(system, grid), mean_energy(system, grid)
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
         trace_worst = max(trace_worst, _worst(np.abs(a - b) / scale))
-        floor = -system.separable_bound
-        for batch in dense.sample_product_states(system, rng, args.samples):
-            factored = system.zeta * np.sum(
-                batch.spin_vectors * batch.orbital_vectors, axis=1
-            )
-            deviations = np.abs(batch.energies - factored) / (1.0 + np.abs(batch.energies))
-            identity_worst = max(identity_worst, _worst(deviations))
-            # min(E) - floor, and -inf if any energy is nan
-            bound_margin = min(bound_margin, -_worst(floor - batch.energies))
+        identity, margin = _sampled_residuals(system, rng, args.samples)
+        identity_worst = max(identity_worst, identity)
+        bound_margin = min(bound_margin, margin)
     record_check("spectrum-equivalence", spectrum_worst <= 1e-9,
                  f"max_rel_dev={_fmt(spectrum_worst)}")
     record_check("trace-equivalence", trace_worst <= 1e-10,

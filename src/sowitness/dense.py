@@ -19,10 +19,15 @@ most ``_SAMPLE_CHUNK`` states and for the explicit states of
 :func:`product_states`.  S.L and J_x are symmetric and J_y antisymmetric, so
 an entry and its mirror give the same term bit for bit, and each such pair
 is computed once.  Each energy is zeta times the expectation of the full S.L
-matrix on the Kronecker product vector.  The evaluator holds amplitudes as
-(dimension, states) arrays, one column per state, and sums each state's
-terms in the row-major order of the matrix entries, so a state's rounding is
-the same in a batch of any size; the batch it returns has one row per state.
+matrix on the Kronecker product vector, but that vector is never built
+whole: the evaluator walks its 2s+1 spin blocks of 2l+1 amplitudes, two
+blocks at a time, and carries each state's running sum from one block's
+tile of terms to the next.  The sum still runs over the terms in the
+row-major order of the matrix entries, so a state's rounding is that of the
+whole vector, and the same in a batch of any size; the working arrays hold
+7(2l+1) + 1 floats per state, not about 7n.  The evaluator holds amplitudes
+as (dimension, states) arrays, one column per state; the batch it returns
+has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
@@ -279,8 +284,13 @@ class ProductStateBatch:
 
 
 # States drawn and evaluated per batch: large enough that the work runs in
-# array operations, small enough that memory does not grow with the count.
-_SAMPLE_CHUNK = 256
+# few array operations, small enough that memory does not grow with the
+# count.  A batch holds its unit factors, 2(2s+1) + 2(2l+1) floats per state,
+# while the energy evaluator works in 7(2l+1) + 1 more: one batch of 512 on a
+# catalog shell peaks below 0.6 MB traced, against up to 1.03 MB for 256
+# states on the whole product vector.  1024 states would still peak within
+# that 1.03 MB on n = 66, but raise the peak RSS of repeated ``verify`` runs.
+_SAMPLE_CHUNK = 512
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -299,12 +309,13 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 def _weighted_real(
     weights: np.ndarray, re_r: np.ndarray, im_r: np.ndarray, re_c: np.ndarray,
-    im_c: np.ndarray, out: np.ndarray,
+    im_c: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """``out`` = weights times Re conj(psi_r) psi_c = re_r re_c + im_r im_c,
-    one weight per row of (rows, states) amplitudes."""
+    one weight per row of (rows, states) amplitudes.  ``im_r im_c`` goes to
+    ``scratch``, which may be one of its own factors, or to a new array."""
     np.multiply(re_r, re_c, out=out)
-    out += im_r * im_c
+    out += np.multiply(im_r, im_c, out=scratch)
     out *= weights[:, np.newaxis]
     return out
 
@@ -321,49 +332,134 @@ def _bloch_vectors(twice_j: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """
     m, w = _ladder(twice_j)
     dim, count = re.shape
-    pairs = np.empty((dim - 1, 2, count))
-    _weighted_real(w, re[:-1], im[:-1], re[1:], im[1:], out=pairs[:, 0])
-    np.multiply(re[:-1], im[1:], out=pairs[:, 1])
-    pairs[:, 1] -= im[:-1] * re[1:]
-    pairs[:, 1] *= w[:, np.newaxis]
+    # (k, copy, Jx or Jy, state): each pair's term, then its copy
+    terms = np.empty((dim - 1, 2, 2, count))
+    real, imaginary = terms[:, 0, 0], terms[:, 0, 1]
+    _weighted_real(w, re[:-1], im[:-1], re[1:], im[1:], out=real, scratch=imaginary)
+    np.multiply(re[:-1], im[1:], out=imaginary)
+    imaginary -= im[:-1] * re[1:]
+    imaginary *= w[:, np.newaxis]
+    terms[:, 1] = terms[:, 0]
     vectors = np.empty((3, count))
-    vectors[:2] = _ordered_sum(np.repeat(pairs, 2, axis=0))
+    vectors[:2] = _ordered_sum(terms.reshape(2 * (dim - 1), 2, count))
     vectors[2] = _ordered_sum(_weighted_real(m, re, im, re, im, out=np.empty_like(re)))
     return vectors
 
 
 def _spin_orbit_expectations(
-    twice_s: int, twice_l: int, re: np.ndarray, im: np.ndarray
+    twice_s: int, twice_l: int, spin: tuple[np.ndarray, np.ndarray],
+    orbital: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """<psi| S.L |psi> of each column psi = re + i im of the product space.
+    """<psi| S.L |psi> of each product column psi = spin[:, r] x orbital[:, r],
+    walked over the 2s+1 spin blocks of the product basis.
 
-    Row r of S.L holds the entries (r, r - 2l), (r, r) and (r, r + 2l), and
-    (r, r - 2l) mirrors (r - 2l, r), so its term is the band term of row
-    r - 2l, bit for bit.  The terms are laid out as (row, entry) and summed
-    in that row-major order; entries missing at the edges are zeros.
+    Block i holds the amplitudes s_i o of rows i (2l+1) + i_l, each by the
+    scalar operations of the full Kronecker product.  Row r of S.L holds the
+    entries (r, r - 2l), (r, r) and (r, r + 2l).  The band entry (r, r + 2l)
+    couples row i_l >= 1 of block i to row i_l - 1 of block i+1, and row 0
+    to the last row of block i (with weight zero).  (r, r - 2l) mirrors
+    (r - 2l, r), so its term is the band term of row r - 2l bit for bit: of
+    row i_l + 1 of the block before, or, on the last row, of row 0 of this
+    block.  So two blocks are live at a time.  Entries missing at the edges
+    are zeros.
+
+    Each block's terms fill rows 1, 2, ... of a (1 + 3(2l+1), states) tile,
+    as (left, diagonal, right) per row of the block, and row 0 carries the
+    sum of the blocks before.  Adding the tile's rows in order adds each
+    state's terms in the row-major order of the matrix entries, as one sum
+    over all 3n of them would, so the rounding is that of the whole product
+    vector.  The tile and the two blocks, one array, hold 7(2l+1) + 1 floats
+    per state.  Terms are formed in the contiguous blocks and copied into
+    the tile, so no NumPy call takes more than one strided or broadcast
+    operand (NumPy allocates an iteration buffer for each).
     """
     diagonal, band = _bands(twice_s, twice_l)
-    dim, count = re.shape
-    width = len(band)
-    terms = np.empty((dim, 3, count))
-    terms[:twice_l, 0] = terms[width:, 2] = 0.0
-    _weighted_real(diagonal, re, im, re, im, out=terms[:, 1])
-    terms[twice_l:, 0] = _weighted_real(band, re[:width], im[:width], re[twice_l:],
-                                        im[twice_l:], out=terms[:width, 2])
-    return _ordered_sum(terms.reshape(3 * dim, count))
+    (s_re, s_im), (o_re, o_im) = spin, orbital
+    dim, count = o_re.shape
+    work = np.empty((1 + 7 * dim, count))
+    tile = work[:1 + 3 * dim]
+    left, middle, right = tile[1:].reshape(dim, 3, count).transpose(1, 0, 2)
+    (re, im), (spare_re, spare_im) = work[1 + 3 * dim:].reshape(2, 2, dim, count)
+
+    def product_re(i: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        np.multiply(s_im[i], o_im, out=scratch)
+        np.multiply(s_re[i], o_re, out=out)
+        out -= scratch
+        return out
+
+    def product_im(i: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        np.multiply(s_re[i], o_im, out=out)
+        out += np.multiply(s_im[i], o_re, out=scratch)
+        return out
+
+    product_re(0, re, im)
+    product_im(0, im, spare_re)
+    last = len(s_re) - 1
+    for i in range(last + 1):
+        start = i * dim
+        # the block before left its band terms of rows 1, 2, ... in spare_im
+        left[:-1] = spare_im[1:] if i else 0.0
+        middle[...] = _weighted_real(diagonal[start:start + dim], re, im, re, im,
+                                     out=spare_re, scratch=spare_im)
+        _weighted_real(band[start:start + 1], re[:1], im[:1], re[-1:], im[-1:],
+                       out=right[:1], scratch=spare_re[:1])
+        left[-1] = right[0]
+        if i < last:
+            # re re' + im im' against the next block, formed in place in this
+            # block, whose other terms are all taken; the two products are
+            # added in the other order, which gives the same bits
+            next_re = product_re(i + 1, spare_re, spare_im)
+            re[1:] *= next_re[:-1]
+            right[1:] = re[1:]
+            next_im = product_im(i + 1, spare_im, re)
+            im[1:] *= next_im[:-1]
+            im[1:] += right[1:]
+            im[1:] *= band[start + 1:start + dim, np.newaxis]
+            right[1:] = im[1:]
+            (re, im), (spare_re, spare_im) = (next_re, next_im), (re, im)
+        else:
+            right[1:] = 0.0
+        tile[0] = total = _ordered_sum(tile if i else tile[1:])
+    return total
 
 
-def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Norm of each row re + i im."""
-    return np.sqrt((re * re + im * im).sum(axis=1))
+def _factor_parts(
+    rows: np.ndarray, spin_dim: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The (real, imaginary) column slices of the spin and orbital factors of
+    product states laid out one per row as [spin real | spin imaginary |
+    orbital real | orbital imaginary], for a spin factor of ``spin_dim``."""
+    offset = 2 * spin_dim
+    orbital_dim = rows.shape[1] // 2 - spin_dim
+    return ((rows[:, :spin_dim], rows[:, spin_dim:offset]),
+            (rows[:, offset:offset + orbital_dim], rows[:, offset + orbital_dim:]))
+
+
+def _row_norms(
+    rows: np.ndarray, spin_dim: int, squares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spin and orbital factor norms of each row of ``rows``.
+
+    The whole block is squared once, into ``squares`` (of its shape), and
+    re^2 + im^2 taken from slices of it: bit for bit
+    ``sqrt((re*re + im*im).sum(axis=1))``.
+    """
+    np.multiply(rows, rows, out=squares)
+    return tuple(np.sqrt((re_squared + im_squared).sum(axis=1))
+                 for re_squared, im_squared in _factor_parts(squares, spin_dim))
 
 
 def _unit_columns(
-    factor: tuple[np.ndarray, np.ndarray], norms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (real, imaginary) rows of ``factor`` over their ``norms``, as
-    C-contiguous (dimension, states) columns."""
-    return tuple(np.divide(part.T, norms, order="C") for part in factor)
+    rows: np.ndarray, spin_dim: int, norms: tuple[np.ndarray, np.ndarray],
+    columns: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The spin and orbital factors of ``rows`` over their ``norms``, as
+    (real, imaginary) pairs of C-contiguous (dimension, states) arrays: the
+    rows of ``columns``, of shape (2(d_s + d_l), states), which they fill."""
+    return tuple(
+        tuple(np.divide(part.T, factor_norms, out=out.T) for part, out in zip(factor, outs))
+        for factor, outs, factor_norms
+        in zip(_factor_parts(rows, spin_dim), _factor_parts(columns.T, spin_dim), norms))
 
 
 def _evaluate(
@@ -376,21 +472,14 @@ def _evaluate(
     The energy is zeta times the honest matrix expectation <psi| S.L |psi>
     on the full Kronecker product vector, not the factorized shortcut
     zeta <S>.<L>, so that identity is something the batch exhibits rather
-    than assumes.
+    than assumes.  The energies come first, so their working arrays peak
+    before the Bloch vectors exist.
     """
     (s_re, s_im), (o_re, o_im) = spin, orbital
+    energies = system.zeta * _spin_orbit_expectations(
+        system.s.twice, system.l.twice, spin, orbital)
     spin_vec = _bloch_vectors(system.s.twice, s_re, s_im)
     orbital_vec = _bloch_vectors(system.l.twice, o_re, o_im)
-
-    def kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
-
-    product_re = kron_columns(s_re, o_re)
-    product_re -= kron_columns(s_im, o_im)
-    product_im = kron_columns(s_re, o_im)
-    product_im += kron_columns(s_im, o_re)
-    energies = system.zeta * _spin_orbit_expectations(
-        system.s.twice, system.l.twice, product_re, product_im)
     norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
     cos_angles = np.zeros(len(energies))
     np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
@@ -418,11 +507,12 @@ def product_states(
     if spin.ndim != 2 or (spin.shape, orbital.shape) != tuple((len(spin), d) for d in dims):
         raise ValueError(f"factor states of shapes {spin.shape} and {orbital.shape} "
                          f"do not match the system's (k, {dims[0]}) and (k, {dims[1]})")
-    factors = [(rows.real, rows.imag) for rows in (spin, orbital)]
-    norms = [_row_norms(*factor) for factor in factors]
+    rows = np.hstack((spin.real, spin.imag, orbital.real, orbital.imag))
+    columns = np.empty(rows.shape[::-1])
+    norms = _row_norms(rows, dims[0], columns.reshape(rows.shape))
     if not all(np.all(np.isfinite(n) & (n > 0.0)) for n in norms):
         raise ValueError("every factor state needs a finite, nonzero norm")
-    return _evaluate(system, *map(_unit_columns, factors, norms))
+    return _evaluate(system, *_unit_columns(rows, dims[0], norms, columns))
 
 
 def _haar_rows(
@@ -437,16 +527,14 @@ def _haar_rows(
     block.
     """
     rows = rng.standard_normal((count, 2 * (spin_dim + orbital_dim)))
-    offset = 2 * spin_dim
+    # the squares take the memory that the unit columns fill afterwards
+    columns = np.empty(rows.shape[::-1])
     while True:
-        spin = rows[:, :spin_dim], rows[:, spin_dim:offset]
-        orbital = rows[:, offset:offset + orbital_dim], rows[:, offset + orbital_dim:]
-        spin_norms, orbital_norms = _row_norms(*spin), _row_norms(*orbital)
-        bad = (spin_norms <= 1e-6) | (orbital_norms <= 1e-6)
+        norms = _row_norms(rows, spin_dim, columns.reshape(rows.shape))
+        bad = (norms[0] <= 1e-6) | (norms[1] <= 1e-6)
         if not bad.any():
-            break
+            return _unit_columns(rows, spin_dim, norms, columns)
         rows[bad] = rng.standard_normal((int(np.count_nonzero(bad)), rows.shape[1]))
-    return _unit_columns(spin, spin_norms), _unit_columns(orbital, orbital_norms)
 
 
 def sample_product_states(

@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sowitness import dense
+from sowitness.cli import main
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.dense import (
     ConvergenceError,
@@ -357,6 +361,12 @@ def draw_all(system, rng, n):
     return {f: np.concatenate([getattr(b, f) for b in batches]) for f in fields}
 
 
+def assert_same_bits(expected, actual, label):
+    """Equal bit for bit: shape, dtype and bytes, so -0.0 differs from 0.0."""
+    assert (expected.shape, expected.dtype) == (actual.shape, actual.dtype), label
+    assert expected.tobytes() == actual.tobytes(), label
+
+
 def naive_observables(system, spin, orbital):
     """<S>, <L> and <psi|H|psi> of one product state, by explicit kron and vdot."""
     def bloch(twice_j, state):
@@ -487,6 +497,30 @@ class TestGatherOracle:
             columns = dense._haar_rows(rng, count, ds, dl)
         assert_matches_gather_oracle(sys_, *columns)
 
+    @pytest.mark.parametrize("two_l", [0, 1, 2])
+    def test_many_small_spin_blocks(self, two_l):
+        rng = np.random.default_rng(two_l)
+        for two_s in range(41):
+            sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), -57.3)
+            for count in (1, 3):
+                assert_matches_gather_oracle(
+                    sys_, *dense._haar_rows(rng, count, two_s + 1, two_l + 1))
+
+    def test_one_spin_block(self):
+        rng = np.random.default_rng(40)
+        for two_l in range(41):
+            sys_ = SpinOrbitSystem(HalfInt(0), HalfInt(two_l), 2.0e4)
+            for count in (1, 3):
+                assert_matches_gather_oracle(sys_, *dense._haar_rows(rng, count, 1, two_l + 1))
+
+    @pytest.mark.parametrize("shell", sorted(CATALOG_SHELLS) + [(40, 2), (0, 40)])
+    def test_empty_single_and_full_default_batches(self, shell):
+        rng = np.random.default_rng(sum(shell))
+        sys_ = SpinOrbitSystem(HalfInt(shell[0]), HalfInt(shell[1]), -57.3)
+        for count in (0, 1, dense._SAMPLE_CHUNK):
+            assert_matches_gather_oracle(
+                sys_, *dense._haar_rows(rng, count, shell[0] + 1, shell[1] + 1))
+
 
 class _ZeroFirstRng:
     """Generator stand-in whose first block has an all-zero first row."""
@@ -512,22 +546,27 @@ class TestProductStates:
             assert np.array_equal(values, second[name]), name
 
     def test_batches_are_bounded_and_read_only(self):
-        batches = list(sample_product_states(sys_of("Ho"), np.random.default_rng(2), 600))
-        sizes = [len(b.energies) for b in batches]
-        assert sum(sizes) == 600
-        assert max(sizes) <= dense._SAMPLE_CHUNK
+        chunk = dense._SAMPLE_CHUNK
+        batches = list(sample_product_states(sys_of("Ho"), np.random.default_rng(2),
+                                             2 * chunk + 3))
+        assert [len(b.energies) for b in batches] == [chunk, chunk, 3]
         assert not batches[0].energies.flags.writeable
         assert not batches[0].spin_states.flags.writeable
         assert list(sample_product_states(sys_of("Ho"), np.random.default_rng(2), 0)) == []
 
     def test_chunk_size_does_not_change_the_draws(self, monkeypatch):
+        """Two default batches and three states hold the same bits as batches
+        of 7 states and of one."""
         ho = sys_of("Ho")
-        default = draw_all(ho, np.random.default_rng(5), 600)
-        monkeypatch.setattr(dense, "_SAMPLE_CHUNK", 7)
-        assert len(next(sample_product_states(ho, np.random.default_rng(5), 600)).energies) == 7
-        small = draw_all(ho, np.random.default_rng(5), 600)
-        for name, values in default.items():
-            assert np.array_equal(values, small[name]), name
+        count = 2 * dense._SAMPLE_CHUNK + 3
+        default = draw_all(ho, np.random.default_rng(5), count)
+        for chunk in (7, 1):
+            monkeypatch.setattr(dense, "_SAMPLE_CHUNK", chunk)
+            first = next(sample_product_states(ho, np.random.default_rng(5), count))
+            assert len(first.energies) == chunk
+            small = draw_all(ho, np.random.default_rng(5), count)
+            for name, values in default.items():
+                assert_same_bits(values, small[name], (chunk, name))
 
     def test_one_normal_row_per_state(self):
         ce = sys_of("Ce")  # 2s+1 = 2, 2l+1 = 7
@@ -547,6 +586,18 @@ class TestProductStates:
         assert rng.calls == [(5, 18), (1, 18)]
         assert np.allclose(np.linalg.norm(batch.spin_states, axis=1), 1.0, atol=1e-15)
         assert np.all(np.isfinite(batch.energies))
+
+    @pytest.mark.parametrize("dims", [(1, 41), (6, 11), (41, 3)])
+    def test_row_norms_are_bitwise_the_summed_squares(self, dims):
+        spin_dim, orbital_dim = dims
+        rows = np.random.default_rng(spin_dim).standard_normal(
+            (50, 2 * (spin_dim + orbital_dim)))
+        start = 2 * spin_dim
+        parts = ((rows[:, :spin_dim], rows[:, spin_dim:start]),
+                 (rows[:, start:start + orbital_dim], rows[:, start + orbital_dim:]))
+        squares = np.empty_like(rows)
+        for norms, (re, im) in zip(dense._row_norms(rows, spin_dim, squares), parts):
+            assert_same_bits(np.sqrt((re * re + im * im).sum(axis=1)), norms, dims)
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
@@ -682,6 +733,40 @@ class TestProductStates:
         empty = product_states(sys_of("Ho"), np.ones((0, 5)), np.ones((0, 13)))
         assert empty.energies.shape == (0,)
         assert empty.spin_vectors.shape == empty.orbital_vectors.shape == (0, 3)
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """Traced peaks of the sampling path, each within the figure of the
+    whole-vector evaluator, which held 256 states per batch: 1 028 320 bytes
+    for one batch on n = 66 and 1 136 679 for a default verify.  Caches are
+    filled first, so only the sampling and its checks are traced."""
+
+    def test_one_default_batch_on_the_largest_shell(self):
+        sm = sys_of("Sm")
+        assert (sm.s.twice + 1) * (sm.l.twice + 1) == 66
+        next(sample_product_states(sm, np.random.default_rng(0), 1))
+        peak = traced_peak(lambda: next(
+            sample_product_states(sm, np.random.default_rng(1), dense._SAMPLE_CHUNK)))
+        assert peak <= 1_028_320, peak
+
+    def test_default_verify(self):
+        def verify(*args):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["verify", *args]) == 0
+
+        verify("--samples", "1")
+        peak = traced_peak(verify)
+        assert peak <= 1_136_679, peak
 
 
 class TestGroundStateAnalysis:
