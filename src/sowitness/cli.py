@@ -54,8 +54,11 @@ MAX_TWICE = 2**53
 _NEGATIVE_NUMBER = re.compile(r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
 
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
-# "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included.
+# "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included,
+# so a block of rows is formatted by one % of this row repeated.
 _CURVE_ROW = "%.6g,%.6g,%.6g\n"
+#: Curve rows formatted by one % call and written as one string.
+_ROW_BLOCK = 1024
 
 
 class _CliError(Exception):
@@ -240,28 +243,43 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # The reader has gone.  Point the descriptor at devnull, so the
-        # flush at exit does not fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:
+        # The reader has gone or the device is full.  Point the descriptor
+        # at devnull, so the flush at exit does not fail a second time; an
+        # in-process stdout without a descriptor (a StringIO) is left as is.
+        with contextlib.suppress(OSError, ValueError):
+            descriptor = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, descriptor)
+            os.close(devnull)
         raise _CliError(EXIT_IO, f"cannot write standard output: {exc}") from exc
 
 
 def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[str]:
-    """The lines of the curve CSV, computed one kernel chunk at a time.
+    """The curve CSV: its header line, then one string per block of rows.
 
     The grid is checked here, so a bad one exits 2 before anything is
-    written; the rows are computed and formatted only as they are written.
+    written; the rows are computed one kernel chunk at a time and formatted
+    only as they are written.
     """
     try:
         chunks = _curve_chunks(system, args.tmin, args.tmax, args.steps)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    rows = (map(_CURVE_ROW.__mod__, zip(t.tolist(), mean.tolist(), w.tolist()))
-            for t, _, mean, w in chunks)
-    return itertools.chain((CURVE_HEADER + "\n",), itertools.chain.from_iterable(rows))
+    return itertools.chain((CURVE_HEADER + "\n",), _curve_blocks(chunks))
+
+
+def _curve_blocks(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> Iterator[str]:
+    """The CSV rows of (T, Z, <H>, W) chunks, at most ``_ROW_BLOCK`` rows per
+    string: each block is converted by one ``tolist`` and formatted by one
+    ``%``, so only one block of Python floats and text is live at a time."""
+    for t, _, mean, w in chunks:
+        table = np.stack((t, mean, w), axis=1)
+        for start in range(0, len(table), _ROW_BLOCK):
+            values = table[start:start + _ROW_BLOCK].ravel().tolist()
+            yield (_CURVE_ROW * (len(values) // 3)) % tuple(values)
 
 
 def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import itertools
 import json
 import math
@@ -210,20 +211,58 @@ class TestWitness:
     @pytest.mark.parametrize("convention", ["level", "multiplet"])
     @pytest.mark.parametrize("ion", LIGHT)
     def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch, ion, convention):
+        """Kernel chunks of 5 or 7 rows and row blocks of 1 or 7 rows give
+        the bytes of the default sizes."""
         argv = ["witness", "--ion", ion, "--convention", convention, "--steps", "3000"]
         assert main(argv) == 0
         default = capsys.readouterr().out
         system = ion_record(ion).system(_CONVENTIONS[convention])
-        monkeypatch.setattr(thermal, "_KERNEL_ELEMENTS", 7 * len(multiplets(system)))
-        assert thermal._LevelTable(system).chunk_rows == 7
-        assert main(argv) == 0
-        assert capsys.readouterr().out == default
+        levels = len(multiplets(system))
+        for module, name, value in ((cli, "_ROW_BLOCK", 1), (cli, "_ROW_BLOCK", 7),
+                                    (thermal, "_KERNEL_ELEMENTS", 5 * levels),
+                                    (thermal, "_KERNEL_ELEMENTS", 7 * levels)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                if module is thermal:
+                    assert thermal._LevelTable(system).chunk_rows == value // levels
+                assert main(argv) == 0
+                assert capsys.readouterr().out == default, (name, value)
+
+    def test_block_rows_are_the_fmt_of_each_field(self):
+        values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                  1e308, 0.1, 999999.5, 9999995.0, 1.0, -1e-320]
+        # every value in every column, with the other two columns shifted
+        t = np.array(values)
+        mean, w = np.roll(t, 1), np.roll(t, 2)
+        lines = "".join(cli._curve_blocks([(t, None, mean, w)])).splitlines()
+        assert lines == [",".join(map(cli._fmt, row)) for row in zip(t, mean, w)]
+        assert lines[0] == "-0,-9.99989e-321,1"
+        assert lines[3:5] == ["nan,-inf,inf", "4.94066e-324,nan,-inf"]
+        assert lines[9] == "1e+07,1e+06,0.1"
+
+    @pytest.mark.parametrize("steps,kernel_rows,chunks,pieces", [
+        (2, None, 1, 2), (1023, None, 1, 2), (1024, None, 1, 2), (1025, None, 1, 3),
+        (3000, None, 1, 4), (3000, 1500, 2, 5), (40000, None, 3, 41),
+    ])
+    def test_one_string_per_block_of_rows(self, monkeypatch, steps, kernel_rows, chunks,
+                                          pieces):
+        """The header, then ceil(rows / _ROW_BLOCK) strings per kernel chunk."""
+        system = ion_record("Nd").system(_CONVENTIONS["level"])  # 4 levels
+        if kernel_rows is not None:
+            monkeypatch.setattr(thermal, "_KERNEL_ELEMENTS", kernel_rows * 4)
+        sizes = [len(t) for t, *_ in thermal._curve_chunks(system, 1.0, 6000.0, steps)]
+        assert len(sizes) == chunks
+        args = argparse.Namespace(tmin=1.0, tmax=6000.0, steps=steps)
+        emitted = list(cli._curve_csv(system, args))
+        assert len(emitted) == pieces == 1 + sum(-(-n // cli._ROW_BLOCK) for n in sizes)
+        assert emitted[0] == CURVE_HEADER + "\n"
+        assert "".join(emitted).count("\n") == steps + 1
 
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
         """The CSV is streamed: 2*10^6 rows peak within 12 MiB of 10^3 rows.
 
         The rise is the kernel's temporaries for one chunk of 2^16 weights
-        plus one chunk of formatted rows; a curve held whole reads +780 MB.
+        plus one block of formatted rows; a curve held whole reads +780 MB.
         """
         script = ("import resource, sys\n"
                   "from sowitness.cli import main\n"
@@ -468,6 +507,48 @@ class TestMissingCoupling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullStdout:
+    """A stdout that fails to take the output gives exit 4 and one error line,
+    whether it fails on the first write or mid-stream."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["ions"], id="ions-csv"),
+        pytest.param(["ions", "--format", "json"], id="ions-json"),
+        pytest.param(["witness", "--ion", "Ce", "--steps", "5"], id="witness-5"),
+        pytest.param(["witness", "--ion", "Ce", "--steps", "200000"], id="witness-200000"),
+        pytest.param(["te", "--ion", "all"], id="te"),
+        pytest.param(["figure1", "--steps", "50", "--outdir", "{tmp}"], id="figure1"),
+        pytest.param(["verify", "--samples", "20"], id="verify"),
+        pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "witness",
+                      "--steps", "5"], id="custom-witness"),
+        pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "te"],
+                     id="custom-te"),
+    ])
+    def test_exits_4_with_one_line(self, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "sowitness", *argv],
+                                    stdout=full, stderr=subprocess.PIPE, text=True,
+                                    timeout=120)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "error: cannot write standard output: [Errno 28] No space left on device"
+        ]
+
+    def test_in_process_stdout_without_a_descriptor(self, capsys, monkeypatch):
+        class FullBuffer(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullBuffer())
+        assert main(["te", "--ion", "Ce"]) == 4
+        assert capsys.readouterr().err == (
+            "error: cannot write standard output: [Errno 28] No space left on device\n"
+        )
 
 
 class TestWriteFailures:
