@@ -40,11 +40,6 @@ EXIT_USAGE = 2
 EXIT_ION = 3
 EXIT_IO = 4
 
-_CONVENTIONS = {
-    "level": Convention.LEVEL_UNIFORM,
-    "multiplet": Convention.MULTIPLET_DEGENERATE,
-}
-
 #: ``custom`` rejects a shell with more levels, min(2s, 2l) + 1, than this.
 MAX_LEVELS = 10**6
 #: ``custom`` rejects a larger 2s or 2l; beyond it s and l are not exact floats.
@@ -106,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write to this file instead of standard output")
 
     def convention_flag(p: argparse.ArgumentParser, default: str) -> None:
-        p.add_argument("--convention", choices=sorted(_CONVENTIONS), default=default,
+        p.add_argument("--convention", choices=sorted(c.value for c in Convention),
+                       default=default,
                        help=f"thermal weighting convention (default: {default})")
 
     def range_flags(p: argparse.ArgumentParser) -> None:
@@ -240,6 +236,8 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     if path is not None:
         _write(path, pieces)
         return
+    if sys.stdout is None:  # descriptor 1 was closed when Python started
+        raise _CliError(EXIT_IO, "cannot write standard output: it is closed")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
@@ -326,7 +324,7 @@ def _run_witness(args: argparse.Namespace) -> int:
         record = ion_record(args.ion, catalog)
     except UnknownIonError as exc:
         raise _CliError(EXIT_ION, str(exc)) from exc
-    system = _witness_system(record, _CONVENTIONS[args.convention])
+    system = _witness_system(record, Convention(args.convention))
     _emit(args, _curve_csv(system, args))
     return EXIT_OK
 
@@ -352,7 +350,7 @@ def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: st
 def _run_te(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
     tolerance = _tolerance(args)
-    convention = _CONVENTIONS[args.convention]
+    convention = Convention(args.convention)
     if args.ion.strip().lower() == "all":
         records = list(catalog)
     else:
@@ -400,7 +398,7 @@ print(target)
 
 def _run_figure1(args: argparse.Namespace) -> int:
     catalog = _active_catalog(args)
-    convention = _CONVENTIONS[args.convention]
+    convention = Convention(args.convention)
     light = [r for r in catalog if r.light and r.zeta is not None]
     try:
         os.makedirs(args.outdir, exist_ok=True)
@@ -428,7 +426,7 @@ def _run_custom(args: argparse.Namespace) -> int:
     try:
         system = SpinOrbitSystem(
             HalfInt(args.two_s), HalfInt(args.two_l), args.zeta,
-            _CONVENTIONS[args.convention],
+            Convention(args.convention),
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc

@@ -267,29 +267,25 @@ def thermal_mean_energy(
 
 @dataclass(frozen=True, eq=False)
 class ProductStateBatch:
-    """Product states, one per row, and their observables as parallel arrays.
+    """Observables of product states as parallel arrays, one row per state.
 
-    Row ``r`` holds the unit factor states (``spin_states[r]`` of length
-    2s+1, ``orbital_states[r]`` of length 2l+1), the Bloch vectors <S> and
-    <L> (shape ``(k, 3)``), the cosine of the angle between them and the
-    energy <psi| H |psi>.
+    Row ``r`` holds the Bloch vectors <S> and <L> of state ``r`` (shape
+    ``(k, 3)``) and its energy <psi| H |psi>.
     """
 
-    spin_states: np.ndarray
-    orbital_states: np.ndarray
     spin_vectors: np.ndarray
     orbital_vectors: np.ndarray
-    cos_angles: np.ndarray
     energies: np.ndarray
 
 
 # States drawn and evaluated per batch: large enough that the work runs in
 # few array operations, small enough that memory does not grow with the
-# count.  A batch holds its unit factors, 2(2s+1) + 2(2l+1) floats per state,
-# while the energy evaluator works in 7(2l+1) + 1 more: one batch of 512 on a
-# catalog shell peaks below 0.6 MB traced, against up to 1.03 MB for 256
-# states on the whole product vector.  1024 states would still peak within
-# that 1.03 MB on n = 66, but raise the peak RSS of repeated ``verify`` runs.
+# count.  A batch is evaluated from its unit factors, 2(2s+1) + 2(2l+1)
+# floats per state, while the energy evaluator works in 7(2l+1) + 1 more, and
+# returns 7 (two Bloch vectors and an energy): one batch of 512 on a catalog
+# shell peaks at 0.32 to 0.59 MB traced, against up to 1.03 MB for 256 states
+# on the whole product vector.  1024 states would still peak within that
+# 1.03 MB on n = 66, but raise the peak RSS of repeated ``verify`` runs.
 _SAMPLE_CHUNK = 512
 
 
@@ -466,8 +462,9 @@ def _evaluate(
     system: SpinOrbitSystem, spin: tuple[np.ndarray, np.ndarray],
     orbital: tuple[np.ndarray, np.ndarray],
 ) -> ProductStateBatch:
-    """Observables of the product states spin[:, r] x orbital[:, r], given as
-    unit (real, imaginary) column pairs of shape (dimension, states).
+    """The Bloch vectors <S> and <L> and the energy of each product state
+    spin[:, r] x orbital[:, r], given as unit (real, imaginary) column pairs
+    of shape (dimension, states).  The batch holds no copy of the states.
 
     The energy is zeta times the honest matrix expectation <psi| S.L |psi>
     on the full Kronecker product vector, not the factorized shortcut
@@ -475,24 +472,17 @@ def _evaluate(
     than assumes.  The energies come first, so their working arrays peak
     before the Bloch vectors exist.
     """
-    (s_re, s_im), (o_re, o_im) = spin, orbital
     energies = system.zeta * _spin_orbit_expectations(
         system.s.twice, system.l.twice, spin, orbital)
-    spin_vec = _bloch_vectors(system.s.twice, s_re, s_im)
-    orbital_vec = _bloch_vectors(system.l.twice, o_re, o_im)
-    norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
-    cos_angles = np.zeros(len(energies))
-    np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
-              out=cos_angles, where=norms > 1e-12)
-    return ProductStateBatch(*_read_only(
-        (s_re + 1j * s_im).T, (o_re + 1j * o_im).T, spin_vec.T, orbital_vec.T,
-        cos_angles, energies))
+    return ProductStateBatch(*_read_only(_bloch_vectors(system.s.twice, *spin).T,
+                                         _bloch_vectors(system.l.twice, *orbital).T,
+                                         energies))
 
 
 def product_states(
     system: SpinOrbitSystem, spin_states: np.ndarray, orbital_states: np.ndarray
 ) -> ProductStateBatch:
-    """Evaluate <S>, <L>, their angle, and <H> for explicit product states.
+    """Evaluate <S>, <L> and <H> for explicit product states.
 
     Row ``r`` of ``spin_states`` (shape ``(k, 2s+1)``) and of
     ``orbital_states`` (shape ``(k, 2l+1)``) make up state ``r``.  Rows are

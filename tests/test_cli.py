@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -14,8 +15,8 @@ import pytest
 
 import sowitness
 from sowitness import cli, dense, ions, thermal
-from sowitness.angular import HalfInt, multiplets
-from sowitness.cli import _CONVENTIONS, CURVE_HEADER, main
+from sowitness.angular import Convention, HalfInt, multiplets
+from sowitness.cli import CURVE_HEADER, main
 from sowitness.ions import CATALOG, ion_record, load_catalog
 
 from curve_csv import parse_witness_csv
@@ -216,7 +217,7 @@ class TestWitness:
         argv = ["witness", "--ion", ion, "--convention", convention, "--steps", "3000"]
         assert main(argv) == 0
         default = capsys.readouterr().out
-        system = ion_record(ion).system(_CONVENTIONS[convention])
+        system = ion_record(ion).system(Convention(convention))
         levels = len(multiplets(system))
         for module, name, value in ((cli, "_ROW_BLOCK", 1), (cli, "_ROW_BLOCK", 7),
                                     (thermal, "_KERNEL_ELEMENTS", 5 * levels),
@@ -247,7 +248,7 @@ class TestWitness:
     def test_one_string_per_block_of_rows(self, monkeypatch, steps, kernel_rows, chunks,
                                           pieces):
         """The header, then ceil(rows / _ROW_BLOCK) strings per kernel chunk."""
-        system = ion_record("Nd").system(_CONVENTIONS["level"])  # 4 levels
+        system = ion_record("Nd").system(Convention("level"))  # 4 levels
         if kernel_rows is not None:
             monkeypatch.setattr(thermal, "_KERNEL_ELEMENTS", kernel_rows * 4)
         sizes = [len(t) for t, *_ in thermal._curve_chunks(system, 1.0, 6000.0, steps)]
@@ -509,24 +510,28 @@ class TestMissingCoupling:
         assert captured.err == f"error: {message}\n"
 
 
+# One invocation of every command that writes to standard output
+STDOUT_COMMANDS = [
+    pytest.param(["ions"], id="ions-csv"),
+    pytest.param(["ions", "--format", "json"], id="ions-json"),
+    pytest.param(["witness", "--ion", "Ce", "--steps", "5"], id="witness-5"),
+    pytest.param(["witness", "--ion", "Ce", "--steps", "200000"], id="witness-200000"),
+    pytest.param(["te", "--ion", "all"], id="te"),
+    pytest.param(["figure1", "--steps", "50", "--outdir", "{tmp}"], id="figure1"),
+    pytest.param(["verify", "--samples", "20"], id="verify"),
+    pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "witness",
+                  "--steps", "5"], id="custom-witness"),
+    pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "te"],
+                 id="custom-te"),
+]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestFullStdout:
     """A stdout that fails to take the output gives exit 4 and one error line,
     whether it fails on the first write or mid-stream."""
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["ions"], id="ions-csv"),
-        pytest.param(["ions", "--format", "json"], id="ions-json"),
-        pytest.param(["witness", "--ion", "Ce", "--steps", "5"], id="witness-5"),
-        pytest.param(["witness", "--ion", "Ce", "--steps", "200000"], id="witness-200000"),
-        pytest.param(["te", "--ion", "all"], id="te"),
-        pytest.param(["figure1", "--steps", "50", "--outdir", "{tmp}"], id="figure1"),
-        pytest.param(["verify", "--samples", "20"], id="verify"),
-        pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "witness",
-                      "--steps", "5"], id="custom-witness"),
-        pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "te"],
-                     id="custom-te"),
-    ])
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
     def test_exits_4_with_one_line(self, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         with open("/dev/full", "w") as full:
@@ -549,6 +554,43 @@ class TestFullStdout:
         assert capsys.readouterr().err == (
             "error: cannot write standard output: [Errno 28] No space left on device\n"
         )
+
+
+def run_with_stdout_closed(*args):
+    """Run the CLI with descriptor 1 closed, so Python starts without a stdout."""
+    return subprocess.run([sys.executable, "-m", "sowitness", *args],
+                          preexec_fn=functools.partial(os.close, 1),
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestClosedStdout:
+    """A stdout closed before start-up (``>&-``) gives exit 4 and one error
+    line, not a traceback; ``--output`` does not need it."""
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_exits_4_with_one_line(self, tmp_path, argv):
+        result = run_with_stdout_closed(*[a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "error: cannot write standard output: it is closed"
+        ]
+
+    def test_in_process_stdout_is_none(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["te", "--ion", "Ce"]) == 4
+        assert capsys.readouterr().err == "error: cannot write standard output: it is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["te", "--ion", "Ce"], id="te"),
+        pytest.param(["witness", "--ion", "Ce", "--steps", "5"], id="witness"),
+        pytest.param(["ions", "--format", "json"], id="ions-json"),
+    ])
+    def test_output_file_needs_no_stdout(self, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        result = run_with_stdout_closed(*argv, "--output", str(target))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert target.read_text() == run_cli(*argv).stdout
 
 
 class TestWriteFailures:
@@ -688,7 +730,7 @@ class TestVerify:
         sizes.clear()
         coupled = [r for r in CATALOG if r.zeta is not None]
         assert len(coupled) == 12
-        analyses = [dense.ground_state_analysis(r.system(_CONVENTIONS["multiplet"]))
+        analyses = [dense.ground_state_analysis(r.system(Convention("multiplet")))
                     for r in coupled]
         unique = [r.symbol for r, a in zip(coupled, analyses) if a.degeneracy == 1]
         assert unique == ["Eu"]

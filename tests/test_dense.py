@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ COUPLED = [r for r in CATALOG if r.zeta is not None]
 # one ion per distinct (s, l) pair of the catalog
 DISTINCT_SHELLS = sorted({(r.s.twice, r.l.twice): r.symbol for r in CATALOG}.values())
 CATALOG_SHELLS = {(r.s.twice, r.l.twice) for r in CATALOG}
+COUPLED_SHELLS = sorted({(r.s.twice, r.l.twice) for r in COUPLED})
 GRID = np.geomspace(1.0, 1e6, 50)
 
 
@@ -353,12 +355,33 @@ class TestThermalMeanEnergy:
             thermal_mean_energy(sys_of("Ce"), np.array(grid))
 
 
+FIELDS = [f.name for f in dataclasses.fields(dense.ProductStateBatch)]
+
+
 def draw_all(system, rng, n):
     """Concatenate the batches of ``sample_product_states`` field by field."""
     batches = list(sample_product_states(system, rng, n))
-    fields = ("spin_states", "orbital_states", "spin_vectors", "orbital_vectors",
-              "cos_angles", "energies")
-    return {f: np.concatenate([getattr(b, f) for b in batches]) for f in fields}
+    return {f: np.concatenate([getattr(b, f) for b in batches]) for f in FIELDS}
+
+
+def normal_rows(seed, n, spin_dim, orbital_dim):
+    """The normals that ``sample_product_states`` draws for ``n`` states
+    from ``default_rng(seed)``: one row of 2(d_s + d_l) per state."""
+    return np.random.default_rng(seed).standard_normal((n, 2 * (spin_dim + orbital_dim)))
+
+
+def factor_states(rows, spin_dim):
+    """The spin and orbital states of rows laid out as [spin real | spin
+    imaginary | orbital real | orbital imaginary], as complex arrays whose
+    parts are the rows' bits."""
+    orbital_dim = rows.shape[1] // 2 - spin_dim
+    states = []
+    for start, dim in ((0, spin_dim), (2 * spin_dim, orbital_dim)):
+        state = np.empty((len(rows), dim), dtype=complex)
+        state.real = rows[:, start:start + dim]
+        state.imag = rows[:, start + dim:start + 2 * dim]
+        states.append(state)
+    return states
 
 
 def assert_same_bits(expected, actual, label):
@@ -432,13 +455,8 @@ def gather_evaluate(system, spin, orbital):
     product_im += kron_columns(s_im, o_re)
     spin_orbit = gather_entries(reference_spin_orbit(system.s.twice, system.l.twice))
     energies = system.zeta * gather_expectations(spin_orbit, product_re, product_im)[0]
-    norms = np.linalg.norm(spin_vec, axis=0) * np.linalg.norm(orbital_vec, axis=0)
-    cos_angles = np.zeros(len(energies))
-    np.divide(np.add.reduce(spin_vec * orbital_vec, axis=0), norms,
-              out=cos_angles, where=norms > 1e-12)
-    return {"spin_states": (s_re + 1j * s_im).T, "orbital_states": (o_re + 1j * o_im).T,
-            "spin_vectors": spin_vec.T, "orbital_vectors": orbital_vec.T,
-            "cos_angles": cos_angles, "energies": energies}
+    return {"spin_vectors": spin_vec.T, "orbital_vectors": orbital_vec.T,
+            "energies": energies}
 
 
 def basis_rows(dim, indices):
@@ -446,21 +464,27 @@ def basis_rows(dim, indices):
 
 
 def columns_of(rows):
-    """Unit rows as the evaluator's C-contiguous (real, imaginary) columns."""
-    return rows.real.T.copy(), rows.imag.T.copy()
+    """Rows of states over their norms, as the evaluator's C-contiguous
+    (real, imaginary) columns: the unit states that product_states
+    evaluates, bit for bit (see test_row_norms_are_bitwise_the_summed_squares)."""
+    re, im = np.ascontiguousarray(rows.real), np.ascontiguousarray(rows.imag)
+    norms = np.sqrt((re * re + im * im).sum(axis=1))
+    return (re.T / norms).copy(), (im.T / norms).copy()
 
 
 def assert_matches_gather_oracle(system, spin, orbital):
     """The evaluator equals the oracle exactly, field by field, on unit
     (real, imaginary) column pairs; so does product_states on their rows,
-    against the oracle on the unit states it normalised them to."""
+    against the oracle on the unit states it normalises them to."""
     def check(batch, spin, orbital):
-        for name, expected in gather_evaluate(system, spin, orbital).items():
-            assert np.array_equal(getattr(batch, name), expected), name
+        expected = gather_evaluate(system, spin, orbital)
+        assert list(expected) == FIELDS
+        for name in FIELDS:
+            assert np.array_equal(getattr(batch, name), expected[name]), name
 
     check(dense._evaluate(system, spin, orbital), spin, orbital)
-    explicit = product_states(system, *[(re + 1j * im).T for re, im in (spin, orbital)])
-    check(explicit, columns_of(explicit.spin_states), columns_of(explicit.orbital_states))
+    states = [(re + 1j * im).T for re, im in (spin, orbital)]
+    check(product_states(system, *states), *map(columns_of, states))
 
 
 class TestGatherOracle:
@@ -523,7 +547,8 @@ class TestGatherOracle:
 
 
 class _ZeroFirstRng:
-    """Generator stand-in whose first block has an all-zero first row."""
+    """Generator stand-in whose first block has a zero spin factor in its
+    first row (Ce: 2s+1 = 2, so the first 4 normals)."""
 
     def __init__(self, seed):
         self.inner = np.random.default_rng(seed)
@@ -533,7 +558,7 @@ class _ZeroFirstRng:
         self.calls.append(shape)
         block = self.inner.standard_normal(shape)
         if len(self.calls) == 1:
-            block[0] = 0.0
+            block[0, :4] = 0.0
         return block
 
 
@@ -543,15 +568,15 @@ class TestProductStates:
         first = draw_all(ce, np.random.default_rng(11), 600)
         second = draw_all(ce, np.random.default_rng(11), 600)
         for name, values in first.items():
-            assert np.array_equal(values, second[name]), name
+            assert_same_bits(values, second[name], name)
 
     def test_batches_are_bounded_and_read_only(self):
         chunk = dense._SAMPLE_CHUNK
         batches = list(sample_product_states(sys_of("Ho"), np.random.default_rng(2),
                                              2 * chunk + 3))
         assert [len(b.energies) for b in batches] == [chunk, chunk, 3]
-        assert not batches[0].energies.flags.writeable
-        assert not batches[0].spin_states.flags.writeable
+        for name in FIELDS:
+            assert not getattr(batches[0], name).flags.writeable, name
         assert list(sample_product_states(sys_of("Ho"), np.random.default_rng(2), 0)) == []
 
     def test_chunk_size_does_not_change_the_draws(self, monkeypatch):
@@ -568,23 +593,33 @@ class TestProductStates:
             for name, values in default.items():
                 assert_same_bits(values, small[name], (chunk, name))
 
-    def test_one_normal_row_per_state(self):
-        ce = sys_of("Ce")  # 2s+1 = 2, 2l+1 = 7
-        rng = np.random.default_rng(9)
-        batch = next(sample_product_states(ce, rng, 3))
-        rows = np.random.default_rng(9).standard_normal((3, 2 * (2 + 7)))
-        spin = rows[:, :2] + 1j * rows[:, 2:4]
-        orbital = rows[:, 4:11] + 1j * rows[:, 11:]
-        assert np.allclose(batch.spin_states,
-                           spin / np.linalg.norm(spin, axis=1)[:, None], rtol=0, atol=1e-15)
-        assert np.allclose(batch.orbital_states,
-                           orbital / np.linalg.norm(orbital, axis=1)[:, None], rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("shell", COUPLED_SHELLS + [(0, 0), (40, 1), (3, 40)])
+    def test_one_normal_row_per_state(self, shell, n):
+        """The draws are the rows of ``standard_normal((n, 2(d_s + d_l)))``,
+        laid out as spin real, spin imaginary, orbital real, orbital
+        imaginary: the batches hold the bits of product_states on them."""
+        spin_dim, orbital_dim = shell[0] + 1, shell[1] + 1
+        sys_ = SpinOrbitSystem(HalfInt(shell[0]), HalfInt(shell[1]), -57.3)
+        seed = n + 1000 * sum(shell)
+        drawn = draw_all(sys_, np.random.default_rng(seed), n)
+        rows = normal_rows(seed, n, spin_dim, orbital_dim)
+        explicit = product_states(sys_, *factor_states(rows, spin_dim))
+        for name in FIELDS:
+            assert_same_bits(drawn[name], getattr(explicit, name), (shell, n, name))
 
     def test_near_zero_factor_is_redrawn(self):
+        """A row with a zero factor is replaced by the row of normals drawn
+        after the block."""
         rng = _ZeroFirstRng(4)
         batch = next(sample_product_states(sys_of("Ce"), rng, 5))
         assert rng.calls == [(5, 18), (1, 18)]
-        assert np.allclose(np.linalg.norm(batch.spin_states, axis=1), 1.0, atol=1e-15)
+        twin = np.random.default_rng(4)
+        rows = twin.standard_normal((5, 18))
+        rows[0] = twin.standard_normal((1, 18))
+        explicit = product_states(sys_of("Ce"), *factor_states(rows, 2))
+        for name in FIELDS:
+            assert_same_bits(getattr(explicit, name), getattr(batch, name), name)
         assert np.all(np.isfinite(batch.energies))
 
     @pytest.mark.parametrize("dims", [(1, 41), (6, 11), (41, 3)])
@@ -612,7 +647,6 @@ class TestProductStates:
             assert np.all(np.linalg.norm(drawn["spin_vectors"], axis=1) <= s + 1e-9)
             assert np.all(np.linalg.norm(drawn["orbital_vectors"], axis=1) <= l + 1e-9)
             assert np.all(drawn["energies"] >= -bound - 1e-9)
-            assert np.all(np.abs(drawn["cos_angles"]) <= 1.0 + 1e-12)
             factorized = record.zeta * np.einsum(
                 "rx,rx->r", drawn["spin_vectors"], drawn["orbital_vectors"]
             )
@@ -635,25 +669,29 @@ class TestProductStates:
             assert np.all(np.abs(vectors.mean(axis=0)) <= 5.0 * errors + 1e-12), (symbol, j)
 
     def test_batch_matches_single_state_evaluation(self):
-        """10^4 draws over the distinct shells: each shell's rows evaluated
-        again in one explicit call, every 17th also alone and naively."""
+        """10^4 draws over the distinct shells: each shell's rows of normals
+        evaluated again in one explicit call, every 17th also alone and
+        naively."""
         per_shell = -(-10_000 // len(DISTINCT_SHELLS))
         for symbol in DISTINCT_SHELLS:
             record = ion_record(symbol)
             sys_ = record.system()
+            spin_dim, orbital_dim = record.s.twice + 1, record.l.twice + 1
             drawn = draw_all(sys_, np.random.default_rng(record.n4f), per_shell)
-            explicit = product_states(sys_, drawn["spin_states"], drawn["orbital_states"])
+            spin_states, orbital_states = factor_states(
+                normal_rows(record.n4f, per_shell, spin_dim, orbital_dim), spin_dim)
+            explicit = product_states(sys_, spin_states, orbital_states)
             s, l = record.s.value, record.l.value
             scale = abs(sys_.zeta) * s * l
             assert np.allclose(drawn["spin_vectors"], explicit.spin_vectors,
                                rtol=1e-12, atol=1e-12 * s)
             assert np.allclose(drawn["orbital_vectors"], explicit.orbital_vectors,
                                rtol=1e-12, atol=1e-12 * l)
-            assert np.allclose(drawn["cos_angles"], explicit.cos_angles, rtol=1e-12, atol=1e-12)
             assert np.allclose(drawn["energies"], explicit.energies,
                                rtol=1e-12, atol=1e-12 * scale)
             for r in range(0, per_shell, 17):
-                spin, orbital = drawn["spin_states"][r], drawn["orbital_states"][r]
+                spin = spin_states[r] / np.linalg.norm(spin_states[r])
+                orbital = orbital_states[r] / np.linalg.norm(orbital_states[r])
                 single = product_states(sys_, spin[None], orbital[None])
                 spin_vec, orbital_vec, energy = naive_observables(sys_, spin, orbital)
                 for vectors in (single.spin_vectors[0], explicit.spin_vectors[r]):
@@ -675,13 +713,11 @@ class TestProductStates:
         spin, orbital = (rng.standard_normal((count, 2 * (twice + 1))).view(complex)
                          for twice in shell)
         batch = product_states(sys_, spin, orbital)
-        assert batch.spin_states.shape == spin.shape
-        assert batch.orbital_states.shape == orbital.shape
         assert batch.spin_vectors.shape == batch.orbital_vectors.shape == (count, 3)
+        assert batch.energies.shape == (count,)
         for r in range(count):
             single = product_states(sys_, spin[r:r + 1], orbital[r:r + 1])
-            for name in ("spin_states", "orbital_states", "spin_vectors", "orbital_vectors",
-                         "cos_angles", "energies"):
+            for name in FIELDS:
                 assert np.array_equal(getattr(batch, name)[r], getattr(single, name)[0]), (
                     name, r)
 
@@ -692,13 +728,16 @@ class TestProductStates:
             orbital = np.zeros(record.l.twice + 1)
             spin[0] = 1.0  # m_s = +s
             # zeta > 0 wants the moments antiparallel, zeta < 0 parallel.
+            sign = -1.0 if record.zeta > 0 else 1.0
             orbital[-1 if record.zeta > 0 else 0] = 1.0
             state = product_states(sys_, spin[None], orbital[None])
             assert state.energies[0] == pytest.approx(-sys_.separable_bound, rel=1e-12)
-            assert state.cos_angles[0] == pytest.approx(-1.0 if record.zeta > 0 else 1.0,
-                                                        abs=1e-12)
+            assert np.array_equal(state.spin_vectors, [[0.0, 0.0, record.s.value]])
+            assert np.array_equal(state.orbital_vectors, [[0.0, 0.0, sign * record.l.value]])
 
     def test_states_normalized_defensively(self):
+        """A row and its multiples give the same observables; a multiple by
+        a power of two keeps every bit of the norm, so every bit of them."""
         ce = sys_of("Ce")
         spin = np.array([3.0, 4.0])
         orbital = np.zeros(7)
@@ -706,8 +745,16 @@ class TestProductStates:
         scaled = product_states(ce, [spin, 2.0 * spin], [orbital, orbital])
         unit = product_states(ce, [spin / 5.0], [orbital / 2.5])
         assert scaled.energies == pytest.approx(np.repeat(unit.energies, 2), rel=1e-12)
-        assert np.allclose(np.linalg.norm(scaled.spin_states, axis=1), 1.0, atol=1e-15)
         assert not scaled.energies.flags.writeable
+        rows = normal_rows(6, 4, 2, 7)
+        quadrupled = rows.copy()
+        quadrupled[0] *= 4.0       # both factors
+        quadrupled[1, :4] *= 4.0   # the spin factor
+        quadrupled[2, 4:] *= 4.0   # the orbital factor
+        batch = product_states(ce, *factor_states(rows, 2))
+        again = product_states(ce, *factor_states(quadrupled, 2))
+        for name in FIELDS:
+            assert_same_bits(getattr(batch, name), getattr(again, name), name)
 
     def test_dimension_mismatch_rejected(self):
         for spin, orbital in [

@@ -1,7 +1,9 @@
 """The public API, pinned: each ``__all__`` equals an explicit list, so adding
 or removing an export is a visible edit here, and every exported name
-exists, so tooling that walks ``__all__`` never meets a stale entry."""
+exists, so tooling that walks ``__all__`` never meets a stale entry.  The
+fields of each exported dataclass are pinned the same way."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -36,6 +38,25 @@ EXPORTS = {
     ],
 }
 
+FIELDS = {
+    "sowitness.angular.HalfInt": ["twice"],
+    "sowitness.angular.SpinOrbitSystem": ["s", "l", "zeta", "convention"],
+    "sowitness.angular.Multiplet": ["j", "energy"],
+    "sowitness.dense.ProductStateBatch": ["spin_vectors", "orbital_vectors", "energies"],
+    "sowitness.dense.GroundStateAnalysis": [
+        "energy", "degeneracy", "schmidt_spectrum", "entropy",
+    ],
+    "sowitness.ions.IonRecord": [
+        "symbol", "n4f", "s", "l", "j0", "delta_e", "zeta", "te_reference",
+    ],
+    "sowitness.thermal.WitnessCurve": [
+        "system", "temperatures", "partition", "mean_energy", "witness",
+    ],
+    "sowitness.thermal.EntanglementTemperature": [
+        "temperature", "status", "iterations", "residual",
+    ],
+}
+
 MODULES = [
     importlib.import_module(f"sowitness.{info.name}")
     for info in pkgutil.iter_modules(sowitness.__path__)
@@ -62,3 +83,20 @@ def test_star_import():
     namespace = {}
     exec("from sowitness import *", namespace)
     assert set(sowitness.__all__) <= set(namespace)
+
+
+DATACLASSES = {
+    f"{cls.__module__}.{cls.__qualname__}": cls
+    for module in EXPORTING
+    for cls in (getattr(module, name) for name in module.__all__)
+    if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+}
+
+
+def test_every_exported_dataclass_is_pinned():
+    assert sorted(DATACLASSES) == sorted(FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dataclass_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(DATACLASSES[name])] == FIELDS[name]

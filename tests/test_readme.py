@@ -33,8 +33,9 @@ def test_library_example():
     for column in (curve.temperatures, curve.witness, curve.partition, curve.mean_energy):
         assert not column.flags.writeable
 
-    # aligned.energies, aligned.cos_angles  # [-1350.], [-1.]
-    assert "# [-1350.], [-1.]" in code
+    # aligned.energies, aligned.spin_vectors, aligned.orbital_vectors
+    assert "# [-1350.], [[0, 0, 0.5]], [[0, 0, -3]]" in code
     aligned = namespace["aligned"]
     assert aligned.energies.tolist() == [-1350.0]
-    assert aligned.cos_angles.tolist() == [-1.0]
+    assert aligned.spin_vectors.tolist() == [[0.0, 0.0, 0.5]]
+    assert aligned.orbital_vectors.tolist() == [[0.0, 0.0, -3.0]]
