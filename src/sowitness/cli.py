@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 unusable ion, 4 I/O failure.  All output is machine-readable; numbers are
 formatted with 6 significant digits so identical invocations produce
 byte-identical files.
+
+``main`` runs the steps every command shares, in this order: it parses the
+arguments; exits 4 at once if there is no ``--output`` and stdout was closed
+at start-up; loads the catalog; runs the command, which returns its exit
+code and its output; writes that output with ``_emit``; and maps a
+``_CliError``, ``UnknownIonError`` or ``RuntimeError`` to its exit code.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ CURVE_HEADER = "T_K,mean_energy_K,witness_K"
 _CURVE_ROW = "%.6g,%.6g,%.6g\n"
 #: Curve rows formatted by one % call and written as one string.
 _ROW_BLOCK = 1024
+
+#: What a command returns to ``main``: its exit code and the output to write.
+_Result = tuple[int, Iterable[str]]
 
 
 class _CliError(Exception):
@@ -195,14 +204,6 @@ def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
     return loaded
 
 
-def _write(path: str, pieces: Iterable[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
-
-
 def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
     """Write every file of a set or none of them.
 
@@ -231,13 +232,16 @@ def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
         raise
 
 
-def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
-    path = getattr(args, "output", None)
+def _emit(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the output to stdout, or in place to ``path`` if it is given, so
+    a device or symlink named there stays what it is."""
     if path is not None:
-        _write(path, pieces)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+        except OSError as exc:
+            raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
         return
-    if sys.stdout is None:  # descriptor 1 was closed when Python started
-        raise _CliError(EXIT_IO, "cannot write standard output: it is closed")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
@@ -282,7 +286,7 @@ def _curve_blocks(
 
 def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
     """System of a catalog ion; rejects a coupled shell without a coupling."""
-    if record.zeta is None and record.s.twice != 0 and record.l.twice != 0:
+    if record.zeta is None and record.l.twice != 0:
         raise _CliError(EXIT_ION, f"{record.symbol}: no coupling constant in the catalog")
     return record.system(convention)
 
@@ -291,16 +295,12 @@ def _witness_system(record: IonRecord, convention: Convention) -> SpinOrbitSyste
     """System for the witness command; rejects ions the witness cannot probe."""
     if record.l.twice == 0:
         raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (l = 0)")
-    if record.s.twice == 0:
-        raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (s = 0)")
     return _ion_system(record, convention)
 
 
-def _run_ions(args: argparse.Namespace) -> int:
-    catalog = _active_catalog(args)
+def _run_ions(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     if args.format == "json":
-        _emit(args, [_to_json(catalog)])
-        return EXIT_OK
+        return EXIT_OK, [_to_json(catalog)]
     lines = ["symbol,n4f,s,l,j0,deltaE_K,zeta_K,dim"]
     for record in catalog:
         dim = (record.s.twice + 1) * (record.l.twice + 1)
@@ -314,19 +314,13 @@ def _run_ions(args: argparse.Namespace) -> int:
             _fmt_optional(record.zeta),
             str(dim),
         )))
-    _emit(args, ["\n".join(lines) + "\n"])
-    return EXIT_OK
+    return EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-def _run_witness(args: argparse.Namespace) -> int:
-    catalog = _active_catalog(args)
-    try:
-        record = ion_record(args.ion, catalog)
-    except UnknownIonError as exc:
-        raise _CliError(EXIT_ION, str(exc)) from exc
+def _run_witness(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
+    record = ion_record(args.ion, catalog)
     system = _witness_system(record, Convention(args.convention))
-    _emit(args, _curve_csv(system, args))
-    return EXIT_OK
+    return EXIT_OK, _curve_csv(system, args)
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -347,20 +341,15 @@ def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: st
     return "\n".join(lines) + "\n"
 
 
-def _run_te(args: argparse.Namespace) -> int:
-    catalog = _active_catalog(args)
+def _run_te(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     tolerance = _tolerance(args)
     convention = Convention(args.convention)
     if args.ion.strip().lower() == "all":
         records = list(catalog)
     else:
-        try:
-            records = [ion_record(args.ion, catalog)]
-        except UnknownIonError as exc:
-            raise _CliError(EXIT_ION, str(exc)) from exc
+        records = [ion_record(args.ion, catalog)]
     pairs = [(record.symbol, _ion_system(record, convention)) for record in records]
-    _emit(args, [_te_rows(pairs, args.convention, tolerance)])
-    return EXIT_OK
+    return EXIT_OK, [_te_rows(pairs, args.convention, tolerance)]
 
 
 _PLOT_PROLOGUE = '''#!/usr/bin/env python3
@@ -396,8 +385,7 @@ print(target)
 '''
 
 
-def _run_figure1(args: argparse.Namespace) -> int:
-    catalog = _active_catalog(args)
+def _run_figure1(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     convention = Convention(args.convention)
     light = [r for r in catalog if r.light and r.zeta is not None]
     try:
@@ -410,11 +398,10 @@ def _run_figure1(args: argparse.Namespace) -> int:
     script = _PLOT_PROLOGUE + f"CURVES = {curves!r}\n" + _PLOT_BODY
     files.append((os.path.join(args.outdir, "plot_figure1.py"), [script]))
     _write_all(files)
-    _emit(args, [path + "\n" for path, _ in files])
-    return EXIT_OK
+    return EXIT_OK, [path + "\n" for path, _ in files]
 
 
-def _run_custom(args: argparse.Namespace) -> int:
+def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     if args.two_s < 0 or args.two_l < 0:
         raise _CliError(EXIT_USAGE, "doubled quantum numbers must be non-negative")
     if max(args.two_s, args.two_l) > MAX_TWICE:
@@ -431,14 +418,8 @@ def _run_custom(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     if args.action == "witness":
-        _emit(args, _curve_csv(system, args))
-        return EXIT_OK
-    _emit(args, [_te_rows([("custom", system)], args.convention, _tolerance(args))])
-    return EXIT_OK
-
-
-def _check_line(name: str, ok: bool, detail: str) -> str:
-    return f"{name}: {'pass' if ok else 'fail'} {detail}"
+        return EXIT_OK, _curve_csv(system, args)
+    return EXIT_OK, [_te_rows([("custom", system)], args.convention, _tolerance(args))]
 
 
 def _worst(deviations: np.ndarray) -> float:
@@ -484,26 +465,16 @@ def _aufbau_term(n4f: int) -> tuple[int, int, int]:
 # which _worst turns into failing checks; the floating-point warnings on the
 # way would only repeat that on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_verify(args: argparse.Namespace) -> int:
-    catalog = _active_catalog(args)
+def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     if args.samples < 1:
         raise _CliError(EXIT_USAGE, "samples must be at least 1")
     if args.seed < 0:
         raise _CliError(EXIT_USAGE, "seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     coupled = [r for r in catalog if r.zeta is not None]
-    lines = []
-    all_ok = True
-
-    def record_check(name: str, ok: bool, detail: str) -> None:
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        lines.append(_check_line(name, ok, detail))
-
     mismatches = sum(
         1 for r in catalog if _aufbau_term(r.n4f) != (r.s.twice, r.l.twice, r.j0.twice)
     )
-    record_check("hund-rules", mismatches == 0, f"mismatches={mismatches}")
 
     # One pass over the coupled ions; only the sampling draws from rng.
     spectrum_worst = trace_worst = identity_worst = 0.0
@@ -523,14 +494,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         identity, margin = _sampled_residuals(system, rng, args.samples)
         identity_worst = max(identity_worst, identity)
         bound_margin = min(bound_margin, margin)
-    record_check("spectrum-equivalence", spectrum_worst <= 1e-9,
-                 f"max_rel_dev={_fmt(spectrum_worst)}")
-    record_check("trace-equivalence", trace_worst <= 1e-10,
-                 f"max_rel_dev={_fmt(trace_worst)}")
-    record_check("product-energy-identity", identity_worst <= 1e-9,
-                 f"max_rel_dev={_fmt(identity_worst)}")
-    record_check("separable-bound", bound_margin >= -1e-9,
-                 f"min_margin_K={_fmt(bound_margin)}")
 
     te_worst = 0.0
     for record in coupled:
@@ -544,11 +507,20 @@ def _run_verify(args: argparse.Namespace) -> int:
             te_worst = math.inf
         else:
             te_worst = max(te_worst, abs(found.temperature - record.te_reference))
-    record_check("reference-te", te_worst <= 1.0, f"max_abs_dev_K={_fmt(te_worst)}")
 
+    checks = [
+        ("hund-rules", mismatches == 0, f"mismatches={mismatches}"),
+        ("spectrum-equivalence", spectrum_worst <= 1e-9, f"max_rel_dev={_fmt(spectrum_worst)}"),
+        ("trace-equivalence", trace_worst <= 1e-10, f"max_rel_dev={_fmt(trace_worst)}"),
+        ("product-energy-identity", identity_worst <= 1e-9,
+         f"max_rel_dev={_fmt(identity_worst)}"),
+        ("separable-bound", bound_margin >= -1e-9, f"min_margin_K={_fmt(bound_margin)}"),
+        ("reference-te", te_worst <= 1.0, f"max_abs_dev_K={_fmt(te_worst)}"),
+    ]
+    all_ok = all(ok for _, ok, _ in checks)
+    lines = [f"{name}: {'pass' if ok else 'fail'} {detail}" for name, ok, detail in checks]
     lines.append(f"verify: {'pass' if all_ok else 'fail'}")
-    _emit(args, ["\n".join(lines) + "\n"])
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return (EXIT_OK if all_ok else EXIT_VERIFY), ["\n".join(lines) + "\n"]
 
 
 _RUNNERS = {
@@ -563,11 +535,19 @@ _RUNNERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    output = getattr(args, "output", None)
     try:
-        return _RUNNERS[args.command](args)
+        if output is None and sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise _CliError(EXIT_IO, "cannot write standard output: it is closed")
+        code, pieces = _RUNNERS[args.command](args, _active_catalog(args))
+        _emit(output, pieces)
+        return code
     except _CliError as error:
         print(f"error: {error.message}", file=sys.stderr)
         return error.code
+    except UnknownIonError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ION
     except RuntimeError as error:
         # bracket-cap and eigensolver-convergence failures surface as
         # verification failures rather than tracebacks

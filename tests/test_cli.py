@@ -565,7 +565,7 @@ def run_with_stdout_closed(*args):
 
 class TestClosedStdout:
     """A stdout closed before start-up (``>&-``) gives exit 4 and one error
-    line, not a traceback; ``--output`` does not need it."""
+    line, not a traceback, before any work; ``--output`` does not need it."""
 
     @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
     def test_exits_4_with_one_line(self, tmp_path, argv):
@@ -575,6 +575,25 @@ class TestClosedStdout:
         assert result.stderr.splitlines() == [
             "error: cannot write standard output: it is closed"
         ]
+        # figure1 writes none of its curves or its script
+        assert [p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".py")] == []
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_stops_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def unreachable(args):
+            raise AssertionError("the catalog was read")
+
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(cli, "_active_catalog", unreachable)
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 4
+        assert capsys.readouterr().err == "error: cannot write standard output: it is closed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_is_reported_before_an_unknown_ion(self):
+        result = run_with_stdout_closed("te", "--ion", "Xx")
+        assert (result.returncode, result.stderr) == (
+            4, "error: cannot write standard output: it is closed\n"
+        )
 
     def test_in_process_stdout_is_none(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", None)
@@ -617,6 +636,18 @@ class TestWriteFailures:
         result = run_cli("witness", "--ion", "Ce", "--output", str(target))
         self.assert_write_error(result, target)
         assert not target.parent.exists()
+
+
+def test_output_is_written_in_place(tmp_path):
+    """``--output`` writes through a symlink rather than replacing it, as it
+    must for a device such as /dev/null."""
+    link, real = tmp_path / "link", tmp_path / "real.csv"
+    link.symlink_to(real)
+    argv = ["witness", "--ion", "Ce", "--steps", "20"]
+    result = run_cli(*argv, "--output", "link", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert link.is_symlink()
+    assert real.read_text() == run_cli(*argv).stdout
 
 
 class TestFigure1:
