@@ -10,7 +10,8 @@ byte-identical files.
 arguments; exits 4 at once if there is no ``--output`` and stdout was closed
 at start-up; loads the catalog; runs the command, which returns its exit
 code and its output; writes that output with ``_emit``; and maps a
-``_CliError``, ``UnknownIonError`` or ``RuntimeError`` to its exit code.
+``_CliError``, ``UnknownIonError`` or ``dense.ConvergenceError`` to its exit
+code.  Only ``figure1`` writes its own output, with its set of files.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .ions import (
     ion_record,
     load_catalog,
 )
-from .thermal import _curve_chunks, entanglement_temperature, mean_energy
+from .thermal import WitnessStatus, _curve_chunks, entanglement_temperature, mean_energy
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -76,10 +77,6 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _fmt_halfint(h: HalfInt) -> str:
-    return str(h.twice // 2) if h.is_integer else str(h.twice / 2)
-
-
 def _fmt_optional(value: float | None) -> str:
     return "" if value is None else _fmt(value)
 
@@ -87,11 +84,18 @@ def _fmt_optional(value: float | None) -> str:
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` that takes ``-1e-3``, ``-2.5E+2`` or ``-.5e1`` as a
     negative number, not as an unknown option; argparse's own pattern knows
-    only ``-123`` and ``-1.5``.  Its subparsers are of this class too."""
+    only ``-123`` and ``-1.5``.  Help goes through ``_emit``, so a stdout that
+    cannot take it exits 4.  Its subparsers are of this class too."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout:  # the help page; None if stdout is closed
+            _emit(None, [message])
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,13 +208,13 @@ def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
     return loaded
 
 
-def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
-    """Write every file of a set or none of them.
+def _write_all(files: Sequence[tuple[str, Iterable[str]]], listing: Iterable[str]) -> None:
+    """Write every file of a set and then ``listing`` to stdout, or none of them.
 
     Each file is written under a hidden temporary name beside it and moved
-    into place with ``os.replace``.  On the first failure every file of the
-    set written so far, and the temporary one, is removed before the error
-    is raised; the error names the file asked for.
+    into place with ``os.replace``.  On the first failure, of a file or of
+    stdout, every file of the set written so far, and the temporary one, is
+    removed before the error is raised; the error names the file asked for.
     """
     written = []
     try:
@@ -225,6 +229,7 @@ def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
                 named = OSError(exc.errno, exc.strerror, path)
                 raise _CliError(EXIT_IO, f"cannot write {path}: {named}") from exc
             written[-1] = path  # the temporary file is now the requested one
+        _emit(None, listing)
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):
@@ -242,6 +247,8 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
         return
+    if sys.stdout is None:  # descriptor 1 was closed at start-up
+        raise _CliError(EXIT_IO, "cannot write standard output: it is closed")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
@@ -307,9 +314,9 @@ def _run_ions(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Resu
         lines.append(",".join((
             record.symbol,
             str(record.n4f),
-            _fmt_halfint(record.s),
-            _fmt_halfint(record.l),
-            _fmt_halfint(record.j0),
+            _fmt(record.s.value),
+            _fmt(record.l.value),
+            _fmt(record.j0.value),
             _fmt_optional(record.delta_e),
             _fmt_optional(record.zeta),
             str(dim),
@@ -332,24 +339,24 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 
 def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: str,
-             tolerance: float) -> str:
+             tolerance: float) -> _Result:
+    code = EXIT_OK
     lines = ["symbol,convention,te_K,reason"]
     for name, system in records:
         result = entanglement_temperature(system, tolerance)
         te_text = "none" if result.temperature is None else _fmt(result.temperature)
         lines.append(f"{name},{convention_name},{te_text},{result.status.value}")
-    return "\n".join(lines) + "\n"
+        if result.status is WitnessStatus.ABOVE_CAP:
+            code = EXIT_VERIFY
+    return code, ["\n".join(lines) + "\n"]
 
 
 def _run_te(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     tolerance = _tolerance(args)
     convention = Convention(args.convention)
-    if args.ion.strip().lower() == "all":
-        records = list(catalog)
-    else:
-        records = [ion_record(args.ion, catalog)]
+    records = catalog if args.ion.strip().lower() == "all" else [ion_record(args.ion, catalog)]
     pairs = [(record.symbol, _ion_system(record, convention)) for record in records]
-    return EXIT_OK, [_te_rows(pairs, args.convention, tolerance)]
+    return _te_rows(pairs, args.convention, tolerance)
 
 
 _PLOT_PROLOGUE = '''#!/usr/bin/env python3
@@ -397,8 +404,8 @@ def _run_figure1(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _R
              for record, (_, filename) in zip(light, curves)]
     script = _PLOT_PROLOGUE + f"CURVES = {curves!r}\n" + _PLOT_BODY
     files.append((os.path.join(args.outdir, "plot_figure1.py"), [script]))
-    _write_all(files)
-    return EXIT_OK, [path + "\n" for path, _ in files]
+    _write_all(files, [path + "\n" for path, _ in files])
+    return EXIT_OK, ()
 
 
 def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
@@ -419,7 +426,7 @@ def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     if args.action == "witness":
         return EXIT_OK, _curve_csv(system, args)
-    return EXIT_OK, [_te_rows([("custom", system)], args.convention, _tolerance(args))]
+    return _te_rows([("custom", system)], args.convention, _tolerance(args))
 
 
 def _worst(deviations: np.ndarray) -> float:
@@ -477,7 +484,7 @@ def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
     )
 
     # One pass over the coupled ions; only the sampling draws from rng.
-    spectrum_worst = trace_worst = identity_worst = 0.0
+    spectrum_worst = trace_worst = identity_worst = te_worst = 0.0
     bound_margin = math.inf
     grid = np.geomspace(1.0, 1e6, 50)
     for record in coupled:
@@ -494,19 +501,10 @@ def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
         identity, margin = _sampled_residuals(system, rng, args.samples)
         identity_worst = max(identity_worst, identity)
         bound_margin = min(bound_margin, margin)
-
-    te_worst = 0.0
-    for record in coupled:
-        if record.te_reference is None:
-            continue
-        try:
-            found = entanglement_temperature(record.system(Convention.LEVEL_UNIFORM))
-        except RuntimeError:  # no zero below the bracket cap
-            found = None
-        if found is None or found.temperature is None:
-            te_worst = math.inf
-        else:
-            te_worst = max(te_worst, abs(found.temperature - record.te_reference))
+        if record.te_reference is not None:
+            found = entanglement_temperature(record.system(Convention.LEVEL_UNIFORM)).temperature
+            te_worst = max(te_worst, math.inf if found is None
+                           else abs(found - record.te_reference))
 
     checks = [
         ("hund-rules", mismatches == 0, f"mismatches={mismatches}"),
@@ -534,11 +532,11 @@ _RUNNERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    output = getattr(args, "output", None)
     try:
-        if output is None and sys.stdout is None:  # descriptor 1 was closed at start-up
-            raise _CliError(EXIT_IO, "cannot write standard output: it is closed")
+        args = _parser().parse_args(argv)
+        output = getattr(args, "output", None)
+        if output is None:
+            _emit(None, ())  # exits 4 at once if stdout was closed at start-up
         code, pieces = _RUNNERS[args.command](args, _active_catalog(args))
         _emit(output, pieces)
         return code
@@ -549,8 +547,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ION
     except RuntimeError as error:
-        # bracket-cap and eigensolver-convergence failures surface as
-        # verification failures rather than tracebacks
+        # an eigensolver that does not converge (dense.ConvergenceError)
+        # is a verification failure, not a traceback
         print(f"error: {error}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -90,6 +90,9 @@ class WitnessStatus(enum.Enum):
     CROSSED = "crossed"
     NO_CROSSING = "no-crossing"
     WITNESS_DEGENERATE = "witness-degenerate"
+    #: W is negative at every temperature up to ``BRACKET_CAP_K``; its zero,
+    #: if it has one, lies above the cap.
+    ABOVE_CAP = "above-cap"
 
 
 @dataclass(frozen=True)
@@ -202,13 +205,14 @@ def entanglement_temperature(
 
     The level table is built once.  W(0) >= 0 means NO_CROSSING, and systems
     with s l zeta = 0 report WITNESS_DEGENERATE (the witness is identically
-    >= 0 and carries no information).  If the T -> infinity limit of W,
-    whose sign is computed exactly, is not positive, W never reaches zero
-    and a RuntimeError is raised at once.
+    >= 0 and carries no information).  ABOVE_CAP means W is negative at
+    every temperature up to ``BRACKET_CAP_K``.  It is reported at once if
+    the T -> infinity limit of W, whose sign is computed exactly, is not
+    positive (only s = l = 1/2 under level weights): W never reaches zero.
 
     Otherwise W is evaluated at 1, 2, 4, ... K below ``BRACKET_CAP_K`` and
     at the cap itself in one kernel call, and the first non-negative value
-    closes the bracket (a RuntimeError if none does).  Inside it, a Newton
+    closes the bracket (ABOVE_CAP if none does).  Inside it, a Newton
     step that would leave the bracket, or that is not at most half the step
     before the last, is replaced by bisection (``rtsafe``, Numerical Recipes
     section 9.4).  Every evaluated point narrows the bracket.
@@ -217,15 +221,18 @@ def entanglement_temperature(
     wherever the tolerance is above the rounding floor of the float
     witness: <H> + |zeta| s l cancels near the zero, so the computed sign of
     W is unreliable a few ulps from it.  Against an exact decimal W(T) on
-    2296 crossings, every returned value lay within max(tolerance, 16 ulps)
-    of the zero; 16 ulps is under 4e-15 relative.  The search stops when the
-    bracket is no wider than ``tolerance``, when its ends are adjacent
-    floats, or when a Newton step no longer moves the iterate.  A Newton
-    step shorter than tolerance/2 is certified by one probe tolerance/2
-    beyond its target; the target is returned when W changes sign between
-    the iterate and the probe.
-    No iteration cap is needed: the bracket shrinks at every step, so the
-    search ends for any positive finite tolerance, sub-ulp ones included.
+    2296 crossings with 2s, 2l <= 12, every returned value lay within
+    max(tolerance, 16 ulps) of the zero; 16 ulps is under 4e-15 relative.
+    The floor grows with the shell: at s = 1/2, 2l = 2e6, zeta = 900 K and a
+    tolerance of 1e-9 K, the value is 47208 ulps from the zero (level weights).
+
+    The search stops when the bracket is no wider than ``tolerance``, when
+    its ends are adjacent floats, or when a Newton step no longer moves the
+    iterate.  A Newton step shorter than tolerance/2 is certified by one
+    probe tolerance/2 beyond its target; the target is returned when W
+    changes sign between the iterate and the probe.  No iteration cap is
+    needed: the bracket shrinks at every step, so the search ends for any
+    positive finite tolerance, sub-ulp ones included.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -235,21 +242,13 @@ def entanglement_temperature(
     bound = system.separable_bound
     if table.ground_energy + bound >= 0.0:
         return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
-    limit = _witness_sign_at_infinity(system, table)
-    if limit <= 0:
-        raise RuntimeError(
-            f"witness stays negative at every temperature (its T -> infinity limit "
-            f"is {'zero' if limit == 0 else 'negative'}); no zero below "
-            f"{BRACKET_CAP_K:.0e} K"
-        )
+    if _witness_sign_at_infinity(system, table) <= 0:
+        # W < 0 at every T, yet at a tiny zeta the float grid would cross at 1 K
+        return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     _, mean, fluctuation = table.averages(_BRACKET_GRID)
     crossed = np.flatnonzero(mean + bound >= 0.0)
     if not crossed.size:
-        raise RuntimeError(
-            f"witness is still negative at {BRACKET_CAP_K:.0e} K, the top of the "
-            "searched range (its T -> infinity limit is positive, so a zero exists "
-            "above it)"
-        )
+        return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     k = int(crossed[0])
     low = float(_BRACKET_GRID[k - 1]) if k else 0.0
     x = high = float(_BRACKET_GRID[k])

@@ -346,6 +346,21 @@ class TestTe:
         args = ("te", "--ion", "all")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_ion_above_the_cap_keeps_the_table(self, tmp_path):
+        """A Ce coupling of 1e12 K puts its T_E above the bracket cap: its row
+        says so, every other row is printed as usual, and te exits 1."""
+        ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
+                 "zeta_K": 1e12 if r.symbol == "Ce" else r.zeta,
+                 "te_paper_K": r.te_reference} for r in CATALOG]
+        path = tmp_path / "te_above_cap.json"
+        path.write_text(json.dumps({"ions": ions}))
+        result = run_cli("te", "--ion", "all", "--catalog", str(path))
+        assert (result.returncode, result.stderr) == (1, "")
+        lines = result.stdout.splitlines()
+        assert len(lines) == 14
+        assert lines[1] == "Ce,level,none,above-cap"
+        assert lines[2:] == run_cli("te", "--ion", "all").stdout.splitlines()[2:]
+
     @pytest.mark.parametrize("args, expected", [
         (("te", "--ion", "Ce", "--tolerance", "1e-20"), "Ce,level,1758.05,crossed"),
         (("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te",
@@ -398,11 +413,12 @@ class TestCustom:
 
     def test_asymptotic_witness_exits_1(self):
         # Unit level weights for s = l = 1/2 push the crossing to infinity;
-        # the exact sign of W(infinity) rejects it as a failure.
+        # the exact sign of W(infinity) reports it as above the cap.
         result = run_cli("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1",
                          "te", "--convention", "level")
         assert result.returncode == 1
-        assert "no zero below" in result.stderr
+        assert result.stdout == "symbol,convention,te_K,reason\ncustom,level,none,above-cap\n"
+        assert result.stderr == ""
 
     def test_zero_above_the_cap_exits_1(self, capsys):
         # W(infinity) > 0, so the zero exists, but near 1e12 K: above the cap.
@@ -411,21 +427,18 @@ class TestCustom:
             code = main(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e12", "te"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
-        assert captured.err == (
-            "error: witness is still negative at 1e+09 K, the top of the searched "
-            "range (its T -> infinity limit is positive, so a zero exists above it)\n"
-        )
+        assert captured.out == (
+            "symbol,convention,te_K,reason\ncustom,multiplet,none,above-cap\n")
+        assert captured.err == ""
 
     def test_huge_coupling_exits_1_above_the_cap(self):
         # W(0) = -zeta/2 < 0 and T_E is near 1e308 K; |zeta| s l once
         # overflowed to inf before its /4 and reported no-crossing.
         result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e308", "te")
         assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines()[-1] == (
-            "error: witness is still negative at 1e+09 K, the top of the searched "
-            "range (its T -> infinity limit is positive, so a zero exists above it)")
+        assert result.stdout == (
+            "symbol,convention,te_K,reason\ncustom,multiplet,none,above-cap\n")
+        assert "error:" not in result.stderr
 
     def test_underflowing_slope_writes_no_stderr(self):
         result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e-200",
@@ -523,6 +536,10 @@ STDOUT_COMMANDS = [
                   "--steps", "5"], id="custom-witness"),
     pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "te"],
                  id="custom-te"),
+    pytest.param(["--help"], id="help"),
+    pytest.param(["figure1", "-h"], id="figure1-help"),
+    pytest.param(["custom", "--two-s", "1", "--two-l", "2", "--zeta", "100", "te", "--help"],
+                 id="custom-te-help"),
 ]
 
 
@@ -543,6 +560,8 @@ class TestFullStdout:
         assert result.stderr.splitlines() == [
             "error: cannot write standard output: [Errno 28] No space left on device"
         ]
+        # figure1 removes its curves and its script again
+        assert [p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".py")] == []
 
     def test_in_process_stdout_without_a_descriptor(self, capsys, monkeypatch):
         class FullBuffer(io.StringIO):
@@ -855,7 +874,7 @@ class TestVerify:
 
     def test_te_above_the_cap_fails_only_its_check(self, tmp_path, capsys):
         """A Ce coupling of 1e12 K puts its T_E near 1e12 K, above the bracket
-        cap; the root find raises, and verify still prints every check."""
+        cap; only the reference-te check fails, and verify prints every check."""
         ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
                  "zeta_K": 1e12 if r.symbol == "Ce" else r.zeta,
                  "te_paper_K": r.te_reference}

@@ -320,14 +320,30 @@ class TestEntanglementTemperature:
 
     def test_singlet_triplet_level_uniform_never_crosses_below_cap(self):
         # With unit level weights the s = l = 1/2 witness tends to zero from
-        # below without ever crossing; the exact sign of W(infinity) rejects
+        # below without ever crossing; the exact sign of W(infinity) reports
         # it at once, before any bracketing.
         sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(1), 1.0, LEVEL)
         start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="no zero below"):
-            entanglement_temperature(sys_)
+        result = entanglement_temperature(sys_)
         assert time.perf_counter() - start < 0.05
+        assert result == thermal.EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
+        assert WitnessStatus.ABOVE_CAP.value == "above-cap"
         assert BRACKET_CAP_K == 1e9
+
+    @pytest.mark.parametrize("zeta", [1e-300, 1e-30, 1.0, 1e30])
+    def test_singlet_triplet_level_uniform_has_no_false_crossing(self, zeta):
+        # At a tiny coupling every weight rounds to 1 and the float W to 0;
+        # the exact sign keeps that from reading as a crossing at 1 K.
+        sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(1), zeta, LEVEL)
+        assert entanglement_temperature(sys_).status is WitnessStatus.ABOVE_CAP
+
+    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
+    def test_zero_above_the_cap_is_a_status(self, convention):
+        # W(infinity) > 0, so the zero exists, but near 1e12 K: above the cap.
+        sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(2), 1e12, convention)
+        assert witness(sys_, BRACKET_CAP_K) < 0.0
+        result = entanglement_temperature(sys_)
+        assert result == thermal.EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
 
     @pytest.mark.parametrize("zeta", [5.0e8, 7.0e8, 9.2e8])
     def test_zero_between_the_last_power_of_two_and_the_cap(self, zeta):
