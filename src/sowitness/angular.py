@@ -50,10 +50,6 @@ class HalfInt:
         """The quantum number as a float (exact: halves are binary fractions)."""
         return self.twice / 2.0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

@@ -11,13 +11,15 @@ arguments; exits 4 at once if there is no ``--output`` and stdout was closed
 at start-up; loads the catalog; runs the command, which returns its exit
 code and its output; writes that output with ``_emit``; and maps a
 ``_CliError``, ``UnknownIonError`` or ``dense.ConvergenceError`` to its exit
-code.  Only ``figure1`` writes its own output, with its set of files.
+code.  ``figure1`` also writes its set of files itself, before it returns
+their paths as its output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import math
@@ -208,32 +210,35 @@ def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
     return loaded
 
 
-def _write_all(files: Sequence[tuple[str, Iterable[str]]], listing: Iterable[str]) -> None:
-    """Write every file of a set and then ``listing`` to stdout, or none of them.
+def _write_all(files: Sequence[tuple[str, Iterable[str]]]) -> None:
+    """Write a set of files whole, or leave the files already there as they are.
 
-    Each file is written under a hidden temporary name beside it and moved
-    into place with ``os.replace``.  On the first failure, of a file or of
-    stdout, every file of the set written so far, and the temporary one, is
-    removed before the error is raised; the error names the file asked for.
+    Every file is first staged under a hidden temporary name beside it, and
+    only then are all of them moved into place with ``os.replace``.  A target
+    that is a directory fails while staging, since its move would fail only
+    after others had moved.  On a failure every staged file still under its
+    temporary name is removed before the error is raised; the error names the
+    file asked for.  A move can still fail after another has succeeded only
+    if the directory changes while the set is staged.
     """
-    written = []
+    staged = []
     try:
         for path, pieces in files:
-            staged = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
-            written.append(staged)
-            try:
-                with open(staged, "w", encoding="utf-8", newline="") as handle:
-                    handle.writelines(pieces)
-                os.replace(staged, path)
-            except OSError as exc:
-                named = OSError(exc.errno, exc.strerror, path)
-                raise _CliError(EXIT_IO, f"cannot write {path}: {named}") from exc
-            written[-1] = path  # the temporary file is now the requested one
-        _emit(None, listing)
-    except BaseException:
-        for path in written:
+            temporary = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+            staged.append((temporary, path))
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(temporary, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    except BaseException as exc:
+        for temporary, _ in staged:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(temporary)
+        if isinstance(exc, OSError):  # path is the file being staged or moved
+            named = OSError(exc.errno, exc.strerror, path)
+            raise _CliError(EXIT_IO, f"cannot write {path}: {named}") from exc
         raise
 
 
@@ -404,8 +409,8 @@ def _run_figure1(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _R
              for record, (_, filename) in zip(light, curves)]
     script = _PLOT_PROLOGUE + f"CURVES = {curves!r}\n" + _PLOT_BODY
     files.append((os.path.join(args.outdir, "plot_figure1.py"), [script]))
-    _write_all(files, [path + "\n" for path, _ in files])
-    return EXIT_OK, ()
+    _write_all(files)
+    return EXIT_OK, [path + "\n" for path, _ in files]
 
 
 def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
@@ -489,7 +494,7 @@ def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
     grid = np.geomspace(1.0, 1e6, 50)
     for record in coupled:
         system = record.system(Convention.MULTIPLET_DEGENERATE)
-        computed, _ = dense._eigh_of(system)
+        computed = dense._spectrum(system)
         expected = np.sort(np.concatenate([
             np.full(level.degeneracy, level.energy) for level in multiplets(system)
         ]))

@@ -6,12 +6,13 @@ diagonal m_k of J_z and the weights w_k = <k| J+ |k+1> / 2.  J_z lives on
 its diagonal, J_x and J_y at offsets +-1; S.L lives on its diagonal and at
 offsets +-2l, and ``_bands`` builds those two diagonals from the spin and
 orbital ladders once per shell (2s, 2l): the one definition of S.L here.
-``_spin_orbit`` assembles the dense S.L from them.  H = zeta S.L has the
-eigenvectors of S.L and zeta times its eigenvalues, so one cached solve per
-shell (``_shell``) serves every system on it, whatever its coupling or
-weighting convention; ``_eigh_of`` scales it by zeta (reversing the order
-for zeta < 0) for the Gibbs trace (over one temperature or a 1-D grid), the
-ground-state analysis and ``verify``'s spectrum check.
+S.L commutes with J_z, so ``_blocks`` cuts it into 2(s+l)+1 tridiagonal
+blocks, one per M = m_s + m_l, of at most min(2s, 2l)+1 rows; only
+``build_hamiltonian`` assembles the n x n matrix.  H = zeta S.L has the
+eigenvectors of S.L and zeta times its eigenvalues, so one cached Jacobi
+solve per block (``_shell``) serves every system on the shell: ``_spectrum``
+scales the values by zeta for the Gibbs trace and ``verify``'s spectrum
+check, and a ground state comes from its block.
 
 Product states need no solve and no dense matrix: one evaluator reads the
 bands and the ladders through slices, for the Haar-random batches of at
@@ -19,15 +20,12 @@ most ``_SAMPLE_CHUNK`` states and for the explicit states of
 :func:`product_states`.  S.L and J_x are symmetric and J_y antisymmetric, so
 an entry and its mirror give the same term bit for bit, and each such pair
 is computed once.  Each energy is zeta times the expectation of the full S.L
-matrix on the Kronecker product vector, but that vector is never built
-whole: the evaluator walks its 2s+1 spin blocks of 2l+1 amplitudes, two
-blocks at a time, and carries each state's running sum from one block's
-tile of terms to the next.  The sum still runs over the terms in the
-row-major order of the matrix entries, so a state's rounding is that of the
-whole vector, and the same in a batch of any size; the working arrays hold
-7(2l+1) + 1 floats per state, not about 7n.  The evaluator holds amplitudes
-as (dimension, states) arrays, one column per state; the batch it returns
-has one row per state.
+matrix on the Kronecker product vector, summed in the row-major order of the
+matrix entries, so a state's rounding is that of the whole vector and the
+same in a batch of any size; but :func:`_spin_orbit_expectations` never
+builds the vector, and works in 7(2l+1) + 1 floats per state, not about 7n.
+The evaluator holds amplitudes as (dimension, states) arrays, one column
+per state; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
@@ -110,20 +108,26 @@ def _bands(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.outer(m_s, m_l).ravel(), np.append(steps.ravel(), 0.0))
 
 
-def _spin_orbit(twice_s: int, twice_l: int) -> np.ndarray:
-    """S.L = Sz Lz + (S+ L- + S- L+)/2 on the spin-major product basis, as a
-    dense matrix assembled from :func:`_bands`.
-
-    The matrix is real, symmetric and traceless (every factor operator is
-    traceless), with entries of magnitude at most about s l.
-    """
-    diagonal, band = _bands(twice_s, twice_l)
-    return np.diag(diagonal) + np.diag(band, twice_l) + np.diag(band, -twice_l)
-
-
 def build_hamiltonian(system: SpinOrbitSystem) -> np.ndarray:
-    """zeta * S.L as a real symmetric matrix on the spin-major product basis."""
-    return system.zeta * _spin_orbit(system.s.twice, system.l.twice)
+    """zeta * S.L, with S.L = Sz Lz + (S+ L- + S- L+)/2 assembled from
+    :func:`_bands` on the spin-major product basis: real, symmetric and
+    traceless (as every factor operator is), with entries at most about s l.
+    """
+    twice_l = system.l.twice
+    diagonal, band = _bands(system.s.twice, twice_l)
+    return system.zeta * (np.diag(diagonal) + np.diag(band, twice_l) + np.diag(band, -twice_l))
+
+
+def _blocks(twice_s: int, twice_l: int) -> Iterator[np.ndarray]:
+    """S.L on each M = s + l - k as a tridiagonal matrix, from :func:`_bands`:
+    block k holds the rows ``i_s 2l + k`` (i_s + i_l = k) for i_s from
+    max(0, k - 2l) to min(2s, k), the band couples each row to the next, 2l
+    on, and no entry of S.L couples two blocks."""
+    diagonal, band = _bands(twice_s, twice_l)
+    for k in range(twice_s + twice_l + 1):
+        rows = np.arange(max(0, k - twice_l), min(twice_s, k) + 1) * twice_l + k
+        coupling = band[rows[:-1]]  # each row but the last to the next
+        yield np.diag(diagonal[rows]) + np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
 def _frobenius(a: np.ndarray, unit: float) -> float:
@@ -224,27 +228,23 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=128)
-def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvalues (ascending) and eigenvectors of S.L on the
-    shell (2s, 2l): one :func:`jacobi_eigh` of the matrix that
-    :func:`_spin_orbit` assembles from the shell's :func:`_bands`.
+def _shell(twice_s: int, twice_l: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """The eigenvalues of S.L on the shell (2s, 2l), ascending, and the
+    :func:`jacobi_eigh` of each of its :func:`_blocks`, all read-only.
 
     Kept for the last 128 shells; the 12 coupled catalog ions make 6, since
-    4f^n and 4f^(14-n) share (s, l).  An entry holds 8 n (n + 1) bytes for
-    n = (2s+1)(2l+1): about 120 KB in all for the 6 catalog shells (n <= 66).
+    4f^n and 4f^(14-n) share (s, l).  An entry holds 8 n bytes of values and
+    8 b (b + 1) per block of b rows: about 14 KB for the 6 catalog shells.
     Product states read the bands alone, so they never wait for the solve.
     """
-    return _read_only(*jacobi_eigh(_spin_orbit(twice_s, twice_l)))
+    blocks = tuple(_read_only(*jacobi_eigh(block)) for block in _blocks(twice_s, twice_l))
+    return _read_only(np.sort(np.concatenate([values for values, _ in blocks])))[0], blocks
 
 
-def _eigh_of(system: SpinOrbitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (read-only columns) of the
-    Hamiltonian: zeta times the shell's S.L solve, both reversed for zeta < 0.
-    """
-    values, vectors = _shell(system.s.twice, system.l.twice)
-    if system.zeta < 0.0:
-        return system.zeta * values[::-1], vectors[:, ::-1]
-    return system.zeta * values, vectors
+def _spectrum(system: SpinOrbitSystem) -> np.ndarray:
+    """The Hamiltonian's eigenvalues, ascending: zeta times the shell's S.L values."""
+    values, _ = _shell(system.s.twice, system.l.twice)
+    return system.zeta * (values[::-1] if system.zeta < 0.0 else values)
 
 
 def thermal_mean_energy(
@@ -259,7 +259,7 @@ def thermal_mean_energy(
     row of weights per temperature, each summed along its own row).
     """
     temperatures = _temperatures(temperature)
-    values, _ = _eigh_of(system)
+    values = _spectrum(system)
     weights = np.exp(-(values - values[0]) / temperatures.reshape(-1, 1))
     mean = (weights * values).sum(axis=1) / weights.sum(axis=1)
     return float(mean[0]) if temperatures.ndim == 0 else mean
@@ -560,25 +560,25 @@ class GroundStateAnalysis:
 
 
 def ground_state_analysis(system: SpinOrbitSystem) -> GroundStateAnalysis:
-    """Diagonalize H and, for a unique ground state, extract its Schmidt spectrum.
+    """Ground energy and degeneracy and, for a unique ground state, its
+    Schmidt spectrum (descending) and entropy (in nats), from the shell solve.
 
-    Degeneracy counts eigenvalues within 1e-6 |zeta| of the minimum.  For a
-    unique ground state the orbital factor is traced out; the Schmidt
-    spectrum is the (descending) eigenvalue list of the reduced spin
-    density matrix and the entropy is reported in nats.
+    The ground S.L value is the least (zeta > 0) or the greatest (zeta < 0),
+    and degeneracy counts the S.L values within 1e-6 of it (1e-6 |zeta| in
+    energy), unscaled, so a huge zeta cannot overflow into a tie.  A unique
+    ground state ends the M block that holds that value, where each spin
+    state pairs with one orbital state: the spectrum is its squared amplitudes.
     """
     if system.zeta == 0.0:
         raise ValueError("ground-state analysis requires a nonzero coupling")
-    values, vectors = _eigh_of(system)
-    threshold = 1e-6 * abs(system.zeta)
-    degeneracy = int(np.count_nonzero(values <= values[0] + threshold))
+    values, blocks = _shell(system.s.twice, system.l.twice)
+    end, extreme = (0, min) if system.zeta > 0.0 else (-1, max)
+    degeneracy = int(np.count_nonzero(np.abs(values - values[end]) <= 1e-6))
+    energy = system.zeta * float(values[end])
     if degeneracy != 1:
-        return GroundStateAnalysis(float(values[0]), degeneracy, None, None)
-    ground = vectors[:, 0].reshape(system.s.twice + 1, system.l.twice + 1)
-    reduced = ground @ ground.T  # trace over the orbital factor
-    schmidt_ascending, _ = jacobi_eigh(reduced)
-    schmidt = np.clip(schmidt_ascending[::-1], 0.0, None).copy()
+        return GroundStateAnalysis(energy, degeneracy, None, None)
+    ground = extreme(blocks, key=lambda block: block[0][end])[1][:, end]
+    schmidt = np.sort(ground * ground)[::-1].copy()
     positive = schmidt[schmidt > 0.0]
     entropy = float(-np.sum(positive * np.log(positive)))
-    schmidt.flags.writeable = False
-    return GroundStateAnalysis(float(values[0]), 1, schmidt, entropy)
+    return GroundStateAnalysis(energy, 1, *_read_only(schmidt), entropy)

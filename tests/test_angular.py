@@ -25,10 +25,6 @@ class TestHalfInt:
         assert str(HalfInt(6)) == "3"
         assert str(HalfInt(-5)) == "-5/2"
 
-    def test_is_integer(self):
-        assert HalfInt(6).is_integer
-        assert not HalfInt(5).is_integer
-
     def test_rejects_non_int(self):
         with pytest.raises(TypeError):
             HalfInt(2.5)

@@ -24,6 +24,7 @@ from curve_csv import parse_witness_csv
 TE_TABLE = {"Ce": 1758.0, "Pr": 1851.0, "Nd": 1904.0, "Pm": 2008.0,
             "Sm": 1975.0, "Eu": 3295.0}
 LIGHT = ["Ce", "Pr", "Nd", "Pm", "Sm", "Eu"]
+FIGURE1_FILES = sorted([f"figure1_{s}.csv" for s in LIGHT] + ["plot_figure1.py"])
 HEAVY = ["Tb", "Dy", "Ho", "Er", "Tm", "Yb"]
 
 
@@ -560,8 +561,9 @@ class TestFullStdout:
         assert result.stderr.splitlines() == [
             "error: cannot write standard output: [Errno 28] No space left on device"
         ]
-        # figure1 removes its curves and its script again
-        assert [p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".py")] == []
+        # figure1 moves its whole set into place before it prints the paths
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == (FIGURE1_FILES if "--outdir" in argv else [])
 
     def test_in_process_stdout_without_a_descriptor(self, capsys, monkeypatch):
         class FullBuffer(io.StringIO):
@@ -649,6 +651,38 @@ class TestWriteFailures:
         assert result.stdout == ""
         # nothing of the failed run is left: no curve, no temporary file
         assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @staticmethod
+    def figure1_steps(outdir):
+        """The step count of the one complete figure1 set in ``outdir``."""
+        assert sorted(p.name for p in outdir.iterdir() if p.suffix != ".tmp") == FIGURE1_FILES
+        steps = {len((outdir / f"figure1_{s}.csv").read_text().splitlines()) - 1 for s in LIGHT}
+        assert len(steps) == 1, steps
+        return steps.pop()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_figure1_full_stdout_leaves_the_new_set(self, tmp_path):
+        assert run_cli("figure1", "--steps", "10", "--outdir", str(tmp_path)).returncode == 0
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "sowitness", "figure1", "--steps", "20",
+                 "--outdir", str(tmp_path)],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert result.returncode == 4
+        assert result.stderr.startswith("error: cannot write standard output: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == FIGURE1_FILES
+        assert self.figure1_steps(tmp_path) == 20
+
+    def test_figure1_blocked_staging_leaves_the_old_set(self, tmp_path):
+        assert run_cli("figure1", "--steps", "10", "--outdir", str(tmp_path)).returncode == 0
+        blocker = tmp_path / ".figure1_Sm.csv.tmp"  # the fifth of the seven files
+        blocker.mkdir()
+        result = run_cli("figure1", "--steps", "20", "--outdir", str(tmp_path))
+        self.assert_write_error(result, tmp_path / "figure1_Sm.csv")
+        assert result.stdout == ""
+        assert self.figure1_steps(tmp_path) == 10
+        # the four curves staged before it are removed again
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*FIGURE1_FILES, blocker.name])
 
     def test_witness_output_in_missing_directory(self, tmp_path):
         target = tmp_path / "missing" / "ce.csv"
@@ -761,10 +795,11 @@ class TestVerify:
             peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
         assert peaks[1] - peaks[0] <= 4096, peaks
 
-    def test_one_diagonalisation_per_shell(self, capsys, monkeypatch):
-        """A fresh verify diagonalises S.L once per shell: the 12 coupled ions
-        make 6, since 4f^n and 4f^(14-n) share (s, l).  The ground-state
-        analysis after it only diagonalises reduced density matrices."""
+    def test_one_solve_per_m_block(self, capsys, monkeypatch):
+        """A fresh verify solves S.L once per M block of each shell: the 12
+        coupled ions make 6 shells, since 4f^n and 4f^(14-n) share (s, l),
+        and those make 83 blocks of at most min(2s, 2l) + 1 rows.  The
+        ground-state analysis after it solves nothing."""
         sizes = []
         jacobi_eigh = dense.jacobi_eigh
 
@@ -776,7 +811,12 @@ class TestVerify:
         dense._shell.cache_clear()
         assert main(["verify", "--samples", "20"]) == 0
         capsys.readouterr()
-        assert sizes == [(n, n) for n in (14, 33, 52, 65, 66, 49)]
+        shells = [(14, 1, 6), (33, 2, 10), (52, 3, 12), (65, 4, 12), (66, 5, 10), (49, 6, 6)]
+        assert all((twice_s + 1) * (twice_l + 1) == n for n, twice_s, twice_l in shells)
+        blocks = [min(twice_s, k) - max(0, k - twice_l) + 1
+                  for _, twice_s, twice_l in shells for k in range(twice_s + twice_l + 1)]
+        assert sizes == [(b, b) for b in blocks]
+        assert len(blocks) == 83 and max(blocks) == 7
         sizes.clear()
         coupled = [r for r in CATALOG if r.zeta is not None]
         assert len(coupled) == 12
@@ -784,27 +824,20 @@ class TestVerify:
                     for r in coupled]
         unique = [r.symbol for r, a in zip(coupled, analyses) if a.degeneracy == 1]
         assert unique == ["Eu"]
-        assert sizes == [(7, 7)]
+        assert sizes == []
 
-    def test_one_spin_orbit_build_per_shell(self, capsys, monkeypatch):
-        """A fresh verify builds S.L once per shell, for the diagonalisation
-        alone, and never builds zeta S.L; that build and the sampling both
-        read the two S.L diagonals from one band build per shell."""
-        sizes = []
-        spin_orbit = dense._spin_orbit
+    def test_no_hamiltonian_and_one_band_build_per_shell(self, capsys, monkeypatch):
+        """A fresh verify never calls build_hamiltonian: the block solves and
+        the sampling both read the two S.L diagonals from one band build per
+        shell."""
+        def forbidden(system):
+            raise AssertionError("build_hamiltonian called")
 
-        def counted(twice_s, twice_l):
-            matrix = spin_orbit(twice_s, twice_l)
-            sizes.append(len(matrix))
-            return matrix
-
-        monkeypatch.setattr(dense, "_spin_orbit", counted)
-        monkeypatch.setattr(dense, "build_hamiltonian", None)
+        monkeypatch.setattr(dense, "build_hamiltonian", forbidden)
         dense._shell.cache_clear()
         dense._bands.cache_clear()
         assert main(["verify", "--samples", "20"]) == 0
         capsys.readouterr()
-        assert sizes == [14, 33, 52, 65, 66, 49]
         info = dense._bands.cache_info()
         assert (info.misses, info.hits) == (6, 12)
 
@@ -925,7 +958,7 @@ class TestVerify:
 
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         # NumPy's generator once raised from inside the run, with a traceback
-        monkeypatch.setattr(dense, "_eigh_of", None)  # no work may start
+        monkeypatch.setattr(dense, "_spectrum", None)  # no work may start
         assert main(["verify", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

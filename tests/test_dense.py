@@ -2,6 +2,7 @@ import ast
 import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -229,13 +230,19 @@ class TestJacobiEigh:
 
 
 def check_scaled_shell_solve(system):
-    """``_eigh_of`` ascends and solves ``build_hamiltonian`` of the system."""
-    values, vectors = dense._eigh_of(system)
+    """``_spectrum`` ascends and is the spectrum of ``build_hamiltonian`` of
+    the system, and each cached block solve holds orthonormal eigenvectors
+    of its block."""
+    values = dense._spectrum(system)
     assert np.all(np.diff(values) >= 0.0)
-    h = build_hamiltonian(system)
     scale = abs(system.zeta) * max(1.0, system.s.value * system.l.value)
-    assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12 * scale
-    assert np.allclose(vectors.T @ vectors, np.eye(system.dimension), rtol=0, atol=1e-12)
+    full, _ = jacobi_eigh(build_hamiltonian(system))
+    assert np.abs(values - full).max() <= 1e-12 * scale
+    shell = system.s.twice, system.l.twice
+    for block, (block_values, vectors) in zip(dense._blocks(*shell), dense._shell(*shell)[1]):
+        residual = np.linalg.norm(block @ vectors - vectors * block_values, axis=0)
+        assert residual.max() <= 1e-12 * scale / abs(system.zeta)
+        assert np.allclose(vectors.T @ vectors, np.eye(len(block)), rtol=0, atol=1e-12)
 
 
 class TestShellSolve:
@@ -257,17 +264,24 @@ class TestShellSolve:
         assert (ce.s, ce.l) == (yb.s, yb.l) and ce.zeta * yb.zeta < 0.0
         light = ce.system(Convention.LEVEL_UNIFORM)
         heavy = yb.system(Convention.MULTIPLET_DEGENERATE)
-        light_values, light_vectors = dense._eigh_of(light)
-        heavy_values, heavy_vectors = dense._eigh_of(heavy)
+        light_values = dense._spectrum(light)
+        heavy_values = dense._spectrum(heavy)
         info = dense._shell.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        values, vectors = dense._shell(1, 6)
+        values, blocks = dense._shell(1, 6)
         assert np.array_equal(light_values, ce.zeta * values)
         assert np.array_equal(heavy_values, yb.zeta * values[::-1])
-        assert np.array_equal(light_vectors, vectors)
-        assert np.array_equal(heavy_vectors, vectors[:, ::-1])
-        assert not heavy_vectors.flags.writeable
+        assert not any(a.flags.writeable for a in (values, *itertools.chain(*blocks)))
         assert heavy_values == pytest.approx(closed_form_spectrum(heavy), rel=1e-12)
+
+    def test_catalog_shells_hold_at_most_16_kb(self):
+        """The M-block solves of the 6 coupled catalog shells hold 13 640
+        bytes of arrays; the whole-matrix solves held 122 000."""
+        total = 0
+        for twice_s, twice_l in COUPLED_SHELLS:
+            values, blocks = dense._shell(twice_s, twice_l)
+            total += values.nbytes + sum(a.nbytes for a in itertools.chain(*blocks))
+        assert total <= 16_000, total
 
     def test_fresh_sampling_solves_nothing(self, monkeypatch):
         """Product states read the cached S.L bands, never the shell solve."""
@@ -285,12 +299,16 @@ class TestShellSolve:
         assert (info.misses, info.hits) == (2, 1)
 
 
+def unit_coupling(two_s, two_l):
+    return SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), 1.0)
+
+
 class TestBands:
     @pytest.mark.parametrize("two_s", range(13))
     def test_spin_orbit_is_the_kron_reference_bit_for_bit(self, two_s):
         for two_l in range(13):
             reference = reference_spin_orbit(two_s, two_l)
-            matrix = dense._spin_orbit(two_s, two_l)
+            matrix = build_hamiltonian(unit_coupling(two_s, two_l))
             assert np.array_equal(matrix, reference), (two_s, two_l)
             # the same bits, signed zeros included
             assert matrix.shape == reference.shape
@@ -301,6 +319,38 @@ class TestBands:
             assert not reference[off_bands].any(), (two_s, two_l)
             diagonal, band = dense._bands(two_s, two_l)
             assert not diagonal.flags.writeable and not band.flags.writeable
+
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_blocks_are_the_reference_on_each_m(self, two_s):
+        """Each M block is the reference S.L on its rows, bit for bit; the
+        rows of all blocks are the whole basis, and the reference couples no
+        two blocks."""
+        for two_l in range(13):
+            reference = reference_spin_orbit(two_s, two_l)
+            i_s, i_l = np.divmod(np.arange(len(reference)), two_l + 1)
+            blocks = list(dense._blocks(two_s, two_l))
+            assert len(blocks) == two_s + two_l + 1
+            for k, block in enumerate(blocks):
+                rows = np.flatnonzero(i_s + i_l == k)
+                assert np.array_equal(rows, np.arange(max(0, k - two_l), min(two_s, k) + 1)
+                                      * two_l + k)
+                assert block.tobytes() == reference[np.ix_(rows, rows)].tobytes(), (two_s, k)
+                assert len(block) <= min(two_s, two_l) + 1
+            different = (i_s + i_l)[:, np.newaxis] != (i_s + i_l)[np.newaxis, :]
+            assert not reference[different].any(), (two_s, two_l)
+
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_block_spectrum_is_the_full_matrix_spectrum(self, two_s):
+        """The sorted block eigenvalues are those of one Jacobi solve of the
+        whole S.L matrix: within 1e-13 max(1, s l), and bit for bit on the
+        catalog shells, which keeps the ``verify`` digests as they were."""
+        for two_l in range(13):
+            values, _ = dense._shell(two_s, two_l)
+            full, _ = jacobi_eigh(build_hamiltonian(unit_coupling(two_s, two_l)))
+            tolerance = 1e-13 * max(1.0, two_s * two_l / 4.0)
+            assert np.abs(values - full).max() <= tolerance, (two_s, two_l)
+            if (two_s, two_l) in CATALOG_SHELLS:
+                assert values.tobytes() == full.tobytes(), (two_s, two_l)
 
 
 class TestRouteIndependence:
@@ -843,3 +893,17 @@ class TestGroundStateAnalysis:
     def test_requires_coupling(self):
         with pytest.raises(ValueError):
             ground_state_analysis(sys_of("Gd"))
+
+    @pytest.mark.parametrize("two_s, zeta", [*((two_s, 1.0) for two_s in range(13)),
+                                             (0, -1.0), (1, 1e308), (3, 1e308)])
+    def test_singlet_of_equal_momenta_is_maximally_entangled(self, two_s, zeta):
+        """For s = l the j = 0 ground state is unique, and its Schmidt
+        spectrum is flat: 2s+1 entries of 1/(2s+1), entropy ln(2s+1).  At
+        zeta = 1e308 the two lowest levels of s = 3/2 both overflow to -inf,
+        which a count on zeta S.L took for a 4-fold ground level."""
+        analysis = ground_state_analysis(SpinOrbitSystem(HalfInt(two_s), HalfInt(two_s), zeta))
+        assert analysis.degeneracy == 1
+        schmidt = analysis.schmidt_spectrum
+        assert schmidt.shape == (two_s + 1,) and not schmidt.flags.writeable
+        assert np.abs(schmidt - 1.0 / (two_s + 1)).max() <= 1e-12
+        assert abs(analysis.entropy - math.log(two_s + 1)) <= 1e-12
