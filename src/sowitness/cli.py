@@ -551,9 +551,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnknownIonError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ION
-    except RuntimeError as error:
-        # an eigensolver that does not converge (dense.ConvergenceError)
-        # is a verification failure, not a traceback
+    except dense.ConvergenceError as error:
+        # an eigensolver that does not converge is a verification failure,
+        # not a traceback
         print(f"error: {error}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -113,18 +112,20 @@ class EntanglementTemperature:
 class _LevelTable:
     """The levels of one system as arrays, built from its doubled quantum numbers.
 
-    ``brackets`` (q_j = 8 E_j / zeta) and ``degeneracies`` (g_j) are exact
-    Python ints; E_j = zeta (q_j / 8) takes the one rounding of ``level_energy``.
+    The brackets q_j = 8 E_j / zeta and the degeneracies g_j (2j+1, or 1
+    under level weights) are exact Python ints; E_j = zeta (q_j / 8) takes
+    the one rounding of ``level_energy``.  ``entanglement_temperature``
+    builds a table only for a shell whose witness has a zero.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
         ts, tl = system.s.twice, system.l.twice
         twice_j = range(abs(ts - tl), ts + tl + 1, 2)
-        self.brackets = [_bracket(ts, tl, tj) for tj in twice_j]
+        brackets = [_bracket(ts, tl, tj) for tj in twice_j]
         by_dimension = system.convention is Convention.MULTIPLET_DEGENERATE
-        self.degeneracies = [tj + 1 if by_dimension else 1 for tj in twice_j]
-        self.prefactors = np.array(self.degeneracies, dtype=float)
-        self.energies = system.zeta * (np.array(self.brackets, dtype=float) / 8.0)
+        degeneracies = [tj + 1 if by_dimension else 1 for tj in twice_j]
+        self.prefactors = np.array(degeneracies, dtype=float)
+        self.energies = system.zeta * (np.array(brackets, dtype=float) / 8.0)
         self.ground_energy = float(self.energies.min())
         self.excitations = self.energies - self.ground_energy
         self.drops = -self.excitations  # exact: drops / T has the bits of -x / T
@@ -184,38 +185,37 @@ def witness(system: SpinOrbitSystem, temperature: float) -> float:
     return energy + system.separable_bound
 
 
-def _witness_sign_at_infinity(system: SpinOrbitSystem, table: _LevelTable) -> int:
-    """The sign of lim W(T) for T -> infinity, in exact integer arithmetic.
-
-    The limit is the prefactor-weighted mean energy plus |zeta| s l.  With
-    8 E_j = zeta q_j for the table's integer brackets q_j, it has the sign of
-    sum_j g_j (sign(zeta) q_j + 2 (2s)(2l)), summed as two integer sums.
-    """
-    sign = 1 if system.zeta > 0.0 else -1
-    cross = 2 * system.s.twice * system.l.twice
-    total = (sign * sum(map(operator.mul, table.degeneracies, table.brackets))
-             + cross * sum(table.degeneracies))
-    return (total > 0) - (total < 0)
-
-
 def entanglement_temperature(
     system: SpinOrbitSystem, tolerance: float = 1e-3
 ) -> EntanglementTemperature:
     """Locate the zero of W(T) by a safeguarded Newton search.
 
-    The level table is built once.  W(0) >= 0 means NO_CROSSING, and systems
-    with s l zeta = 0 report WITNESS_DEGENERATE (the witness is identically
-    >= 0 and carries no information).  ABOVE_CAP means W is negative at
-    every temperature up to ``BRACKET_CAP_K``.  It is reported at once if
-    the T -> infinity limit of W, whose sign is computed exactly, is not
-    positive (only s = l = 1/2 under level weights): W never reaches zero.
+    A shell without a zero is told apart before any float arithmetic, from
+    (2s, 2l), the sign of zeta and the convention alone, and builds no level
+    table.  The level energies are E_j = (zeta/2) [j(j+1) - s(s+1) - l(l+1)]:
 
-    Otherwise W is evaluated at 1, 2, 4, ... K below ``BRACKET_CAP_K`` and
-    at the cap itself in one kernel call, and the first non-negative value
-    closes the bracket (ABOVE_CAP if none does).  Inside it, a Newton
-    step that would leave the bracket, or that is not at most half the step
-    before the last, is replaced by bisection (``rtsafe``, Numerical Recipes
-    section 9.4).  Every evaluated point narrows the bracket.
+    - s l zeta = 0 is WITNESS_DEGENERATE: the witness is identically >= 0
+      and carries no information.
+    - zeta < 0 is NO_CROSSING.  The ground level j = s+l has E = -|zeta| s l,
+      so W(0) = 0, and <H>_T never falls below the ground energy: W >= 0 at
+      every T.
+    - For zeta > 0 the ground level j = |l-s| gives W(0) = -zeta min(s, l)
+      < 0.  As T -> infinity, under multiplet weights W -> |zeta| s l > 0,
+      because tr S.L = 0.  Under level weights, with s <= l, the 2s+1 levels
+      j = l+k (k = -s..s) give W -> zeta s (3l - s - 1) / 3, that is
+      zeta 2s (3 2l - 2s - 2) / 12, which is zero only at s = l = 1/2.  That
+      shell, under level weights, is ABOVE_CAP: W < 0 at every T, yet at a
+      tiny zeta the float grid would round W to 0 and cross at 1 K.
+
+    Every other shell has W(0) < 0 < W(infinity), so exactly one zero.  Its
+    level table is built once, and W is evaluated at 1, 2, 4, ... K below
+    ``BRACKET_CAP_K`` and at the cap itself in one kernel call.  The first
+    non-negative value closes the bracket; if none does, W is negative at
+    every temperature up to the cap, which is ABOVE_CAP too.  Inside the
+    bracket, a Newton step that would leave it, or that is not at most half
+    the step before the last, is replaced by bisection (``rtsafe``,
+    Numerical Recipes section 9.4).  Every evaluated point narrows the
+    bracket.
 
     The returned temperature lies within ``tolerance`` (kelvin) of the zero
     wherever the tolerance is above the rounding floor of the float
@@ -238,13 +238,12 @@ def entanglement_temperature(
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if system.witness_trivial:
         return EntanglementTemperature(None, WitnessStatus.WITNESS_DEGENERATE)
+    if system.zeta < 0.0:
+        return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
+    if system.convention is Convention.LEVEL_UNIFORM and system.s.twice == system.l.twice == 1:
+        return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     table = _LevelTable(system)
     bound = system.separable_bound
-    if table.ground_energy + bound >= 0.0:
-        return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
-    if _witness_sign_at_infinity(system, table) <= 0:
-        # W < 0 at every T, yet at a tiny zeta the float grid would cross at 1 K
-        return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     _, mean, fluctuation = table.averages(_BRACKET_GRID)
     crossed = np.flatnonzero(mean + bound >= 0.0)
     if not crossed.size:

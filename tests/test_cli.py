@@ -362,6 +362,19 @@ class TestTe:
         assert lines[1] == "Ce,level,none,above-cap"
         assert lines[2:] == run_cli("te", "--ion", "all").stdout.splitlines()[2:]
 
+    def test_overflowing_heavy_ion_writes_no_stderr(self, tmp_path):
+        """A Yb coupling of -1e308 K is no-crossing like any heavy ion's, with
+        nothing on stderr: no level table is built for it."""
+        ions = [{"symbol": r.symbol, "n4f": r.n4f, "deltaE_K": r.delta_e,
+                 "zeta_K": -1e308 if r.symbol == "Yb" else r.zeta,
+                 "te_paper_K": r.te_reference} for r in CATALOG]
+        path = tmp_path / "huge_yb_zeta.json"
+        path.write_text(json.dumps({"ions": ions}))
+        result = run_cli("te", "--ion", "all", "--catalog", str(path))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run_cli("te", "--ion", "all").stdout
+        assert result.stdout.splitlines()[-1] == "Yb,level,none,no-crossing"
+
     @pytest.mark.parametrize("args, expected", [
         (("te", "--ion", "Ce", "--tolerance", "1e-20"), "Ce,level,1758.05,crossed"),
         (("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te",
@@ -413,8 +426,8 @@ class TestCustom:
         assert run_cli("custom", *flags, "te").returncode == 2
 
     def test_asymptotic_witness_exits_1(self):
-        # Unit level weights for s = l = 1/2 push the crossing to infinity;
-        # the exact sign of W(infinity) reports it as above the cap.
+        # Unit level weights for s = l = 1/2 push the crossing to infinity,
+        # where W = 0; the shell alone reports it as above the cap.
         result = run_cli("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1",
                          "te", "--convention", "level")
         assert result.returncode == 1
@@ -440,6 +453,15 @@ class TestCustom:
         assert result.stdout == (
             "symbol,convention,te_K,reason\ncustom,multiplet,none,above-cap\n")
         assert "error:" not in result.stderr
+
+    @pytest.mark.parametrize("zeta", ["-1e308", "-1e200"])
+    def test_overflowing_heavy_coupling_is_no_crossing(self, zeta):
+        # zeta < 0 never crosses; the status comes from the shell, before the
+        # level energies could overflow and warn
+        result = run_cli("custom", "--two-s", "5", "--two-l", "12", "--zeta", zeta, "te")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "symbol,convention,te_K,reason\ncustom,multiplet,none,no-crossing\n")
 
     def test_underflowing_slope_writes_no_stderr(self):
         result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e-200",
@@ -859,6 +881,24 @@ class TestVerify:
         capsys.readouterr()
         coupled = [r for r in CATALOG if r.zeta is not None]
         assert calls == {"closed": [(50,)] * len(coupled), "dense": [(50,)] * len(coupled)}
+
+    def test_convergence_failure_is_one_error_line(self, capsys, monkeypatch):
+        """An eigensolver that does not converge fails verify with one error
+        line; any other RuntimeError is a fault of the program and escapes."""
+        def no_convergence(matrix, **kwargs):
+            raise dense.ConvergenceError("no convergence after 3 sweeps", residual=1.0)
+
+        monkeypatch.setattr(dense, "jacobi_eigh", no_convergence)
+        dense._shell.cache_clear()
+        assert main(["verify", "--samples", "20"]) == cli.EXIT_VERIFY
+        assert capsys.readouterr() == ("", "error: no convergence after 3 sweeps\n")
+
+        def fault(matrix, **kwargs):
+            raise RuntimeError("not a convergence failure")
+
+        monkeypatch.setattr(dense, "jacobi_eigh", fault)
+        with pytest.raises(RuntimeError, match="not a convergence failure"):
+            main(["verify", "--samples", "20"])
 
     def test_nan_deviation_fails_the_check(self):
         """One nan among finite deviations makes the worst deviation inf, so

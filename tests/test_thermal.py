@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,8 +321,8 @@ class TestEntanglementTemperature:
 
     def test_singlet_triplet_level_uniform_never_crosses_below_cap(self):
         # With unit level weights the s = l = 1/2 witness tends to zero from
-        # below without ever crossing; the exact sign of W(infinity) reports
-        # it at once, before any bracketing.
+        # below without ever crossing; the shell alone reports it, before any
+        # bracketing.
         sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(1), 1.0, LEVEL)
         start = time.perf_counter()
         result = entanglement_temperature(sys_)
@@ -333,7 +334,8 @@ class TestEntanglementTemperature:
     @pytest.mark.parametrize("zeta", [1e-300, 1e-30, 1.0, 1e30])
     def test_singlet_triplet_level_uniform_has_no_false_crossing(self, zeta):
         # At a tiny coupling every weight rounds to 1 and the float W to 0;
-        # the exact sign keeps that from reading as a crossing at 1 K.
+        # deciding the status from the shell keeps that from reading as a
+        # crossing at 1 K.
         sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(1), zeta, LEVEL)
         assert entanglement_temperature(sys_).status is WitnessStatus.ABOVE_CAP
 
@@ -620,6 +622,50 @@ def reference_sign_at_infinity(sys_):
     return (total > 0) - (total < 0)
 
 
+def reference_sign_at_zero(sys_):
+    """sign W(0) from the j of ``multiplets()``, in exact integers.
+
+    8 W(0) / |zeta| is the least of sign(zeta) [2j(2j+2) - 2s(2s+2) - 2l(2l+2)]
+    over the multiplets, plus 2 (2s)(2l).  A sum of the float energies would
+    not do: at 2s = 2**70 and zeta = 1 they round W(0) = -l to 0.
+    """
+    ts, tl = sys_.s.twice, sys_.l.twice
+    sign = 1 if sys_.zeta > 0.0 else -1
+    total = min(sign * (m.j.twice * (m.j.twice + 2) - ts * (ts + 2) - tl * (tl + 2))
+                for m in multiplets(sys_)) + 2 * ts * tl
+    return (total > 0) - (total < 0)
+
+
+def reference_status(sys_):
+    """The status of a shell without a zero, by the test-side oracles, or
+    None for one with W(0) < 0 < W(infinity), whose zero the search places."""
+    if sys_.witness_trivial:
+        return WitnessStatus.WITNESS_DEGENERATE
+    if reference_sign_at_zero(sys_) >= 0:
+        return WitnessStatus.NO_CROSSING
+    if reference_sign_at_infinity(sys_) <= 0:
+        return WitnessStatus.ABOVE_CAP
+    return None
+
+
+class TableBuilt(Exception):
+    """Raised by ``refuse_table`` where a level table would be built."""
+
+
+def refuse_table(system):
+    raise TableBuilt
+
+
+def status_without_table(sys_):
+    """entanglement_temperature's status for a shell it decides without a
+    level table, or None if it builds one."""
+    with mock.patch.object(thermal, "_LevelTable", refuse_table):
+        try:
+            return entanglement_temperature(sys_).status
+        except TableBuilt:
+            return None
+
+
 # shells far outside the hypothesis range: 2s = 10**10, and 2s = 2**70 beyond int64
 HUGE_SHELLS = [
     SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
@@ -660,7 +706,7 @@ class TestKernel:
             for convention in (LEVEL, MULTIPLET):
                 before = counts["tables"]
                 entanglement_temperature(record.system(convention), tolerance=1e-9)
-                expected = 0 if record.system(LEVEL).witness_trivial else 1
+                expected = 1 if record.zeta > 0.0 else 0  # none for a heavy ion
                 assert counts["tables"] - before == expected
         assert counts["multiplets"] == 0
 
@@ -689,7 +735,7 @@ class TestKernel:
         assert np.array_equal(table.prefactors, prefactors)
         assert np.array_equal(table.energies, energies)
         assert np.array_equal(table.excitations, excitations)
-        assert thermal._witness_sign_at_infinity(sys_, table) == reference_sign_at_infinity(sys_)
+        assert status_without_table(sys_) is reference_status(sys_)
 
     @settings(max_examples=150, deadline=None)
     @given(systems, st.floats(1e-2, 1e7), st.integers(2, 5))
@@ -740,3 +786,20 @@ class TestKernel:
             t = float(curve.temperatures[k])
             assert curve.mean_energy[k] == pytest.approx(
                 mean_energy(sys_, t), rel=1e-12, abs=1e-9)
+
+
+class TestStatusFromTheShell:
+    """A shell without a zero is decided from (2s, 2l), the sign of zeta and
+    the convention, builds no level table and so does no float arithmetic
+    that could overflow."""
+
+    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_small_shell(self, sign, convention):
+        for two_s in range(1, 61):
+            for two_l in range(1, 61):
+                unit = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), sign, convention)
+                expected = reference_status(unit)
+                for magnitude in (1e-300, 3.7, 1e308):
+                    sys_ = SpinOrbitSystem(unit.s, unit.l, sign * magnitude, convention)
+                    assert status_without_table(sys_) is expected, (two_s, two_l, sys_.zeta)
