@@ -437,7 +437,7 @@ def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
 def _worst(deviations: np.ndarray) -> float:
     """The largest of the deviations, or inf if any is nan: a check that
     cannot compare a value fails rather than skipping it."""
-    worst = float(np.max(deviations))
+    worst = float(deviations.max())
     return math.inf if math.isnan(worst) else worst
 
 
@@ -452,7 +452,7 @@ def _sampled_residuals(
     identity_worst, bound_margin = 0.0, math.inf
     floor = -system.separable_bound
     for batch in dense.sample_product_states(system, rng, samples):
-        factored = system.zeta * np.sum(batch.spin_vectors * batch.orbital_vectors, axis=1)
+        factored = system.zeta * (batch.spin_vectors * batch.orbital_vectors).sum(axis=1)
         deviations = np.abs(batch.energies - factored) / (1.0 + np.abs(batch.energies))
         identity_worst = max(identity_worst, _worst(deviations))
         bound_margin = min(bound_margin, -_worst(floor - batch.energies))

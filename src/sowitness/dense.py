@@ -16,14 +16,15 @@ check, and a ground state comes from its block.
 
 Product states need no solve and no dense matrix: one evaluator reads the
 bands and the ladders through slices, for the Haar-random batches of at
-most ``_SAMPLE_CHUNK`` states and for the explicit states of
-:func:`product_states`.  S.L and J_x are symmetric and J_y antisymmetric, so
-an entry and its mirror give the same term bit for bit, and each such pair
-is computed once.  Each energy is zeta times the expectation of the full S.L
-matrix on the Kronecker product vector, summed in the row-major order of the
-matrix entries, so a state's rounding is that of the whole vector and the
-same in a batch of any size; but :func:`_spin_orbit_expectations` never
-builds the vector, and works in 7(2l+1) + 1 floats per state, not about 7n.
+most ``_SAMPLE_CHUNK`` (1024) states, one batch per ion in a default
+``verify``, and for the explicit states of :func:`product_states`.  S.L and
+J_x are symmetric and J_y antisymmetric, so an entry and its mirror give the
+same term bit for bit, and each such pair is computed once.  Each energy is
+zeta times the expectation of the full S.L matrix on the Kronecker product
+vector, summed in the row-major order of the matrix entries, so a state's
+rounding is that of the whole vector and the same in a batch of any size;
+but :func:`_spin_orbit_expectations` never builds the vector, and works in
+7(2l+1) + 1 floats per state, not about 7n.
 The evaluator holds amplitudes as (dimension, states) arrays, one column
 per state; the batch it returns has one row per state.
 
@@ -278,15 +279,17 @@ class ProductStateBatch:
     energies: np.ndarray
 
 
-# States drawn and evaluated per batch: large enough that the work runs in
-# few array operations, small enough that memory does not grow with the
+# States drawn and evaluated per batch: large enough that a default
+# ``verify`` draws each ion's 1000 states in one batch, since a batch costs
+# about 0.2 ms whatever its size (on (2s, 2l) = (4, 12): 0.10 ms for the
+# energy walk over the spin blocks, 0.05 ms for the two Bloch vectors,
+# 0.04 ms for the draw), and small enough that memory does not grow with the
 # count.  A batch is evaluated from its unit factors, 2(2s+1) + 2(2l+1)
 # floats per state, while the energy evaluator works in 7(2l+1) + 1 more, and
-# returns 7 (two Bloch vectors and an energy): one batch of 512 on a catalog
-# shell peaks at 0.32 to 0.59 MB traced, against up to 1.03 MB for 256 states
-# on the whole product vector.  1024 states would still peak within that
-# 1.03 MB on n = 66, but raise the peak RSS of repeated ``verify`` runs.
-_SAMPLE_CHUNK = 512
+# returns 7 (two Bloch vectors and an energy): one batch of 1024 on a catalog
+# shell peaks at 0.63 MB (Ce) to 1.13 MB (Pm, n = 65) traced, against
+# 1.03 MB for 256 states on the whole product vector.
+_SAMPLE_CHUNK = 1024
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -356,8 +359,10 @@ def _spin_orbit_expectations(
     to the last row of block i (with weight zero).  (r, r - 2l) mirrors
     (r - 2l, r), so its term is the band term of row r - 2l bit for bit: of
     row i_l + 1 of the block before, or, on the last row, of row 0 of this
-    block.  So two blocks are live at a time.  Entries missing at the edges
-    are zeros.
+    block.  So two blocks are live at a time.  Entries missing at the edges,
+    and the zero-weight pair, are zeros: the weight zero times a finite
+    product is +-0, and a sum that starts at +0 never reaches -0, so adding
+    either zero changes no bit.
 
     Each block's terms fill rows 1, 2, ... of a (1 + 3(2l+1), states) tile,
     as (left, diagonal, right) per row of the block, and row 0 carries the
@@ -390,6 +395,7 @@ def _spin_orbit_expectations(
 
     product_re(0, re, im)
     product_im(0, im, spare_re)
+    left[-1] = right[0] = 0.0
     last = len(s_re) - 1
     for i in range(last + 1):
         start = i * dim
@@ -397,9 +403,6 @@ def _spin_orbit_expectations(
         left[:-1] = spare_im[1:] if i else 0.0
         middle[...] = _weighted_real(diagonal[start:start + dim], re, im, re, im,
                                      out=spare_re, scratch=spare_im)
-        _weighted_real(band[start:start + 1], re[:1], im[:1], re[-1:], im[-1:],
-                       out=right[:1], scratch=spare_re[:1])
-        left[-1] = right[0]
         if i < last:
             # re re' + im im' against the next block, formed in place in this
             # block, whose other terms are all taken; the two products are
@@ -532,10 +535,12 @@ def sample_product_states(
 ) -> Iterator[ProductStateBatch]:
     """Draw ``n`` Haar-random product states, yielded in batches.
 
-    Each batch holds at most ``_SAMPLE_CHUNK`` states, so memory stays
-    bounded whatever ``n`` is.  Each factor is a complex standard-normal
-    vector, normalized; that is exactly the uniform distribution on the
-    factor's state sphere.  Every state takes one row of 2(d_s + d_l)
+    Each batch holds at most ``_SAMPLE_CHUNK`` (1024) states, so memory
+    stays bounded whatever ``n`` is: at most 1.13 MB traced per batch on a
+    catalog shell.  The batch's fixed cost, about 0.2 ms, is paid once per
+    1024 states.  Each factor is a complex standard-normal vector,
+    normalized; that is exactly the uniform distribution on the factor's
+    state sphere.  Every state takes one row of 2(d_s + d_l)
     normals from ``rng``, and no other row enters its arithmetic, so neither
     the states nor their rounding depend on the batch size (barring the
     redraw of a near-zero factor, which has probability below 1e-12 per

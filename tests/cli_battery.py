@@ -67,6 +67,9 @@ CASES = [
     ["figure1", "--outdir", "{catalog:empty}"],
     ["verify", "--samples", "100"],
     ["verify", "--seed", "3", "--samples", "100"],
+    ["verify", "--samples", "1024"],
+    ["verify", "--samples", "1025"],
+    ["verify", "--seed", "5", "--samples", "2049"],
     ["verify", "--seed", "-1"],
     ["verify", "--samples", "50", "--catalog", "{catalog:corrupted}"],
     ["custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te"],

@@ -795,12 +795,30 @@ class TestVerify:
         bound_two = [l for l in second.stdout.splitlines() if l.startswith("separable")]
         assert bound_one != bound_two
 
-    def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("chunk", [512, 7, 1])
+    def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch, chunk):
+        """The default batch, the old one of 512 states, and batches of 7 and
+        of one state print the same bytes."""
         assert main(["verify", "--seed", "3"]) == 0
         default = capsys.readouterr().out
-        monkeypatch.setattr(dense, "_SAMPLE_CHUNK", 7)
+        monkeypatch.setattr(dense, "_SAMPLE_CHUNK", chunk)
         assert main(["verify", "--seed", "3"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_one_batch_per_ion(self, capsys, monkeypatch):
+        """A default verify draws each coupled ion's 1000 states in one batch."""
+        counts = []
+        haar_rows = dense._haar_rows
+
+        def counted(rng, count, spin_dim, orbital_dim):
+            counts.append(count)
+            return haar_rows(rng, count, spin_dim, orbital_dim)
+
+        monkeypatch.setattr(dense, "_haar_rows", counted)
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        assert len([r for r in CATALOG if r.zeta is not None]) == 12
+        assert counts == [1000] * 12
 
     def test_peak_memory_does_not_grow_with_samples(self):
         """Batched sampling keeps the peak RSS flat from 10^3 to 2*10^4 states per ion."""

@@ -31,6 +31,7 @@ DISTINCT_SHELLS = sorted({(r.s.twice, r.l.twice): r.symbol for r in CATALOG}.val
 CATALOG_SHELLS = {(r.s.twice, r.l.twice) for r in CATALOG}
 COUPLED_SHELLS = sorted({(r.s.twice, r.l.twice) for r in COUPLED})
 GRID = np.geomspace(1.0, 1e6, 50)
+CHUNK = dense._SAMPLE_CHUNK
 
 
 def sys_of(symbol):
@@ -643,7 +644,7 @@ class TestProductStates:
             for name, values in default.items():
                 assert_same_bits(values, small[name], (chunk, name))
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     @pytest.mark.parametrize("shell", COUPLED_SHELLS + [(0, 0), (40, 1), (3, 40)])
     def test_one_normal_row_per_state(self, shell, n):
         """The draws are the rows of ``standard_normal((n, 2(d_s + d_l)))``,
@@ -847,6 +848,23 @@ class TestMemoryBudget:
     whole-vector evaluator, which held 256 states per batch: 1 028 320 bytes
     for one batch on n = 66 and 1 136 679 for a default verify.  Caches are
     filled first, so only the sampling and its checks are traced."""
+
+    # One default batch of 1024 states per coupled catalog shell: the peaks
+    # measured (627 944 to 1 127 728 bytes, moving by up to about 200 with the
+    # interpreter's state) rounded up to whole 4 KiB: less than the 8 KiB of
+    # one more float per state, which would exceed them.  That leaves 2 768
+    # (Pr, Pm, Sm) to 2 840 (Ce, Eu) bytes of headroom per shell, so a failure
+    # here means a larger batch or a new temporary, not noise.
+    BATCH_PEAKS = {"Ce": 630_784, "Pr": 950_272, "Nd": 1_114_112, "Pm": 1_130_496,
+                   "Sm": 999_424, "Eu": 712_704}
+
+    @pytest.mark.parametrize("symbol", sorted(BATCH_PEAKS))
+    def test_one_default_batch_on_each_shell(self, symbol):
+        system = sys_of(symbol)
+        next(sample_product_states(system, np.random.default_rng(0), 1))
+        peak = traced_peak(lambda: next(
+            sample_product_states(system, np.random.default_rng(1), dense._SAMPLE_CHUNK)))
+        assert peak <= self.BATCH_PEAKS[symbol], peak
 
     def test_one_default_batch_on_the_largest_shell(self):
         sm = sys_of("Sm")
