@@ -58,9 +58,12 @@ MAX_TWICE = 2**53
 _NEGATIVE_NUMBER = re.compile(r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
 
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
-# "%.6g" gives the bytes of _fmt for every float, -0, inf and nan included,
-# so a block of rows is formatted by one % of this row repeated.
-_CURVE_ROW = "%.6g,%.6g,%.6g\n"
+# "%g" gives the bytes of _fmt for every float, -0, inf and nan included,
+# so a block of rows is formatted by one % of this row repeated.  Its
+# precision is 6 by default; written out ("%.6g"), it sends every field
+# through a temporary string, and a block of 1024 rows takes 1.3-1.7 times
+# as long to format.
+_CURVE_ROW = "%g,%g,%g\n"
 #: Curve rows formatted by one % call and written as one string.
 _ROW_BLOCK = 1024
 

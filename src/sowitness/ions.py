@@ -86,9 +86,13 @@ class IonRecord:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CatalogError(f"{self.symbol}: {name} must be a number or null")
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
             if not math.isfinite(value):
                 raise CatalogError(f"{self.symbol}: {name} must be finite")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if self.delta_e is not None and self.delta_e <= 0:
             raise CatalogError(f"{self.symbol}: delta_e must be positive")
         if self.te_reference is not None and self.te_reference <= 0:
@@ -164,9 +168,11 @@ def load_catalog(source: Union[bytes, str, IO[bytes]]) -> tuple[IonRecord, ...]:
 
     A blank document yields an empty catalog.  Every record must carry
     exactly the five schema keys; unknown or missing keys, type mismatches,
-    occupations outside 1..13, non-positive gaps, couplings with the wrong
-    sign, and duplicate symbols are all rejected with a CatalogError that
-    names the offending record.
+    numbers beyond the float range, occupations outside 1..13, non-positive
+    gaps, couplings with the wrong sign, and duplicate symbols are all
+    rejected with a CatalogError that names the offending record.  A
+    document that ``json`` cannot parse, including one whose integer has
+    too many digits or whose nesting is too deep, raises a CatalogError too.
     """
     raw = source.read() if hasattr(source, "read") else source
     if isinstance(raw, bytes):
@@ -180,7 +186,9 @@ def load_catalog(source: Union[bytes, str, IO[bytes]]) -> tuple[IonRecord, ...]:
         return ()
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a syntax error: an integer of more digits than int() takes,
+        # or arrays or objects nested deeper than the recursion limit
         raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or set(document) != {"ions"}:
         raise CatalogError('catalog must be an object with the single key "ions"')

@@ -103,6 +103,15 @@ CASES = [
     ["verify", "--samples", "50", "--catalog", "{catalog:ce_huge}"],
     ["te", "--ion", "Ce", "--catalog", "{catalog:ce_uncoupled}"],
     ["figure1", "--outdir", "{out}/fig", "--steps", "20", "--catalog", "{catalog:ce_uncoupled}"],
+    ["te", "--catalog", "{catalog:ce_int_beyond_float}"],
+    ["te", "--catalog", "{catalog:ce_int_of_5000_digits}"],
+    ["te", "--catalog", "{catalog:nested_1e5_deep}"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "1e150", "witness",
+     "--tmin", "1e140", "--tmax", "1e160", "--steps", "7"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "1e-150", "witness",
+     "--tmin", "1e-160", "--tmax", "1e-140", "--steps", "7"],
+    ["witness", "--ion", "Ce", "--tmin", "1e-05", "--tmax", "0.0001", "--steps", "5"],
+    ["witness", "--ion", "Ce", "--tmin", "999999", "--tmax", "1000001", "--steps", "5"],
 ]
 
 MODES = ("pipe", "full", "closed")
@@ -123,6 +132,11 @@ def catalogs(ions: list[dict]) -> dict[str, str]:
         "ce_huge": replaced("Ce", zeta_K=1e308, te_paper_K=None),
         "ce_above_cap": replaced("Ce", zeta_K=1e12),
         "ce_uncoupled": replaced("Ce", zeta_K=None),
+        "ce_int_beyond_float": replaced("Ce", zeta_K=10**400),
+        # json.dumps cannot write an int of more than 4300 digits
+        "ce_int_of_5000_digits": replaced("Ce", zeta_K=0).replace(
+            '"zeta_K": 0,', '"zeta_K": ' + "9" * 5000 + ",", 1),
+        "nested_1e5_deep": '{"ions": ' + "[" * 10**5 + "]" * 10**5 + "}",
     }
 
 

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sowitness
 from sowitness import cli, dense, ions, thermal
@@ -67,6 +68,26 @@ class TestIons:
         result = run_cli("ions", "--catalog", str(bad))
         assert result.returncode == 2
         assert "JSON" in result.stderr
+
+    @pytest.mark.parametrize("text", [
+        # an integer beyond the float range
+        '{"ions": [{"symbol": "Ce", "n4f": 1, "deltaE_K": 3150, "zeta_K": %s,'
+        ' "te_paper_K": null}]}' % ("9" * 400),
+        # an integer of more digits than int() converts
+        '{"ions": [{"symbol": "Ce", "n4f": 1, "deltaE_K": 3150, "zeta_K": %s,'
+        ' "te_paper_K": null}]}' % ("9" * 5000),
+        # arrays nested deeper than the recursion limit
+        '{"ions": ' + "[" * 10**5 + "]" * 10**5 + "}",
+    ], ids=["int-beyond-float", "int-of-5000-digits", "nested-1e5-deep"])
+    def test_catalog_beyond_the_parser_exits_2(self, tmp_path, text):
+        path = tmp_path / "catalog.json"
+        path.write_text(text)
+        result = run_cli("te", "--catalog", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: invalid catalog: ")
+        assert "Traceback" not in result.stderr
 
     def test_missing_catalog_exits_4(self):
         result = run_cli("ions", "--catalog", "/nonexistent/catalog.json")
@@ -237,10 +258,23 @@ class TestWitness:
         t = np.array(values)
         mean, w = np.roll(t, 1), np.roll(t, 2)
         lines = "".join(cli._curve_blocks([(t, None, mean, w)])).splitlines()
-        assert lines == [",".join(map(cli._fmt, row)) for row in zip(t, mean, w)]
+        assert lines == [",".join(format(v, ".6g") for v in row)
+                         for row in zip(t, mean, w)]
         assert lines[0] == "-0,-9.99989e-321,1"
         assert lines[3:5] == ["nan,-inf,inf", "4.94066e-324,nan,-inf"]
         assert lines[9] == "1e+07,1e+06,0.1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1,
+                    max_size=20))
+    def test_block_rows_format_any_floats(self, rows):
+        """Every row is its three fields by ``format(v, ".6g")``, whatever the
+        floats: nan, both infinities, both zeros and subnormals included."""
+        t, mean, w = (np.array(column) for column in zip(*rows))
+        text = "".join(cli._curve_blocks([(t, None, mean, w)]))
+        assert text.splitlines() == [",".join(format(v, ".6g") for v in row)
+                                     for row in zip(t, mean, w)]
+        assert text.endswith("\n")
 
     @pytest.mark.parametrize("steps,kernel_rows,chunks,pieces", [
         (2, None, 1, 2), (1023, None, 1, 2), (1024, None, 1, 2), (1025, None, 1, 3),

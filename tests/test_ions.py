@@ -149,6 +149,9 @@ class TestIonRecord:
             IonRecord("Ce", 1, -3150.0, 900.0, None)
         with pytest.raises(CatalogError):
             IonRecord("Ce", 1, float("inf"), 900.0, None)
+        with pytest.raises(CatalogError, match="zeta must be finite"):
+            IonRecord("Ce", 1, 3150.0, 10**400, None)
+        assert IonRecord("Ce", 1, 10**300, 900, None).delta_e == 1e300
 
 
 class TestLoadCatalog:
@@ -176,9 +179,24 @@ class TestLoadCatalog:
                           "zeta_K": None, "te_paper_K": None}])
         assert load_catalog(text)[0].symbol == "Yb"
 
-    def test_invalid_json(self):
-        with pytest.raises(CatalogError, match="JSON"):
-            load_catalog("{nope")
+    @pytest.mark.parametrize("text", [
+        "{nope",
+        # an integer of more digits than int() converts
+        '{"ions": [%s]}' % ("9" * 5000),
+        # arrays nested deeper than the recursion limit
+        '{"ions": ' + "[" * 10**5 + "]" * 10**5 + "}",
+    ], ids=["syntax", "int-of-5000-digits", "nested-1e5-deep"])
+    def test_invalid_json(self, text):
+        with pytest.raises(CatalogError, match="^catalog is not valid JSON: "):
+            load_catalog(text)
+
+    @pytest.mark.parametrize("key,name", [
+        ("deltaE_K", "delta_e"), ("zeta_K", "zeta"), ("te_paper_K", "te_reference"),
+    ])
+    def test_integer_beyond_float_range_is_not_finite(self, key, name):
+        entry = dict(record_to_entry(ion_record("Ce")), **{key: 10**400})
+        with pytest.raises(CatalogError, match=rf"^ions\[0\] \(Ce\): Ce: {name} must be finite$"):
+            load_catalog(document([entry]))
 
     def test_invalid_utf8(self):
         with pytest.raises(CatalogError, match="UTF-8"):
