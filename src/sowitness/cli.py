@@ -59,13 +59,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$
 
 CURVE_HEADER = "T_K,mean_energy_K,witness_K"
 # "%g" gives the bytes of _fmt for every float, -0, inf and nan included,
-# so a block of rows is formatted by one % of this row repeated.  Its
-# precision is 6 by default; written out ("%.6g"), it sends every field
-# through a temporary string, and a block of 1024 rows takes 1.3-1.7 times
-# as long to format.
+# so a kernel chunk of rows is formatted by one % of this row repeated.
+# Its precision is 6 by default; written out ("%.6g"), every field goes
+# through a temporary string and formatting takes 1.3-1.7 times as long.
 _CURVE_ROW = "%g,%g,%g\n"
-#: Curve rows formatted by one % call and written as one string.
-_ROW_BLOCK = 1024
 
 #: What a command returns to ``main``: its exit code and the output to write.
 _Result = tuple[int, Iterable[str]]
@@ -273,7 +270,7 @@ def _emit(path: str | None, pieces: Iterable[str]) -> None:
 
 
 def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[str]:
-    """The curve CSV: its header line, then one string per block of rows.
+    """The curve CSV: its header line, then one string per kernel chunk.
 
     The grid is checked here, so a bad one exits 2 before anything is
     written; the rows are computed one kernel chunk at a time and formatted
@@ -289,14 +286,12 @@ def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[st
 def _curve_blocks(
     chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
 ) -> Iterator[str]:
-    """The CSV rows of (T, Z, <H>, W) chunks, at most ``_ROW_BLOCK`` rows per
-    string: each block is converted by one ``tolist`` and formatted by one
-    ``%``, so only one block of Python floats and text is live at a time."""
+    """The CSV rows of (T, Z, <H>, W) chunks, one string per chunk: each is
+    converted by one ``tolist`` and formatted by one ``%``, so only one
+    chunk of Python floats and text is live at a time."""
     for t, _, mean, w in chunks:
-        table = np.stack((t, mean, w), axis=1)
-        for start in range(0, len(table), _ROW_BLOCK):
-            values = table[start:start + _ROW_BLOCK].ravel().tolist()
-            yield (_CURVE_ROW * (len(values) // 3)) % tuple(values)
+        values = np.stack((t, mean, w), axis=1).ravel().tolist()
+        yield (_CURVE_ROW * len(t)) % tuple(values)
 
 
 def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:

@@ -155,6 +155,10 @@ def ion_record(symbol: str, catalog: tuple[IonRecord, ...] = CATALOG) -> IonReco
 
 _FIELDS = ("symbol", "n4f", "deltaE_K", "zeta_K", "te_paper_K")
 
+# load_catalog reads at most one byte (or character) more than this, so an
+# endless stream such as /dev/zero is rejected rather than read into memory.
+_MAX_CATALOG_BYTES = 1 << 20
+
 
 def _to_json(catalog: tuple[IonRecord, ...]) -> str:
     """The catalog as the document :func:`load_catalog` reads: JSON indented
@@ -172,9 +176,13 @@ def load_catalog(source: Union[bytes, str, IO[bytes]]) -> tuple[IonRecord, ...]:
     gaps, couplings with the wrong sign, and duplicate symbols are all
     rejected with a CatalogError that names the offending record.  A
     document that ``json`` cannot parse, including one whose integer has
-    too many digits or whose nesting is too deep, raises a CatalogError too.
+    too many digits or whose nesting is too deep, raises a CatalogError too,
+    and so does one of more than 1 MiB (2**20 bytes, or characters for
+    text), of which a stream is read no further than one byte past it.
     """
-    raw = source.read() if hasattr(source, "read") else source
+    raw = source.read(_MAX_CATALOG_BYTES + 1) if hasattr(source, "read") else source
+    if len(raw) > _MAX_CATALOG_BYTES:
+        raise CatalogError(f"catalog is larger than {_MAX_CATALOG_BYTES} bytes")
     if isinstance(raw, bytes):
         try:
             text = raw.decode("utf-8")

@@ -16,13 +16,13 @@ energy <H> and the fluctuation <H^2> - <H>^2.  Every exponent is
 non-positive, so the sums cannot overflow at any temperature, and a
 temperature costs O(levels).  ``mean_energy``, ``witness``,
 ``witness_curve`` and ``entanglement_temperature`` all go through the
-kernel, which returns a grid of up to ``chunk_rows`` temperatures as one
-chunk and runs a longer one chunk by chunk into preallocated arrays.
+kernel, which returns a grid of up to ``chunk_rows`` temperatures (2**14
+weights) as one chunk and runs a longer one chunk by chunk into arrays.
 
 A witness curve is evaluated in chunks of the kernel's own size by
 ``_curve_chunks``: ``witness_curve`` joins the chunks into read-only arrays,
-and the command line formats and writes each chunk as it comes, so the
-memory a curve needs on its way to a CSV file is bounded for any length.
+and the command line formats each chunk as one string, so the memory a
+curve needs on its way to a CSV file is bounded for any length.
 
 The fluctuation gives the exact slope dW/dT = (<H^2> - <H>^2)/T^2 under
 either convention, for the Newton steps of the root finder for T_E.  Each
@@ -59,8 +59,8 @@ _BRACKET_GRID = np.append(np.exp2(np.arange(math.ceil(math.log2(BRACKET_CAP_K)))
                           BRACKET_CAP_K)
 
 # The kernel works on at most this many (temperature, level) weights at a
-# time, so its temporary arrays stay bounded for any grid length.
-_KERNEL_ELEMENTS = 1 << 16
+# time, so its temporaries and a curve's CSV text stay bounded for any grid.
+_KERNEL_ELEMENTS = 1 << 14
 
 # Division for the kernel's exponents, which are <= 0: an overflow is -inf, a
 # weight of 0.  As a decorator, errstate costs less per call than as `with`.
@@ -163,8 +163,8 @@ def mean_energy(
 
     A float gives a float.  A 1-D array of temperatures gives an array of the
     same length from one level table and one kernel call; its values may
-    differ from the per-temperature floats in the last bits, because the
-    kernel's matrix product rounds differently with the number of rows.
+    differ from the per-temperature floats in the last bits, as a one-row
+    chunk takes the matrix-vector path (see ``_curve_chunks``).
     """
     temperatures = _temperatures(temperature)
     mean = _LevelTable(system).averages(temperatures.reshape(-1))[1]
@@ -300,8 +300,11 @@ def _curve_chunks(
 
     The grid is checked and the level table built at once, before the
     first chunk is asked for, so a bad grid raises ValueError before a
-    caller has written anything.  Each chunk is one kernel chunk, so every
-    row is computed with the same arithmetic at any grid length.
+    caller has written anything.  Each chunk is one kernel chunk.  A row has
+    the same bits in any chunk of >= 2 rows on the catalog shells (<= 7
+    levels); a one-row chunk takes the matrix-vector path (Pm, Eu: about
+    2000 of 7200 rows differ), and on bigger tables BLAS blocking makes a
+    row's last bits depend on its chunk (95 of 150 shells, 2s, 2l <= 139).
 
     Each grid value is within 3 rounding errors of its exact value, so a
     spacing of at least 8 ulp(tmax) keeps the computed grid strictly

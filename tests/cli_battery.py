@@ -112,6 +112,15 @@ CASES = [
      "--tmin", "1e-160", "--tmax", "1e-140", "--steps", "7"],
     ["witness", "--ion", "Ce", "--tmin", "1e-05", "--tmax", "0.0001", "--steps", "5"],
     ["witness", "--ion", "Ce", "--tmin", "999999", "--tmax", "1000001", "--steps", "5"],
+    ["custom", "--two-s", "2000000", "--two-l", "2000000", "--zeta", "1", "te"],
+    ["verify", "--samples", "0"],
+    ["custom", "--two-s", "3000", "--two-l", "3000", "--zeta", "100", "te"],
+    ["custom", "--two-s", "3000", "--two-l", "3000", "--zeta", "100", "te",
+     "--convention", "level", "--tolerance", "1e-9"],
+    ["custom", "--two-s", "40", "--two-l", "60", "--zeta", "100", "witness", "--steps", "5000"],
+    ["witness", "--ion", "Eu", "--steps", "7021"],
+    ["witness", "--ion", "Pm", "--convention", "multiplet", "--steps", "7021"],
+    ["te", "--catalog", "{catalog:blank_over_1mib}"],
 ]
 
 MODES = ("pipe", "full", "closed")
@@ -137,6 +146,9 @@ def catalogs(ions: list[dict]) -> dict[str, str]:
         "ce_int_of_5000_digits": replaced("Ce", zeta_K=0).replace(
             '"zeta_K": 0,', '"zeta_K": ' + "9" * 5000 + ",", 1),
         "nested_1e5_deep": '{"ions": ' + "[" * 10**5 + "]" * 10**5 + "}",
+        # one byte over the 1 MiB that --catalog reads; blank, so a reader
+        # without the limit takes it for an empty catalog
+        "blank_over_1mib": " " * (2**20 + 1),
     }
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import sowitness
 from sowitness import cli, dense, ions, thermal
-from sowitness.angular import Convention, HalfInt, multiplets
+from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.cli import CURVE_HEADER, main
 from sowitness.ions import CATALOG, ion_record, load_catalog
 
@@ -34,6 +35,27 @@ def run_cli(*args, cwd=None, env=None, timeout=300):
         [sys.executable, "-m", "sowitness", *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout,
     )
+
+
+needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                       reason="reads VmHWM from /proc/self/status")
+
+
+def cli_peak_kib(*argv):
+    """The peak resident set, in KiB, of a fresh interpreter that runs
+    ``main(argv)``.  It is VmHWM, the peak of the interpreter's own address
+    space; ``ru_maxrss`` would start at the peak of the process that
+    started it, which under pytest is above both of a test's runs."""
+    script = ("import sys\n"
+              "from sowitness.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+              "sys.exit(code)\n")
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    return int(result.stdout.splitlines()[-1])
 
 
 def crossings(rows):
@@ -88,6 +110,19 @@ class TestIons:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: invalid catalog: ")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_catalog_exits_2(self):
+        """An endless ``--catalog`` is read only up to its 1 MiB limit: under a
+        600 MiB address-space limit it gives one error line, not a
+        MemoryError traceback."""
+        limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (600 << 20,) * 2)
+        result = subprocess.run([sys.executable, "-m", "sowitness", "te", "--catalog",
+                                 "/dev/zero"], capture_output=True, text=True,
+                                preexec_fn=limit, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: invalid catalog: catalog is larger than 1048576 bytes\n"
 
     def test_missing_catalog_exits_4(self):
         result = run_cli("ions", "--catalog", "/nonexistent/catalog.json")
@@ -234,22 +269,18 @@ class TestWitness:
     @pytest.mark.parametrize("convention", ["level", "multiplet"])
     @pytest.mark.parametrize("ion", LIGHT)
     def test_chunk_size_leaves_output_unchanged(self, capsys, monkeypatch, ion, convention):
-        """Kernel chunks of 5 or 7 rows and row blocks of 1 or 7 rows give
-        the bytes of the default sizes."""
+        """Kernel chunks of 5 or 7 rows give the bytes of the default size."""
         argv = ["witness", "--ion", ion, "--convention", convention, "--steps", "3000"]
         assert main(argv) == 0
         default = capsys.readouterr().out
         system = ion_record(ion).system(Convention(convention))
         levels = len(multiplets(system))
-        for module, name, value in ((cli, "_ROW_BLOCK", 1), (cli, "_ROW_BLOCK", 7),
-                                    (thermal, "_KERNEL_ELEMENTS", 5 * levels),
-                                    (thermal, "_KERNEL_ELEMENTS", 7 * levels)):
+        for rows in (5, 7):
             with monkeypatch.context() as patch:
-                patch.setattr(module, name, value)
-                if module is thermal:
-                    assert thermal._LevelTable(system).chunk_rows == value // levels
+                patch.setattr(thermal, "_KERNEL_ELEMENTS", rows * levels)
+                assert thermal._LevelTable(system).chunk_rows == rows
                 assert main(argv) == 0
-                assert capsys.readouterr().out == default, (name, value)
+                assert capsys.readouterr().out == default, rows
 
     def test_block_rows_are_the_fmt_of_each_field(self):
         values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
@@ -276,46 +307,38 @@ class TestWitness:
                                      for row in zip(t, mean, w)]
         assert text.endswith("\n")
 
-    @pytest.mark.parametrize("steps,kernel_rows,chunks,pieces", [
-        (2, None, 1, 2), (1023, None, 1, 2), (1024, None, 1, 2), (1025, None, 1, 3),
-        (3000, None, 1, 4), (3000, 1500, 2, 5), (40000, None, 3, 41),
+    @pytest.mark.parametrize("steps,kernel_rows,chunks", [
+        (2, None, 1), (4096, None, 1), (4097, None, 2), (3000, 1500, 2), (40000, None, 10),
     ])
-    def test_one_string_per_block_of_rows(self, monkeypatch, steps, kernel_rows, chunks,
-                                          pieces):
-        """The header, then ceil(rows / _ROW_BLOCK) strings per kernel chunk."""
-        system = ion_record("Nd").system(Convention("level"))  # 4 levels
+    def test_one_string_per_kernel_chunk(self, monkeypatch, steps, kernel_rows, chunks):
+        """The header, then one string per kernel chunk, of that chunk's rows."""
+        system = ion_record("Nd").system(Convention("level"))  # 4 levels, 4096 rows a chunk
         if kernel_rows is not None:
             monkeypatch.setattr(thermal, "_KERNEL_ELEMENTS", kernel_rows * 4)
         sizes = [len(t) for t, *_ in thermal._curve_chunks(system, 1.0, 6000.0, steps)]
         assert len(sizes) == chunks
         args = argparse.Namespace(tmin=1.0, tmax=6000.0, steps=steps)
         emitted = list(cli._curve_csv(system, args))
-        assert len(emitted) == pieces == 1 + sum(-(-n // cli._ROW_BLOCK) for n in sizes)
         assert emitted[0] == CURVE_HEADER + "\n"
-        assert "".join(emitted).count("\n") == steps + 1
+        assert [piece.count("\n") for piece in emitted[1:]] == sizes
+        assert all(piece.endswith("\n") for piece in emitted)
 
+    @needs_proc_status
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
-        """The CSV is streamed: 2*10^6 rows peak within 12 MiB of 10^3 rows.
+        """The CSV is streamed: 2*10^6 rows peak within 4 MiB of 10^3 rows.
 
-        The rise is the kernel's temporaries for one chunk of 2^16 weights
-        plus one block of formatted rows; a curve held whole reads +780 MB.
+        The rise is one kernel chunk of 2^14 weights (8192 rows of Ce) as
+        arrays, Python floats and formatted text; a curve held whole reads
+        +780 MB.
         """
-        script = ("import resource, sys\n"
-                  "from sowitness.cli import main\n"
-                  "code = main(['witness', '--ion', 'Ce', '--steps', sys.argv[1],"
-                  " '--output', sys.argv[2]])\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-                  "sys.exit(code)\n")
         peaks = []
         for steps in ("1000", "2000000"):
             target = tmp_path / f"ce_{steps}.csv"
-            result = subprocess.run([sys.executable, "-c", script, steps, str(target)],
-                                    capture_output=True, text=True, timeout=120)
-            assert result.returncode == 0, result.stdout + result.stderr
-            peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
+            peaks.append(cli_peak_kib("witness", "--ion", "Ce", "--steps", steps,
+                                      "--output", str(target)))
             with open(target, "rb") as handle:
                 assert sum(1 for _ in handle) == int(steps) + 1
-        assert peaks[1] - peaks[0] <= 12 * 1024, peaks
+        assert peaks[1] - peaks[0] <= 4 * 1024, peaks
 
     def test_bad_grid_creates_no_output_file(self, tmp_path):
         target = tmp_path / "f.csv"
@@ -423,6 +446,19 @@ class TestTe:
 
 
 class TestCustom:
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_csv_rows_are_the_library_curve(self, capsys, convention):
+        """``custom … witness`` writes, row for row, ``"%g,%g,%g"`` of the
+        (T, <H>, W) of ``witness_curve``, on 41 levels over several chunks."""
+        system = SpinOrbitSystem(HalfInt(40), HalfInt(60), 100.0, convention)
+        assert thermal._LevelTable(system).chunk_rows < 5000 // 2
+        assert main(["custom", "--two-s", "40", "--two-l", "60", "--zeta", "100", "witness",
+                     "--convention", convention.value, "--steps", "5000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        curve = thermal.witness_curve(system, 1.0, 6000.0, 5000)
+        columns = (curve.temperatures, curve.mean_energy, curve.witness)
+        assert lines == [CURVE_HEADER] + ["%g,%g,%g" % row for row in zip(*columns)]
+
     def test_singlet_triplet_te(self):
         result = run_cli("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1",
                          "te", "--tolerance", "1e-6")
@@ -854,19 +890,10 @@ class TestVerify:
         assert len([r for r in CATALOG if r.zeta is not None]) == 12
         assert counts == [1000] * 12
 
+    @needs_proc_status
     def test_peak_memory_does_not_grow_with_samples(self):
         """Batched sampling keeps the peak RSS flat from 10^3 to 2*10^4 states per ion."""
-        script = ("import resource, sys\n"
-                  "from sowitness.cli import main\n"
-                  "code = main(['verify', '--samples', sys.argv[1]])\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-                  "sys.exit(code)\n")
-        peaks = []
-        for samples in ("1000", "20000"):
-            result = subprocess.run([sys.executable, "-c", script, samples],
-                                    capture_output=True, text=True, timeout=120)
-            assert result.returncode == 0, result.stdout + result.stderr
-            peaks.append(int(result.stdout.splitlines()[-1]))  # KiB on Linux
+        peaks = [cli_peak_kib("verify", "--samples", samples) for samples in ("1000", "20000")]
         assert peaks[1] - peaks[0] <= 4096, peaks
 
     def test_one_solve_per_m_block(self, capsys, monkeypatch):

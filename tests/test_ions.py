@@ -190,6 +190,19 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="^catalog is not valid JSON: "):
             load_catalog(text)
 
+    @pytest.mark.parametrize("form", [bytes, bytes.decode, io.BytesIO],
+                             ids=["bytes", "text", "stream"])
+    def test_document_over_1_mib_is_rejected(self, form):
+        assert load_catalog(form(b" " * 2**20)) == ()
+        with pytest.raises(CatalogError, match=r"^catalog is larger than 1048576 bytes$"):
+            load_catalog(form(b" " * (2**20 + 1)))
+
+    def test_stream_is_read_one_byte_past_the_limit(self):
+        stream = io.BytesIO(b" " * 2**22)
+        with pytest.raises(CatalogError):
+            load_catalog(stream)
+        assert stream.tell() == 2**20 + 1
+
     @pytest.mark.parametrize("key,name", [
         ("deltaE_K", "delta_e"), ("zeta_K", "zeta"), ("te_paper_K", "te_reference"),
     ])
