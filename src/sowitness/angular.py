@@ -136,8 +136,9 @@ class Multiplet:
 
 
 def _bracket(ts: int, tl: int, tj: int) -> int:
-    """8 [j(j+1) - s(s+1) - l(l+1)] from the doubled quantum numbers, exactly."""
-    return tj * (tj + 2) - ts * (ts + 2) - tl * (tl + 2)
+    """8 [j(j+1) - s(s+1) - l(l+1)] from the doubled quantum numbers, exactly;
+    elementwise if tj is an integer array wide enough for the products."""
+    return tj * (tj + 2) - (ts * (ts + 2) + tl * (tl + 2))
 
 
 def level_energy(system: SpinOrbitSystem, j: HalfInt) -> float:

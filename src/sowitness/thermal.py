@@ -113,19 +113,22 @@ class _LevelTable:
     """The levels of one system as arrays, built from its doubled quantum numbers.
 
     The brackets q_j = 8 E_j / zeta and the degeneracies g_j (2j+1, or 1
-    under level weights) are exact Python ints; E_j = zeta (q_j / 8) takes
-    the one rounding of ``level_energy``.  ``entanglement_temperature``
+    under level weights) are exact integers: int64 while 2s + 2l < 2^31,
+    where every bracket fits, and Python ints beyond.  E_j = zeta (q_j / 8)
+    takes the one rounding of ``level_energy``.  ``entanglement_temperature``
     builds a table only for a shell whose witness has a zero.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
         ts, tl = system.s.twice, system.l.twice
-        twice_j = range(abs(ts - tl), ts + tl + 1, 2)
-        brackets = [_bracket(ts, tl, tj) for tj in twice_j]
-        by_dimension = system.convention is Convention.MULTIPLET_DEGENERATE
-        degeneracies = [tj + 1 if by_dimension else 1 for tj in twice_j]
-        self.prefactors = np.array(degeneracies, dtype=float)
-        self.energies = system.zeta * (np.array(brackets, dtype=float) / 8.0)
+        twice_j = np.arange(abs(ts - tl), ts + tl + 1, 2,
+                            dtype=np.int64 if ts + tl < 2**31 else object)
+        brackets = _bracket(ts, tl, twice_j)
+        if system.convention is Convention.MULTIPLET_DEGENERATE:
+            self.prefactors = (twice_j + 1).astype(float)
+        else:
+            self.prefactors = np.ones(len(twice_j))
+        self.energies = system.zeta * (brackets.astype(float) / 8.0)
         self.ground_energy = float(self.energies.min())
         self.excitations = self.energies - self.ground_energy
         self.drops = -self.excitations  # exact: drops / T has the bits of -x / T

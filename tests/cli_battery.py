@@ -1,10 +1,12 @@
 """Run a fixed battery of command lines against one checkout of the package
-and print one JSON line per run, so the CLI of two checkouts can be compared
-line for line:
+and print one JSON line per run, or compare the CLI of two checkouts:
 
-    python3 tests/cli_battery.py OLD_CHECKOUT > old.jsonl
-    python3 tests/cli_battery.py NEW_CHECKOUT > new.jsonl
-    diff old.jsonl new.jsonl
+    python3 tests/cli_battery.py CHECKOUT > lines.jsonl
+    python3 tests/cli_battery.py OLD_CHECKOUT NEW_CHECKOUT
+
+Given two checkouts, it runs each case on both and prints only the lines that
+differ, the old line above the new one; it exits 1 if any line differs and 0
+if none does.
 
 Each case runs ``python -m sowitness`` with ``PYTHONPATH=<checkout>/src`` in
 a fresh working directory, three times: with stdout on a pipe, on
@@ -32,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 CASES = [
     [],
@@ -121,6 +124,14 @@ CASES = [
     ["witness", "--ion", "Eu", "--steps", "7021"],
     ["witness", "--ion", "Pm", "--convention", "multiplet", "--steps", "7021"],
     ["te", "--catalog", "{catalog:blank_over_1mib}"],
+    # the curve formatter's branches: exponent form, fields of 1e+06 and
+    # more, exponents below -17, and exact zeros
+    ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e-9", "witness",
+     "--tmin", "1e-12", "--tmax", "1e-9", "--steps", "50"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "1e7", "witness", "--steps", "50"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "1e-20", "witness",
+     "--tmin", "1e-22", "--tmax", "1e-19", "--steps", "50"],
+    ["witness", "--ion", "Yb", "--tmin", "1", "--tmax", "10", "--steps", "50"],
 ]
 
 MODES = ("pipe", "full", "closed")
@@ -190,11 +201,8 @@ def run(checkout: Path, argv: list[str], mode: str, catalog_dir: Path) -> dict:
     }
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tests/cli_battery.py CHECKOUT", file=sys.stderr)
-        return 2
-    checkout = Path(argv[0]).resolve()
+def battery(checkout: Path) -> Iterator[str]:
+    """The JSON lines of one checkout, one per case and stdout mode."""
     listing = subprocess.run(
         [sys.executable, "-m", "sowitness", "ions", "--format", "json"],
         env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
@@ -205,9 +213,24 @@ def main(argv: list[str]) -> int:
             Path(catalog_dir, f"{name}.json").write_text(text)
         for case in CASES:
             for mode in MODES:
-                line = run(checkout, case, mode, Path(catalog_dir))
-                print(json.dumps(line, sort_keys=True), flush=True)
-    return 0
+                yield json.dumps(run(checkout, case, mode, Path(catalog_dir)), sort_keys=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print("usage: python3 tests/cli_battery.py CHECKOUT [NEW_CHECKOUT]", file=sys.stderr)
+        return 2
+    runs = [battery(Path(arg).resolve()) for arg in argv]
+    if len(runs) == 1:
+        for line in runs[0]:
+            print(line, flush=True)
+        return 0
+    differ = False
+    for old, new in zip(*runs):
+        if old != new:
+            print(old, new, sep="\n", flush=True)
+            differ = True
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

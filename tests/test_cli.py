@@ -37,6 +37,23 @@ def run_cli(*args, cwd=None, env=None, timeout=300):
     )
 
 
+#: Any 64-bit pattern as a float64.
+RAW_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+def near_tie(m, e, sign, to):
+    """sign (m + 0.5) 10^(e-5), or its neighbour towards ``to``."""
+    tie = float(f"{m}.5e{e - 5}")
+    return sign * (tie if to is None else math.nextafter(tie, to))
+
+
+#: Values half way between two 6-digit values, or an ulp either side, with
+#: exponents from -20 to 8, across the edges of the fixed and exponent forms.
+NEAR_TIES = st.builds(near_tie, st.integers(10**5, 10**6 - 1), st.integers(-20, 8),
+                      st.sampled_from((1.0, -1.0)), st.sampled_from((-math.inf, None, math.inf)))
+
+
 needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                                        reason="reads VmHWM from /proc/self/status")
 
@@ -283,8 +300,15 @@ class TestWitness:
                 assert capsys.readouterr().out == default, rows
 
     def test_block_rows_are_the_fmt_of_each_field(self):
+        # 999999.7 rounds up to 1e+06; 100000.5 and 1234565.0 are exact ties;
+        # powers of ten and their neighbours cross every exponent edge;
+        # 9.999996e-05 rounds across the edge of the fixed form
+        powers = [float(f"1e{k}") for k in range(-18, 8)]
+        neighbours = [math.nextafter(v, to) for v in powers for to in (0.0, math.inf)]
         values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
-                  1e308, 0.1, 999999.5, 9999995.0, 1.0, -1e-320]
+                  1e308, 0.1, 999999.5, 9999995.0,
+                  999999.7, -999999.6, 100000.5, 1234565.0, *powers, *neighbours,
+                  9.999996e-05, 1e-17, 1e-18, 1.0, -1e-320]
         # every value in every column, with the other two columns shifted
         t = np.array(values)
         mean, w = np.roll(t, 1), np.roll(t, 2)
@@ -296,11 +320,12 @@ class TestWitness:
         assert lines[9] == "1e+07,1e+06,0.1"
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1,
-                    max_size=20))
+    @given(st.lists(st.tuples(*[st.one_of(st.floats(), RAW_FLOATS, NEAR_TIES)] * 3),
+                    min_size=1, max_size=20))
     def test_block_rows_format_any_floats(self, rows):
         """Every row is its three fields by ``format(v, ".6g")``, whatever the
-        floats: nan, both infinities, both zeros and subnormals included."""
+        floats: nan, both infinities, both zeros and subnormals included, any
+        bit pattern, and values within an ulp of a tie of the sixth digit."""
         t, mean, w = (np.array(column) for column in zip(*rows))
         text = "".join(cli._curve_blocks([(t, None, mean, w)]))
         assert text.splitlines() == [",".join(format(v, ".6g") for v in row)
@@ -328,8 +353,7 @@ class TestWitness:
         """The CSV is streamed: 2*10^6 rows peak within 4 MiB of 10^3 rows.
 
         The rise is one kernel chunk of 2^14 weights (8192 rows of Ce) as
-        arrays, Python floats and formatted text; a curve held whole reads
-        +780 MB.
+        arrays and formatted text; a curve held whole reads +780 MB.
         """
         peaks = []
         for steps in ("1000", "2000000"):

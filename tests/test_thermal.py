@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -666,10 +667,14 @@ def status_without_table(sys_):
             return None
 
 
-# shells far outside the hypothesis range: 2s = 10**10, and 2s = 2**70 beyond int64
+# shells far outside the hypothesis range: 2s = 10**10, and 2s = 2**70 beyond
+# int64; and 2s + 2l = 2^31 - 1 or 2^31, either side of where the level table
+# builds its brackets in Python ints instead of int64
 HUGE_SHELLS = [
     SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
-    for two_s in (10**10, 2**70) for two_l in (1, 2, 3)
+    for two_s, two_l in [*itertools.product((10**10, 2**70), (1, 2, 3)),
+                         (2**31 - 3, 2), (2**31 - 2, 2), (5, 2**31 - 6), (6, 2**31 - 6),
+                         (2**31 - 41, 40), (2**31 - 40, 40)]
     for zeta in (1.0, -483.0) for convention in (LEVEL, MULTIPLET)
 ]
 
