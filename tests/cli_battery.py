@@ -132,6 +132,20 @@ CASES = [
     ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "1e-20", "witness",
      "--tmin", "1e-22", "--tmax", "1e-19", "--steps", "50"],
     ["witness", "--ion", "Yb", "--tmin", "1", "--tmax", "10", "--steps", "50"],
+    # the edge between the one-pass parse and argparse: abbreviations, the
+    # = form, repeats, dash values, options at the wrong level, values that
+    # fail their type or choices, a missing value and an empty one
+    ["te", "--tol", "1e-3"],
+    ["witness", "--ion", "Ce", "--steps=50"],
+    ["witness", "--ion", "Ce", "--steps", "50", "--steps", "60"],
+    ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "-1e-3", "witness", "--steps", "5"],
+    ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1", "witness", "--tmin", "-.5e1"],
+    ["witness", "--ion", "-x"],
+    ["custom", "--two-s", "1", "--two-l", "2", "te", "--zeta", "1"],
+    ["te", "--convention", "Level"],
+    ["verify", "--seed", "0x10"],
+    ["te", "--ion", "Ce", "--catalog"],
+    ["witness", "--ion", ""],
 ]
 
 MODES = ("pipe", "full", "closed")
