@@ -7,12 +7,14 @@ formatted with 6 significant digits so identical invocations produce
 byte-identical files.
 
 ``main`` runs the steps every command shares, in this order: it parses the
-arguments; exits 4 at once if there is no ``--output`` and stdout was closed
-at start-up; loads the catalog; runs the command, which returns its exit
-code and its output; writes that output with ``_emit``; and maps a
-``_CliError``, ``UnknownIonError`` or ``dense.ConvergenceError`` to its exit
-code.  ``figure1`` also writes its set of files itself, before it returns
-their paths as its output.
+arguments, a plainly spelled argv in one pass over tables of the parser's
+own actions (``_plain_args``) and any other with argparse; exits 4 at once
+if there is no ``--output`` and stdout was closed at start-up; loads the
+catalog; runs the command, which returns its exit code and its output;
+writes that output with ``_emit``; and maps a ``_CliError``,
+``UnknownIonError`` or ``dense.ConvergenceError`` to its exit code.
+``figure1`` also writes its set of files itself, before it returns their
+paths as its output.
 """
 
 from __future__ import annotations
@@ -181,9 +183,73 @@ def _parser() -> argparse.ArgumentParser:
     """The parser that ``main`` uses, built on the first call in a process.
 
     Parsing leaves no state on the parser: each call fills a new namespace
-    from the defaults, so one instance serves every call.
+    from the defaults, so one instance serves every call.  ``main`` reads a
+    plainly spelled argv with ``_plain_args`` from tables of this parser's
+    own actions, and hands every other argv to its ``parse_args``.
     """
     return build_parser()
+
+
+@functools.cache
+def _levels(
+    parser: argparse.ArgumentParser,
+) -> tuple[dict[str, argparse.Action], argparse.Action | None, dict, frozenset]:
+    """One parser level as ``_plain_args`` reads it, from the parser's own
+    actions: each option string of an action that stores one value, its
+    subcommand action if it has one, the defaults, and the required actions."""
+    actions = parser._actions
+    options = {string: action for action in actions
+               if type(action) is argparse._StoreAction and action.nargs is None
+               for string in action.option_strings}
+    commands = next((a for a in actions if isinstance(a, argparse._SubParsersAction)), None)
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    return options, commands, defaults, frozenset(a for a in actions if a.required)
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` returns, read in one pass,
+    or None where argv is not plainly spelled.
+
+    Plainly spelled is ``COMMAND (--option VALUE)* [ACTION (--option VALUE)*]``
+    with each option given in full at its own level.  A VALUE is a token
+    argparse reads as one: it does not start with ``-``, or it is a negative
+    number.  Each value goes through the action's type and choices, a
+    repeated option keeps its last value, and every required option and
+    subcommand must be given.  Help, abbreviations, ``--option=value``,
+    ``--``, stray tokens and every error return None, so that argparse
+    handles them.
+    """
+    tokens = iter(argv)
+    values: dict[str, object] = {}
+    parser: argparse.ArgumentParser | None = _parser()
+    while parser is not None:
+        options, commands, defaults, required = _levels(parser)
+        values.update(defaults)
+        missing = set(required)
+        parser = None
+        for token in tokens:
+            action = options.get(token)
+            if action is None:  # only a subcommand may follow the options
+                if commands is None or token not in commands.choices:
+                    return None
+                values[commands.dest] = token
+                missing.discard(commands)
+                parser = commands.choices[token]
+                break
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.match(value)):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            missing.discard(action)
+        if missing:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _active_catalog(args: argparse.Namespace) -> tuple[IonRecord, ...]:
@@ -531,7 +597,11 @@ _RUNNERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _plain_args(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         output = getattr(args, "output", None)
         if output is None:
             _emit(None, ())  # exits 4 at once if stdout was closed at start-up

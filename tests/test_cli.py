@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import functools
 import io
 import itertools
@@ -1108,6 +1109,105 @@ class TestVerify:
         assert captured.err == "error: seed must be non-negative\n"
 
 
+#: The parser that ``_plain_args`` is compared with, apart from ``main``'s.
+REFERENCE_PARSER = functools.cache(cli.build_parser)
+
+
+def store_actions(parser):
+    return [a for a in parser._actions if type(a) is argparse._StoreAction]
+
+
+def subcommands(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def all_parsers(parser):
+    yield parser
+    for child in subcommands(parser).values():
+        yield from all_parsers(child)
+
+
+def plain_value(action):
+    """Values of ``action`` that argparse takes, in the spellings argparse
+    reads as values: dash-led ones only as negative numbers."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.one_of(st.integers(-2**70, 2**70).map(str), st.just("1_0"))
+    if action.type is float:
+        return st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.sampled_from(["nan", "inf", "-1e-3", "-2.5E+2", "-.5e1", "1_0"]))
+    return st.text(max_size=4).filter(lambda s: not s.startswith("-"))
+
+
+def plain_tokens(draw, parser):
+    """A fully spelled argv for ``parser``: options (some repeated, the
+    required ones always) with plain values, then a subcommand and its own."""
+    actions = store_actions(parser)
+    chosen = draw(st.lists(st.sampled_from(actions), max_size=4)) if actions else []
+    chosen = draw(st.permutations(chosen + [a for a in actions if a.required]))
+    tokens = []
+    for action in chosen:
+        tokens += [draw(st.sampled_from(action.option_strings)), draw(plain_value(action))]
+    choices = subcommands(parser)
+    if choices:
+        name = draw(st.sampled_from(sorted(choices)))
+        tokens += [name, *plain_tokens(draw, choices[name])]
+    return tokens
+
+
+@st.composite
+def plain_argv(draw):
+    return plain_tokens(draw, REFERENCE_PARSER())
+
+
+#: Tokens at the edge of what argparse reads as a value or an option.
+STRAY_TOKENS = ["", "-", "--", "-x", "-h", "--help", "bogus", "Level", "0x10", "1_0", "nan",
+                "inf", "-inf", "-1e-3", "-.5e1", "-1e", "- 1", "te", "witness", "custom"]
+
+
+@st.composite
+def any_argv(draw):
+    """A plain argv with up to four edits: an abbreviated option, an
+    ``--option=value``, a deleted token, or a stray token or an option of
+    any level put in or swapped in."""
+    tokens = draw(plain_argv())
+    options = sorted({s for p in all_parsers(REFERENCE_PARSER())
+                      for a in p._actions for s in a.option_strings})
+    strays = st.sampled_from(STRAY_TOKENS + options)
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["abbreviate", "join", "delete", "insert", "replace"]))
+        at = draw(st.integers(0, len(tokens)))
+        token = tokens[at] if at < len(tokens) else ""
+        if edit == "abbreviate" and token.startswith("--"):
+            tokens[at] = token[:draw(st.integers(3, max(3, len(token) - 1)))]
+        elif edit == "join" and token.startswith("--") and at + 1 < len(tokens):
+            tokens[at:at + 2] = [f"{token}={tokens[at + 1]}"]
+        elif edit == "delete" and token:
+            del tokens[at]
+        elif edit == "insert":
+            tokens.insert(at, draw(strays))
+        elif edit == "replace" and at < len(tokens):
+            tokens[at] = draw(strays)
+    return tokens
+
+
+def taken_as_by_argparse(argv):
+    """``_plain_args(argv)``, after checking that it is None or the namespace
+    argparse returns, compared by repr so that nan equals nan."""
+    taken = cli._plain_args(argv)
+    if taken is not None:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            try:
+                expected = REFERENCE_PARSER().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{argv} taken, but argparse exits: {stderr.getvalue()}")
+        assert repr(sorted(vars(taken).items())) == repr(sorted(vars(expected).items())), argv
+    return taken
+
+
 class TestParserReuse:
     """``main`` parses every call with one parser per process; no call may
     leave anything on it that the next call sees."""
@@ -1188,6 +1288,52 @@ class TestParserReuse:
             assert reused.value.code == fresh.value.code == code
             assert capsys.readouterr() == expected
 
+    def test_parse_args_only_where_argv_is_not_plain(self, capsys, monkeypatch, tmp_path):
+        """The golden invocations and the benchmark's argv shapes are read
+        without argparse; help, an abbreviation and an = form go to it."""
+        from test_golden import STDOUT, WITNESS, custom_te_sweep
+
+        calls = []
+        parser = cli._parser()
+        parse_args = parser.parse_args
+
+        def counted(argv):
+            calls.append(argv)
+            return parse_args(argv)
+
+        monkeypatch.setattr(parser, "parse_args", counted)
+        for command in cli._RUNNERS:  # only the parse is under test
+            monkeypatch.setitem(cli._RUNNERS, command, lambda args, catalog: (0, ()))
+        plain = [list(argv) for argv in STDOUT]
+        plain += [["witness", "--ion", ion, "--convention", convention, "--steps", str(steps)]
+                  for ion, convention, steps in WITNESS]
+        plain += [["figure1", "--outdir", str(tmp_path), "--convention", convention]
+                  for convention in ("level", "multiplet")]
+        plain += list(custom_te_sweep())
+        plain += [["custom", "--two-s", "7", "--two-l", "12", "--zeta", "-137.5", "te",
+                   "--convention", "level", "--tolerance", "1e-06"],
+                  ["verify", "--seed", "0", "--samples", "1"]]
+        for argv in plain:
+            assert main(argv) == 0
+        assert calls == []
+        for argv in (["--help"], ["te", "--tol", "1e-3"],
+                     ["custom", "--two-s", "1", "--two-l", "2", "--zeta=-1e-3", "te"]):
+            calls.clear()
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert calls == [argv]
+        capsys.readouterr()
+
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(any_argv())
+    def test_plain_args_agree_with_argparse_or_decline(self, argv):
+        taken_as_by_argparse(argv)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(plain_argv())
+    def test_fully_spelled_argv_is_taken(self, argv):
+        assert taken_as_by_argparse(argv) is not None, argv
+
 
 class TestNegativeNumbers:
     """Every parser takes a negative number in exponent form as a value.
@@ -1208,8 +1354,9 @@ class TestNegativeNumbers:
     @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-.5e1", "-7e+0", "-3"])
     @pytest.mark.parametrize("argv, name", FLOAT_OPTIONS)
     def test_exponent_form_is_a_value(self, argv, name, value):
-        args = cli.build_parser().parse_args([a.format(value) for a in argv])
-        assert getattr(args, name) == float(value)
+        argv = [a.format(value) for a in argv]
+        assert getattr(cli.build_parser().parse_args(argv), name) == float(value)
+        assert getattr(cli._plain_args(argv), name) == float(value)
 
     def test_int_option_reports_the_value(self, capsys):
         # the verify parser takes the token as --seed's value, which int() rejects
@@ -1234,7 +1381,8 @@ class TestNegativeNumbers:
 
     def test_scan_argv_parses_as_with_argparse_pattern(self):
         """Tokens argparse's own pattern takes, as the scan benchmark passes
-        them, parse to the same namespace as with that pattern."""
+        them, parse to the same namespace as with that pattern, with argparse
+        and with ``_plain_args``."""
         default = argparse.ArgumentParser()._negative_number_matcher
         plain = cli.build_parser()
         stack = [plain]
@@ -1248,4 +1396,6 @@ class TestNegativeNumbers:
             for tolerance in ("0.001", "1e-06", "1e-09"):
                 argv = ["custom", "--two-s", "7", "--two-l", "12", "--zeta", zeta, "te",
                         "--convention", "level", "--tolerance", tolerance]
-                assert cli.build_parser().parse_args(argv) == plain.parse_args(argv)
+                expected = plain.parse_args(argv)
+                assert cli.build_parser().parse_args(argv) == expected
+                assert cli._plain_args(argv) == expected
