@@ -340,19 +340,10 @@ def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[st
         chunks = _curve_chunks(system, args.tmin, args.tmax, args.steps)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    return itertools.chain((CURVE_HEADER + "\n",), _curve_blocks(chunks))
-
-
-def _curve_blocks(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-) -> Iterator[str]:
-    """The CSV rows of (T, Z, <H>, W) chunks, one string per chunk, so only
-    one chunk of text is live at a time."""
     # imported here, so that starting the CLI neither compiles nor loads it
     from ._curve_csv import curve_text
 
-    for t, _, mean, w in chunks:
-        yield curve_text(t, mean, w)
+    return itertools.chain((CURVE_HEADER + "\n",), itertools.starmap(curve_text, chunks))
 
 
 def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:

@@ -121,6 +121,8 @@ CASES = [
     ["custom", "--two-s", "3000", "--two-l", "3000", "--zeta", "100", "te",
      "--convention", "level", "--tolerance", "1e-9"],
     ["custom", "--two-s", "40", "--two-l", "60", "--zeta", "100", "witness", "--steps", "5000"],
+    # 40 001 levels: every kernel chunk of the curve is a single row
+    ["custom", "--two-s", "40000", "--two-l", "40000", "--zeta", "1", "witness", "--steps", "3"],
     ["witness", "--ion", "Eu", "--steps", "7021"],
     ["witness", "--ion", "Pm", "--convention", "multiplet", "--steps", "7021"],
     ["te", "--catalog", "{catalog:blank_over_1mib}"],

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import sowitness
 from sowitness import cli, dense, ions, thermal
+from sowitness._curve_csv import curve_text
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.cli import CURVE_HEADER, main
 from sowitness.ions import CATALOG, ion_record, load_catalog
@@ -313,7 +314,7 @@ class TestWitness:
         # every value in every column, with the other two columns shifted
         t = np.array(values)
         mean, w = np.roll(t, 1), np.roll(t, 2)
-        lines = "".join(cli._curve_blocks([(t, None, mean, w)])).splitlines()
+        lines = curve_text(t, mean, w).splitlines()
         assert lines == [",".join(format(v, ".6g") for v in row)
                          for row in zip(t, mean, w)]
         assert lines[0] == "-0,-9.99989e-321,1"
@@ -328,7 +329,7 @@ class TestWitness:
         floats: nan, both infinities, both zeros and subnormals included, any
         bit pattern, and values within an ulp of a tie of the sixth digit."""
         t, mean, w = (np.array(column) for column in zip(*rows))
-        text = "".join(cli._curve_blocks([(t, None, mean, w)]))
+        text = curve_text(t, mean, w)
         assert text.splitlines() == [",".join(format(v, ".6g") for v in row)
                                      for row in zip(t, mean, w)]
         assert text.endswith("\n")

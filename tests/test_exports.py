@@ -50,7 +50,7 @@ FIELDS = {
         "symbol", "n4f", "s", "l", "j0", "delta_e", "zeta", "te_reference",
     ],
     "sowitness.thermal.WitnessCurve": [
-        "system", "temperatures", "partition", "mean_energy", "witness",
+        "system", "temperatures", "mean_energy", "witness",
     ],
     "sowitness.thermal.EntanglementTemperature": [
         "temperature", "status", "iterations", "residual",

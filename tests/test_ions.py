@@ -259,10 +259,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="Ce"):
             load_catalog(document([entry]))
 
-    def test_non_positive_gap_rejected(self):
-        entry = {"symbol": "Ce", "n4f": 1, "deltaE_K": 0,
-                 "zeta_K": 900, "te_paper_K": None}
-        with pytest.raises(CatalogError):
+    @pytest.mark.parametrize("field,value,name", [
+        ("deltaE_K", 0, "delta_e"), ("te_paper_K", 0, "te_reference"),
+        ("te_paper_K", -1, "te_reference"),
+    ])
+    def test_non_positive_gap_rejected(self, field, value, name):
+        entry = {"symbol": "Ce", "n4f": 1, "deltaE_K": 3150,
+                 "zeta_K": 900, "te_paper_K": None, field: value}
+        with pytest.raises(CatalogError, match=f"{name} must be positive"):
             load_catalog(document([entry]))
 
     def test_duplicate_symbols_rejected(self):

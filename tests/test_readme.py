@@ -30,7 +30,7 @@ def test_library_example():
     assert status == "WitnessStatus.CROSSED"
 
     curve = namespace["curve"]
-    for column in (curve.temperatures, curve.witness, curve.partition, curve.mean_energy):
+    for column in (curve.temperatures, curve.witness, curve.mean_energy):
         assert not column.flags.writeable
 
     # aligned.energies, aligned.spin_vectors, aligned.orbital_vectors

@@ -21,6 +21,8 @@ from sowitness.thermal import (
     witness_curve,
 )
 
+from exact_witness import exact_witness_sign
+
 LEVEL = Convention.LEVEL_UNIFORM
 MULTIPLET = Convention.MULTIPLET_DEGENERATE
 
@@ -57,6 +59,15 @@ EU_LEVEL_WEIGHTS_3295 = [
 
 LIGHT = [r for r in CATALOG if r.light]
 COUPLED = [r for r in CATALOG if r.zeta is not None]
+
+
+def assert_brackets_the_exact_zero(sys_, t, tolerance):
+    """The exact W changes sign across [T - d, T + d], d = max(tolerance,
+    32 ulp(T)), the stated accuracy of T_E on 2s, 2l <= 12; below 0 K,
+    W(0) < 0 stands in."""
+    d = max(tolerance, 32 * math.ulp(t))
+    assert exact_witness_sign(sys_, t + d) >= 0
+    assert exact_witness_sign(sys_, max(t - d, 0.0)) <= 0
 
 
 def sys_of(symbol, convention):
@@ -429,6 +440,31 @@ class TestEntanglementTemperature:
         assert result.temperature == expected
         assert abs(result.residual) <= 1e-14 * zeta
 
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.floats(-6.0, 6.0),
+           st.floats(-300.0, -3.0), st.sampled_from([LEVEL, MULTIPLET]))
+    def test_crossing_brackets_the_exact_zero(self, two_s, two_l, log_zeta, log_tolerance,
+                                              convention):
+        sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), 10.0**log_zeta, convention)
+        tolerance = 10.0**log_tolerance
+        result = entanglement_temperature(sys_, tolerance)
+        if result.status is WitnessStatus.CROSSED:
+            assert_brackets_the_exact_zero(sys_, result.temperature, tolerance)
+
+    @pytest.mark.parametrize("two_s,two_l,zeta,tolerance,convention,expected,iterations", [
+        (30, 19, 218051.7688621689, 8.080139132602672e-09, MULTIPLET, 2661958.5058865687, 5),
+        (6, 35, 0.24510314269080846, 6.113693588355173e-15, LEVEL, 2.125395845234061, 6),
+    ])
+    def test_zero_beyond_the_probe(self, two_s, two_l, zeta, tolerance, convention,
+                                   expected, iterations):
+        """A Newton step shorter than tolerance/2 whose probe has W of the
+        iterate's sign: the search goes on from the probe."""
+        sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+        result = entanglement_temperature(sys_, tolerance)
+        assert result.status is WitnessStatus.CROSSED
+        assert (result.temperature, result.iterations) == (expected, iterations)
+        assert_brackets_the_exact_zero(sys_, expected, tolerance)
+
     def test_kernel_calls_per_root_find(self, monkeypatch):
         """One call for the bracket grid, then one per Newton or bisection
         step, probe and final residual: the counts on the catalog are pinned."""
@@ -511,7 +547,6 @@ class TestWitnessCurve:
     def test_point_invariants(self):
         sys_ = sys_of("Pr", MULTIPLET)
         curve = witness_curve(sys_, 1.0, 10000.0, 100)
-        assert np.all(curve.partition > 0.0)
         assert np.array_equal(curve.witness, curve.mean_energy + sys_.separable_bound)
 
     @pytest.mark.parametrize("args", [
@@ -534,7 +569,7 @@ class TestWitnessCurve:
 
     def test_arrays_are_read_only(self):
         curve = witness_curve(sys_of("Ce", LEVEL), 1.0, 6000.0, 600)
-        for column in (curve.temperatures, curve.partition, curve.mean_energy, curve.witness):
+        for column in (curve.temperatures, curve.mean_energy, curve.witness):
             assert column.shape == (600,)
             with pytest.raises(ValueError):
                 column[0] = 0.0
@@ -590,23 +625,18 @@ def reference_table(sys_):
 def preallocating_averages(table, temperatures):
     """The kernel as it was once written, the oracle for its outputs' bits:
     ``powers`` built by ``np.stack``, exponents -x/T, and every grid run
-    chunk by chunk into three preallocated arrays."""
+    chunk by chunk into a preallocated array of <H>, <x> and <x^2>."""
     excitations = table.excitations
     powers = np.stack((table.energies, excitations, excitations * excitations), axis=1)
-    partition = np.empty(len(temperatures))
-    mean = np.empty(len(temperatures))
-    fluctuation = np.empty(len(temperatures))
+    moments = np.empty((len(temperatures), 3))
     for start in range(0, len(temperatures), table.chunk_rows):
         chunk = slice(start, start + table.chunk_rows)
         with np.errstate(over="ignore"):
             exponents = -excitations / temperatures[chunk, np.newaxis]
         weights = table.prefactors * np.exp(exponents)
         z = weights.sum(axis=1)
-        sums = (weights @ powers) / z[:, np.newaxis]
-        partition[chunk] = z
-        mean[chunk] = sums[:, 0]
-        fluctuation[chunk] = sums[:, 2] - sums[:, 1] * sums[:, 1]
-    return partition, mean, fluctuation
+        moments[chunk] = (weights @ powers) / z[:, np.newaxis]
+    return moments
 
 
 def reference_sign_at_infinity(sys_):
@@ -680,13 +710,13 @@ HUGE_SHELLS = [
 
 
 def reference_sums(sys_, t):
-    """(Z, <H>, magnitude of the summed terms) by math.fsum over weight()."""
+    """(<H>, magnitude of the summed terms) by math.fsum over weight()."""
     levels = multiplets(sys_)
     weights = [weight(sys_, level, t) for level in levels]
     partition = math.fsum(weights)
     energy = math.fsum(w * level.energy for w, level in zip(weights, levels)) / partition
     scale = math.fsum(w * abs(level.energy) for w, level in zip(weights, levels)) / partition
-    return partition, energy, scale
+    return energy, scale
 
 
 def shells(twice, magnitude):
@@ -746,10 +776,8 @@ class TestKernel:
     @given(systems, st.floats(1e-2, 1e7), st.integers(2, 5))
     def test_matches_per_level_fsum(self, sys_, tmin, steps):
         curve = witness_curve(sys_, tmin, 3.0 * tmin, steps)
-        for t, z, mean in zip(curve.temperatures.tolist(), curve.partition.tolist(),
-                              curve.mean_energy.tolist()):
-            partition, energy, scale = reference_sums(sys_, t)
-            assert abs(z - partition) <= 1e-12 * partition
+        for t, mean in zip(curve.temperatures.tolist(), curve.mean_energy.tolist()):
+            energy, scale = reference_sums(sys_, t)
             assert abs(mean - energy) <= 1e-12 * scale
             assert mean_energy(sys_, t) == pytest.approx(mean, rel=1e-12, abs=1e-12 * scale)
 
@@ -760,13 +788,13 @@ class TestKernel:
         for sys_ in cases:
             table = thermal._LevelTable(sys_)
             for t in (300.0, 1000.0, 3000.0, 1e5):
-                _, _, fluctuation = table.averages(np.array([t]))
-                slope = fluctuation / (t * t)
+                _, x1, x2 = table.averages(np.array([t]))[0].tolist()
+                slope = (x2 - x1 * x1) / (t * t)
                 h = 1e-4 * t
                 central = (witness(sys_, t + h) - witness(sys_, t - h)) / (2.0 * h)
                 # rounding of W, about 1e-13 of the largest |E|, limits the difference
                 noise = 1e-13 * float(np.abs(table.energies).max()) / h
-                assert slope[0] == pytest.approx(central, rel=1e-6, abs=noise)
+                assert slope == pytest.approx(central, rel=1e-6, abs=noise)
 
     @settings(max_examples=30, deadline=None)
     @given(shells(st.integers(0, 40), st.floats(1e-3, 1e6)), st.floats(1e-310, 1e7),
@@ -776,10 +804,10 @@ class TestKernel:
         rows = table.chunk_rows
         for length in (1, rows, rows + 1, data.draw(st.integers(2, 3 * rows + 5))):
             temperatures = np.geomspace(tmin, tmin * ratio, length)
-            expected = preallocating_averages(table, temperatures)
-            for got, want in zip(table.averages(temperatures), expected):
-                assert got.shape == (length,)
-                assert np.array_equal(got, want, equal_nan=True)
+            got = table.averages(temperatures)
+            assert got.shape == (length, 3)
+            assert np.array_equal(got, preallocating_averages(table, temperatures),
+                                  equal_nan=True)
 
     def test_long_grid_is_chunked_consistently(self):
         # More points than one kernel chunk holds: the chunked evaluation
