@@ -104,6 +104,11 @@ CASES = [
     ["te", "--catalog", "{catalog:ce_above_cap}"],
     ["witness", "--ion", "Ce", "--steps", "5", "--catalog", "{catalog:ce_huge}"],
     ["verify", "--samples", "50", "--catalog", "{catalog:ce_huge}"],
+    ["verify", "--samples", "50", "--catalog", "{catalog:yb_huge}"],
+    ["verify", "--samples", "50", "--catalog", "{catalog:ce_above_cap}"],
+    ["verify", "--samples", "50", "--catalog", "{catalog:ce_uncoupled}"],
+    # no coupled ion: every sampled check passes over nothing
+    ["verify", "--samples", "50", "--catalog", "{catalog:gd_only}"],
     ["te", "--ion", "Ce", "--catalog", "{catalog:ce_uncoupled}"],
     ["figure1", "--outdir", "{out}/fig", "--steps", "20", "--catalog", "{catalog:ce_uncoupled}"],
     ["te", "--catalog", "{catalog:ce_int_beyond_float}"],
@@ -168,6 +173,7 @@ def catalogs(ions: list[dict]) -> dict[str, str]:
         "ce_huge": replaced("Ce", zeta_K=1e308, te_paper_K=None),
         "ce_above_cap": replaced("Ce", zeta_K=1e12),
         "ce_uncoupled": replaced("Ce", zeta_K=None),
+        "gd_only": json.dumps({"ions": [ion for ion in ions if ion["symbol"] == "Gd"]}),
         "ce_int_beyond_float": replaced("Ce", zeta_K=10**400),
         # json.dumps cannot write an int of more than 4300 digits
         "ce_int_of_5000_digits": replaced("Ce", zeta_K=0).replace(
