@@ -3,8 +3,8 @@
 Two independent computational routes live side by side: closed-form level
 arithmetic (:mod:`sowitness.angular`, :mod:`sowitness.thermal`) and a dense
 product-basis route with its own eigensolver (:mod:`sowitness.dense`).
-Their agreement is part of the test contract and can be rerun at any time
-via ``sowitness verify``.
+Their agreement is part of the test contract: :mod:`sowitness.checks`
+computes it (``verify_catalog``), and ``sowitness verify`` prints it.
 """
 
 from . import dense

@@ -1,5 +1,5 @@
 """Command line: catalog inspection, witness curves, T_E tables, figure data,
-and the dense-route self-verification suite.
+and ``verify``, which prints the checks of :func:`sowitness.checks.verify_catalog`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 unusable ion, 4 I/O failure.  All output is machine-readable; numbers are
@@ -11,8 +11,8 @@ arguments, a plainly spelled argv in one pass over tables of the parser's
 own actions (``_plain_args``) and any other with argparse; exits 4 at once
 if there is no ``--output`` and stdout was closed at start-up; loads the
 catalog; runs the command, which returns its exit code and its output;
-writes that output with ``_emit``; and maps a ``_CliError``,
-``UnknownIonError`` or ``dense.ConvergenceError`` to its exit code.
+writes that output with ``_emit``; and maps a ``_CliError`` or
+``UnknownIonError`` to its exit code.
 ``figure1`` also writes its set of files itself, before it returns their
 paths as its output.
 """
@@ -30,10 +30,9 @@ import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import dense
-from .angular import Convention, HalfInt, SpinOrbitSystem, multiplets
+from .angular import Convention, HalfInt, SpinOrbitSystem
+from .checks import verify_catalog
 from .ions import (
     CATALOG,
     CatalogError,
@@ -43,7 +42,7 @@ from .ions import (
     ion_record,
     load_catalog,
 )
-from .thermal import WitnessStatus, _curve_chunks, entanglement_temperature, mean_energy
+from .thermal import WitnessStatus, _curve_chunks, entanglement_temperature
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -484,94 +483,19 @@ def _run_custom(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
     return _te_rows([("custom", system)], args.convention, _tolerance(args))
 
 
-def _worst(deviations: np.ndarray) -> float:
-    """The largest of the deviations, or inf if any is nan: a check that
-    cannot compare a value fails rather than skipping it."""
-    worst = float(deviations.max())
-    return math.inf if math.isnan(worst) else worst
-
-
-def _sampled_residuals(
-    system: SpinOrbitSystem, rng: np.random.Generator, samples: int
-) -> tuple[float, float]:
-    """Over ``samples`` Haar product states: the worst relative deviation of
-    an energy from zeta <S>.<L>, and min(E) minus the separable floor (-inf if
-    any energy is nan).  Each batch is freed before the next is drawn, and
-    nothing of the last one outlives the call.
-    """
-    identity_worst, bound_margin = 0.0, math.inf
-    floor = -system.separable_bound
-    for batch in dense.sample_product_states(system, rng, samples):
-        factored = system.zeta * (batch.spin_vectors * batch.orbital_vectors).sum(axis=1)
-        deviations = np.abs(batch.energies - factored) / (1.0 + np.abs(batch.energies))
-        identity_worst = max(identity_worst, _worst(deviations))
-        bound_margin = min(bound_margin, -_worst(floor - batch.energies))
-        del batch
-    return identity_worst, bound_margin
-
-
-def _aufbau_term(n4f: int) -> tuple[int, int, int]:
-    """Doubled (s, l, j0) of the ground term by filling the 14 4f spin-orbitals.
-
-    The electrons take m_l = 3 ... -3 spin up, then spin down; 2S = |sum 2 m_s|,
-    2L = 2 |sum m_l|, and j0 = |L - S| below half filling, L + S from half
-    filling up.  It checks ``ions.hund_rules`` without sharing its formulas.
-    """
-    orbitals = [(m, spin) for spin in (1, -1) for m in range(3, -4, -1)][:n4f]
-    ts = abs(sum(spin for _, spin in orbitals))
-    tl = 2 * abs(sum(m for m, _ in orbitals))
-    return ts, tl, abs(tl - ts) if n4f < 7 else tl + ts
-
-
-# A coupling so large that the arithmetic overflows gives inf or nan residuals,
-# which _worst turns into failing checks; the floating-point warnings on the
-# way would only repeat that on stderr.
-@np.errstate(over="ignore", invalid="ignore")
 def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     if args.samples < 1:
         raise _CliError(EXIT_USAGE, "samples must be at least 1")
     if args.seed < 0:
         raise _CliError(EXIT_USAGE, "seed must be non-negative")
-    rng = np.random.default_rng(args.seed)
-    coupled = [r for r in catalog if r.zeta is not None]
-    mismatches = sum(
-        1 for r in catalog if _aufbau_term(r.n4f) != (r.s.twice, r.l.twice, r.j0.twice)
-    )
-
-    # One pass over the coupled ions; only the sampling draws from rng.
-    spectrum_worst = trace_worst = identity_worst = te_worst = 0.0
-    bound_margin = math.inf
-    grid = np.geomspace(1.0, 1e6, 50)
-    for record in coupled:
-        system = record.system(Convention.MULTIPLET_DEGENERATE)
-        computed = dense._spectrum(system)
-        expected = np.sort(np.concatenate([
-            np.full(level.degeneracy, level.energy) for level in multiplets(system)
-        ]))
-        deviations = np.abs(computed - expected) / np.maximum(np.abs(expected), 1.0)
-        spectrum_worst = max(spectrum_worst, _worst(deviations))
-        a, b = dense.thermal_mean_energy(system, grid), mean_energy(system, grid)
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        trace_worst = max(trace_worst, _worst(np.abs(a - b) / scale))
-        identity, margin = _sampled_residuals(system, rng, args.samples)
-        identity_worst = max(identity_worst, identity)
-        bound_margin = min(bound_margin, margin)
-        if record.te_reference is not None:
-            found = entanglement_temperature(record.system(Convention.LEVEL_UNIFORM)).temperature
-            te_worst = max(te_worst, math.inf if found is None
-                           else abs(found - record.te_reference))
-
-    checks = [
-        ("hund-rules", mismatches == 0, f"mismatches={mismatches}"),
-        ("spectrum-equivalence", spectrum_worst <= 1e-9, f"max_rel_dev={_fmt(spectrum_worst)}"),
-        ("trace-equivalence", trace_worst <= 1e-10, f"max_rel_dev={_fmt(trace_worst)}"),
-        ("product-energy-identity", identity_worst <= 1e-9,
-         f"max_rel_dev={_fmt(identity_worst)}"),
-        ("separable-bound", bound_margin >= -1e-9, f"min_margin_K={_fmt(bound_margin)}"),
-        ("reference-te", te_worst <= 1.0, f"max_abs_dev_K={_fmt(te_worst)}"),
-    ]
-    all_ok = all(ok for _, ok, _ in checks)
-    lines = [f"{name}: {'pass' if ok else 'fail'} {detail}" for name, ok, detail in checks]
+    try:
+        checks = verify_catalog(catalog, args.seed, args.samples)
+    except dense.ConvergenceError as exc:
+        # an eigensolver that does not converge fails verify, without a traceback
+        raise _CliError(EXIT_VERIFY, str(exc)) from exc
+    all_ok = all(check.passed for check in checks)
+    lines = [f"{name}: {'pass' if ok else 'fail'} {key}={_fmt(value)}"
+             for name, ok, key, value in checks]
     lines.append(f"verify: {'pass' if all_ok else 'fail'}")
     return (EXIT_OK if all_ok else EXIT_VERIFY), ["\n".join(lines) + "\n"]
 
@@ -605,11 +529,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnknownIonError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ION
-    except dense.ConvergenceError as error:
-        # an eigensolver that does not converge is a verification failure,
-        # not a traceback
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 def run() -> None:

@@ -11,8 +11,8 @@ blocks, one per M = m_s + m_l, of at most min(2s, 2l)+1 rows; only
 ``build_hamiltonian`` assembles the n x n matrix.  H = zeta S.L has the
 eigenvectors of S.L and zeta times its eigenvalues, so one cached Jacobi
 solve per block (``_shell``) serves every system on the shell: ``_spectrum``
-scales the values by zeta for the Gibbs trace and ``verify``'s spectrum
-check, and a ground state comes from its block.
+scales the values by zeta for the Gibbs trace and the spectrum check in
+``checks``, and a ground state comes from its block.
 
 Product states need no solve and no dense matrix: one evaluator reads the
 bands and the ladders through slices, for the Haar-random batches of at

@@ -227,7 +227,9 @@ def entanglement_temperature(
     within max(tolerance, 32 ulps) of the zero, all but 75 within 16 ulps;
     32 ulps is under 7.2e-15 relative.
     The floor grows with the shell: at s = 1/2, 2l = 2e6, zeta = 900 K and a
-    tolerance of 1e-9 K, the value is 47208 ulps from the zero (level weights).
+    tolerance of 1e-9 K, the value is 47208 ulps from the zero (level weights);
+    at 2s = 2l = 1e4, zeta = 1 K, the exact W is still negative 1e-9 K above
+    the returned 10000.249999986028 K (level) and 5000.166667766649 K (multiplet).
 
     The search stops when the bracket is no wider than ``tolerance``, when
     its ends are adjacent floats, or when a Newton step no longer moves the

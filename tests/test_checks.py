@@ -1,0 +1,114 @@
+"""The cross-check of the two routes as a library: the records of
+``verify_catalog``, the lines ``verify`` prints from them, and a fault aimed
+at each route check that fails that check alone."""
+
+import dataclasses
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sowitness import checks, dense
+from sowitness.checks import Check, verify_catalog
+from sowitness.cli import EXIT_VERIFY, _fmt, main
+from sowitness.ions import CATALOG
+
+NAMES = ["hund-rules", "spectrum-equivalence", "trace-equivalence",
+         "product-energy-identity", "separable-bound", "reference-te"]
+KEYS = ["mismatches", "max_rel_dev", "max_rel_dev", "max_rel_dev", "min_margin_K",
+        "max_abs_dev_K"]
+
+
+def test_check_fields():
+    assert Check._fields == ("name", "passed", "key", "value")
+
+
+def test_records_are_the_printed_lines(capsys):
+    """Each record, its value formatted as the CLI formats it, is one line
+    of ``verify``; a Generator seeded alike gives the same records."""
+    records = verify_catalog(CATALOG, 3, 1000)
+    assert [r.name for r in records] == NAMES
+    assert [r.key for r in records] == KEYS
+    assert main(["verify", "--seed", "3"]) == 0
+    lines = [f"{r.name}: {'pass' if r.passed else 'fail'} {r.key}={_fmt(r.value)}"
+             for r in records]
+    assert capsys.readouterr().out == "\n".join(lines + ["verify: pass"]) + "\n"
+    assert verify_catalog(CATALOG, np.random.default_rng(3), 1000) == records
+
+
+def test_no_coupled_ion_passes_over_no_ion():
+    """Only Gd, which has no coupling: every check passes with the value of
+    no ion at all."""
+    gd = [r for r in CATALOG if r.symbol == "Gd"]
+    assert gd[0].zeta is None
+    assert verify_catalog(gd, 1, 10) == tuple(
+        map(Check, NAMES, [True] * 6, KEYS, [0, 0.0, 0.0, 0.0, np.inf, 0.0]))
+
+
+def shifted_level(monkeypatch):
+    """The lowest-j multiplet moved by zeta / 8."""
+    multiplets = checks.multiplets
+
+    def wrong(system):
+        first, *rest = multiplets(system)
+        return (dataclasses.replace(first, energy=first.energy + system.zeta / 8), *rest)
+
+    monkeypatch.setattr(checks, "multiplets", wrong)
+
+
+def scaled_trace(monkeypatch):
+    """The dense Gibbs mean energy scaled by 1 + 1e-9."""
+    mean = dense.thermal_mean_energy
+    monkeypatch.setattr(dense, "thermal_mean_energy",
+                        lambda system, temperature: mean(system, temperature) * (1 + 1e-9))
+
+
+def evaluated_as(spin_factor, orbital_factor, energy_factor):
+    """Product states whose Bloch vectors and energies are scaled."""
+    def fault(monkeypatch):
+        evaluate = dense._evaluate
+
+        def scaled(system, spin, orbital):
+            batch = evaluate(system, spin, orbital)
+            return dense.ProductStateBatch(spin_factor * batch.spin_vectors,
+                                           orbital_factor * batch.orbital_vectors,
+                                           energy_factor * batch.energies)
+
+        monkeypatch.setattr(dense, "_evaluate", scaled)
+    return fault
+
+
+FAULTS = {
+    "spectrum-equivalence": shifted_level,
+    "trace-equivalence": scaled_trace,
+    "product-energy-identity": evaluated_as(1.0, 1.0, 1 + 1e-8),
+    # the identity stays exact, and the energies fall below the floor
+    "separable-bound": evaluated_as(2.0, 2.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_a_fault_fails_only_its_check(name, capsys, monkeypatch):
+    FAULTS[name](monkeypatch)
+    assert main(["verify", "--samples", "100"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == NAMES + ["verify"]
+    assert [line.split()[1] for line in lines] == [
+        "fail" if check == name else "pass" for check in NAMES] + ["fail"]
+
+
+def test_importing_checks_loads_no_cli():
+    code = "import sys, sowitness.checks; print('sowitness.cli' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert (result.stdout, result.stderr) == ("False\n", "")
+
+
+def test_readme_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code, = [block for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+             if "verify_catalog" in block]
+    exec(compile(code, "README.md", "exec"), {})

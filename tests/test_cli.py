@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sowitness
-from sowitness import cli, dense, ions, thermal
+from sowitness import checks, cli, dense, ions, thermal
 from sowitness._curve_csv import curve_text
 from sowitness.angular import Convention, HalfInt, SpinOrbitSystem, multiplets
 from sowitness.cli import CURVE_HEADER, main
@@ -979,7 +979,7 @@ class TestVerify:
                 return func(system, temperature)
             return wrapper
 
-        monkeypatch.setattr(cli, "mean_energy", counted("closed", cli.mean_energy))
+        monkeypatch.setattr(checks, "mean_energy", counted("closed", checks.mean_energy))
         monkeypatch.setattr(dense, "thermal_mean_energy",
                             counted("dense", dense.thermal_mean_energy))
         assert main(["verify", "--samples", "20"]) == 0
@@ -1008,9 +1008,9 @@ class TestVerify:
     def test_nan_deviation_fails_the_check(self):
         """One nan among finite deviations makes the worst deviation inf, so
         a check cannot pass on a value it could not compare."""
-        assert cli._worst(np.array([1e-15, 3e-15])) == 3e-15
-        assert cli._worst(np.array([1e-15, math.nan, 2e-15])) == math.inf
-        assert cli._worst(np.array([math.inf, math.nan])) == math.inf
+        assert checks._worst(np.array([1e-15, 3e-15])) == 3e-15
+        assert checks._worst(np.array([1e-15, math.nan, 2e-15])) == math.inf
+        assert checks._worst(np.array([math.inf, math.nan])) == math.inf
 
     @staticmethod
     def huge_ce_catalog(tmp_path):
@@ -1084,7 +1084,7 @@ class TestVerify:
             return s, l, HalfInt(l.twice + s.twice if n4f < 7 else abs(l.twice - s.twice))
 
         # the rule is replaced wherever the package binds it
-        for module in (sowitness, ions, cli):
+        for module in (sowitness, ions, checks):
             if hasattr(module, "hund_rules"):
                 monkeypatch.setattr(module, "hund_rules", third_rule_inverted)
         code = main(["verify", "--samples", "20", "--catalog", str(path)])

@@ -23,6 +23,7 @@ EXPORTS = {
         "HalfInt", "Convention", "SpinOrbitSystem", "Multiplet", "multiplets",
         "level_energy",
     ],
+    "sowitness.checks": ["Check", "verify_catalog"],
     "sowitness.dense": [
         "ConvergenceError", "ProductStateBatch", "GroundStateAnalysis",
         "build_hamiltonian", "jacobi_eigh", "thermal_mean_energy", "product_states",
