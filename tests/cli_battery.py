@@ -69,6 +69,9 @@ CASES = [
     ["figure1", "--outdir", "{out}/fig", "--convention", "multiplet", "--steps", "50"],
     ["figure1", "--outdir", "{catalog:empty}"],
     ["verify", "--samples", "100"],
+    # one and two states: a batch of one evaluates as a row of any batch
+    ["verify", "--samples", "1"],
+    ["verify", "--seed", "9", "--samples", "2"],
     ["verify", "--seed", "3", "--samples", "100"],
     ["verify", "--samples", "1024"],
     ["verify", "--samples", "1025"],
