@@ -17,16 +17,17 @@ scales the values by zeta for the Gibbs trace and the spectrum check in
 Product states need no solve and no dense matrix: one evaluator reads the
 bands and the ladders through slices, for the Haar-random batches of at
 most ``_SAMPLE_CHUNK`` (1024) states, one batch per ion in a default
-``verify``, and for the explicit states of :func:`product_states`.  S.L and
-J_x are symmetric and J_y antisymmetric, so an entry and its mirror give the
-same term bit for bit, and each such pair is computed once.  Each energy is
-zeta times the expectation of the full S.L matrix on the Kronecker product
-vector, summed in the row-major order of the matrix entries, so a state's
-rounding is that of the whole vector and the same in a batch of any size;
-but :func:`_spin_orbit_expectations` never builds the vector, and works in
-7(2l+1) + 1 floats per state, not about 7n.
-The evaluator holds amplitudes as (dimension, states) arrays, one column
-per state; the batch it returns has one row per state.
+``verify``, and for the explicit states of :func:`product_states`.  Each
+expectation is a weighted sum over the diagonals its operator lives on,
+sum_k w_k x_k y_k, and an entry and its mirror are taken once at twice the
+weight (S.L and J_x are symmetric, J_y antisymmetric).  Each energy is zeta
+times the expectation of the full S.L matrix on the Kronecker product
+amplitudes, but :func:`_spin_orbit_expectations` holds two spin blocks of
+them at a time, in at most 6(2l+1) floats per state, not about 7n.  Every
+sum runs down one axis with the states along the other, so a state has the
+same bits in a batch of any size, alone included.  The evaluator holds
+amplitudes as (dimension, states) arrays, one column per state; the batch it
+returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
@@ -281,68 +282,38 @@ class ProductStateBatch:
 
 # States drawn and evaluated per batch: large enough that a default
 # ``verify`` draws each ion's 1000 states in one batch, since a batch costs
-# about 0.2 ms whatever its size (on (2s, 2l) = (4, 12): 0.10 ms for the
-# energy walk over the spin blocks, 0.05 ms for the two Bloch vectors,
-# 0.04 ms for the draw), and small enough that memory does not grow with the
+# about 0.15 ms whatever its size (on (2s, 2l) = (4, 12): 0.08 ms for the
+# energy walk over the spin blocks, 0.04 ms for the two Bloch vectors,
+# 0.02 ms for the draw), and small enough that memory does not grow with the
 # count.  A batch is evaluated from its unit factors, 2(2s+1) + 2(2l+1)
-# floats per state, while the energy evaluator works in 7(2l+1) + 1 more, and
-# returns 7 (two Bloch vectors and an energy): one batch of 1024 on a catalog
-# shell peaks at 0.63 MB (Ce) to 1.13 MB (Pm, n = 65) traced, against
+# floats per state, while the energy evaluator works in at most 6(2l+1) more,
+# and returns 7 (two Bloch vectors and an energy): one batch of 1024 on a
+# catalog shell peaks at 0.56 MB (Ce) to 1.01 MB (Pm, n = 65) traced, against
 # 1.03 MB for 256 states on the whole product vector.
 _SAMPLE_CHUNK = 1024
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... in that order, for every index of the rest.
-
-    ``np.add.reduce`` over the first axis adds whole rows in order while the
-    states form the contiguous last axis.  With one state the terms are
-    contiguous instead and it would switch to pairwise summation, so one
-    state is summed by ``np.add.accumulate``, which is strictly sequential
-    but slower.
-    """
-    if terms.shape[-1] == 1 and len(terms):
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
-
-
-def _weighted_real(
-    weights: np.ndarray, re_r: np.ndarray, im_r: np.ndarray, re_c: np.ndarray,
-    im_c: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """``out`` = weights times Re conj(psi_r) psi_c = re_r re_c + im_r im_c,
-    one weight per row of (rows, states) amplitudes.  ``im_r im_c`` goes to
-    ``scratch``, which may be one of its own factors, or to a new array."""
-    np.multiply(re_r, re_c, out=out)
-    out += np.multiply(im_r, im_c, out=scratch)
-    out *= weights[:, np.newaxis]
-    return out
+def _weighted_sum(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] a[k] b[k] for each column of two (rows, states)
+    arrays.  One reduction axis and no BLAS: each column is summed term by
+    term down its rows, with the same bits in a batch of any size."""
+    return np.einsum("k,ks,ks->s", weights, a, b)
 
 
 def _bloch_vectors(twice_j: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """<Jx>, <Jy>, <Jz> of each column psi = re + i im, as a (3, states) array.
 
-    conj(psi_r) psi_c = (re_r re_c + im_r im_c) + i (re_r im_c - im_r re_c).
-    On (k, k+1) the Jx term is w_k times the real part and the Jy term w_k
-    times the imaginary part; on (k+1, k) both are the same bit for bit
-    (a b = b a, x - y = -(y - x)), so each is computed once and added twice,
-    in the row-major order of the entries.  The Jz terms run down the
-    diagonal.
+    Jx and Jy live at offsets +-1, with w_k at (k, k+1) and its mirror, so
+    <Jx> = 2 sum w_k Re conj(psi_k) psi_(k+1) and <Jy> = 2 sum w_k Im of the
+    same; <Jz> = sum m_k |psi_k|^2 runs down the diagonal.
     """
     m, w = _ladder(twice_j)
-    dim, count = re.shape
-    # (k, copy, Jx or Jy, state): each pair's term, then its copy
-    terms = np.empty((dim - 1, 2, 2, count))
-    real, imaginary = terms[:, 0, 0], terms[:, 0, 1]
-    _weighted_real(w, re[:-1], im[:-1], re[1:], im[1:], out=real, scratch=imaginary)
-    np.multiply(re[:-1], im[1:], out=imaginary)
-    imaginary -= im[:-1] * re[1:]
-    imaginary *= w[:, np.newaxis]
-    terms[:, 1] = terms[:, 0]
-    vectors = np.empty((3, count))
-    vectors[:2] = _ordered_sum(terms.reshape(2 * (dim - 1), 2, count))
-    vectors[2] = _ordered_sum(_weighted_real(m, re, im, re, im, out=np.empty_like(re)))
-    return vectors
+    w = 2.0 * w
+    return np.array([
+        _weighted_sum(w, re[:-1], re[1:]) + _weighted_sum(w, im[:-1], im[1:]),
+        _weighted_sum(w, re[:-1], im[1:]) - _weighted_sum(w, im[:-1], re[1:]),
+        _weighted_sum(m, re, re) + _weighted_sum(m, im, im),
+    ])
 
 
 def _spin_orbit_expectations(
@@ -353,72 +324,32 @@ def _spin_orbit_expectations(
     walked over the 2s+1 spin blocks of the product basis.
 
     Block i holds the amplitudes s_i o of rows i (2l+1) + i_l, each by the
-    scalar operations of the full Kronecker product.  Row r of S.L holds the
-    entries (r, r - 2l), (r, r) and (r, r + 2l).  The band entry (r, r + 2l)
-    couples row i_l >= 1 of block i to row i_l - 1 of block i+1, and row 0
-    to the last row of block i (with weight zero).  (r, r - 2l) mirrors
-    (r - 2l, r), so its term is the band term of row r - 2l bit for bit: of
-    row i_l + 1 of the block before, or, on the last row, of row 0 of this
-    block.  So two blocks are live at a time.  Entries missing at the edges,
-    and the zero-weight pair, are zeros: the weight zero times a finite
-    product is +-0, and a sum that starts at +0 never reaches -0, so adding
-    either zero changes no bit.
-
-    Each block's terms fill rows 1, 2, ... of a (1 + 3(2l+1), states) tile,
-    as (left, diagonal, right) per row of the block, and row 0 carries the
-    sum of the blocks before.  Adding the tile's rows in order adds each
-    state's terms in the row-major order of the matrix entries, as one sum
-    over all 3n of them would, so the rounding is that of the whole product
-    vector.  The tile and the two blocks, one array, hold 7(2l+1) + 1 floats
-    per state.  Terms are formed in the contiguous blocks and copied into
-    the tile, so no NumPy call takes more than one strided or broadcast
-    operand (NumPy allocates an iteration buffer for each).
+    scalar operations of the full Kronecker product, with the real and
+    imaginary parts of a row interleaved.  A block adds sum d |psi|^2 over
+    its rows of the diagonal, and 2 sum b Re conj(psi_r) psi_(r+2l) over the
+    band entries (r, r + 2l) and their mirrors, which couple its row i_l >= 1
+    to row i_l - 1 of the next block.  So two blocks are live at a time.
     """
     diagonal, band = _bands(twice_s, twice_l)
+    diagonal, band = np.repeat(diagonal, 2), np.repeat(2.0 * band, 2)
     (s_re, s_im), (o_re, o_im) = spin, orbital
     dim, count = o_re.shape
-    work = np.empty((1 + 7 * dim, count))
-    tile = work[:1 + 3 * dim]
-    left, middle, right = tile[1:].reshape(dim, 3, count).transpose(1, 0, 2)
-    (re, im), (spare_re, spare_im) = work[1 + 3 * dim:].reshape(2, 2, dim, count)
 
-    def product_re(i: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        np.multiply(s_im[i], o_im, out=scratch)
-        np.multiply(s_re[i], o_re, out=out)
-        out -= scratch
-        return out
+    def block(i: int) -> np.ndarray:
+        amplitudes = np.empty((dim, 2, count))
+        np.subtract(s_re[i] * o_re, s_im[i] * o_im, out=amplitudes[:, 0])
+        np.add(s_re[i] * o_im, s_im[i] * o_re, out=amplitudes[:, 1])
+        return amplitudes.reshape(2 * dim, count)
 
-    def product_im(i: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        np.multiply(s_re[i], o_im, out=out)
-        out += np.multiply(s_im[i], o_re, out=scratch)
-        return out
-
-    product_re(0, re, im)
-    product_im(0, im, spare_re)
-    left[-1] = right[0] = 0.0
-    last = len(s_re) - 1
-    for i in range(last + 1):
-        start = i * dim
-        # the block before left its band terms of rows 1, 2, ... in spare_im
-        left[:-1] = spare_im[1:] if i else 0.0
-        middle[...] = _weighted_real(diagonal[start:start + dim], re, im, re, im,
-                                     out=spare_re, scratch=spare_im)
-        if i < last:
-            # re re' + im im' against the next block, formed in place in this
-            # block, whose other terms are all taken; the two products are
-            # added in the other order, which gives the same bits
-            next_re = product_re(i + 1, spare_re, spare_im)
-            re[1:] *= next_re[:-1]
-            right[1:] = re[1:]
-            next_im = product_im(i + 1, spare_im, re)
-            im[1:] *= next_im[:-1]
-            im[1:] += right[1:]
-            im[1:] *= band[start + 1:start + dim, np.newaxis]
-            right[1:] = im[1:]
-            (re, im), (spare_re, spare_im) = (next_re, next_im), (re, im)
-        else:
-            right[1:] = 0.0
-        tile[0] = total = _ordered_sum(tile if i else tile[1:])
+    total = np.zeros(count)
+    current = block(0)
+    for i in range(twice_s + 1):
+        rows = slice(2 * i * dim, 2 * (i + 1) * dim)
+        total += _weighted_sum(diagonal[rows], current, current)
+        if i < twice_s:
+            following = block(i + 1)
+            total += _weighted_sum(band[rows][2:], current[2:], following[:-2])
+            current = following
     return total
 
 
@@ -470,10 +401,11 @@ def _evaluate(
     of shape (dimension, states).  The batch holds no copy of the states.
 
     The energy is zeta times the honest matrix expectation <psi| S.L |psi>
-    on the full Kronecker product vector, not the factorized shortcut
+    on the Kronecker product amplitudes, not the factorized shortcut
     zeta <S>.<L>, so that identity is something the batch exhibits rather
-    than assumes.  The energies come first, so their working arrays peak
-    before the Bloch vectors exist.
+    than assumes.  Every value of a state has the same bits in a batch of
+    any size.  The energies come first, so their working arrays peak before
+    the Bloch vectors exist.
     """
     energies = system.zeta * _spin_orbit_expectations(
         system.s.twice, system.l.twice, spin, orbital)
@@ -536,8 +468,8 @@ def sample_product_states(
     """Draw ``n`` Haar-random product states, yielded in batches.
 
     Each batch holds at most ``_SAMPLE_CHUNK`` (1024) states, so memory
-    stays bounded whatever ``n`` is: at most 1.13 MB traced per batch on a
-    catalog shell.  The batch's fixed cost, about 0.2 ms, is paid once per
+    stays bounded whatever ``n`` is: at most 1.01 MB traced per batch on a
+    catalog shell.  The batch's fixed cost, about 0.15 ms, is paid once per
     1024 states.  Each factor is a complex standard-normal vector,
     normalized; that is exactly the uniform distribution on the factor's
     state sphere.  Every state takes one row of 2(d_s + d_l)

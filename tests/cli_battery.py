@@ -110,7 +110,7 @@ CASES = [
     ["verify", "--samples", "50", "--catalog", "{catalog:yb_huge}"],
     ["verify", "--samples", "50", "--catalog", "{catalog:ce_above_cap}"],
     ["verify", "--samples", "50", "--catalog", "{catalog:ce_uncoupled}"],
-    # no coupled ion: every sampled check passes over nothing
+    # no coupled ion: the five route checks fail, having nothing to compare
     ["verify", "--samples", "50", "--catalog", "{catalog:gd_only}"],
     ["te", "--ion", "Ce", "--catalog", "{catalog:ce_uncoupled}"],
     ["figure1", "--outdir", "{out}/fig", "--steps", "20", "--catalog", "{catalog:ce_uncoupled}"],

@@ -3,6 +3,7 @@
 at each route check that fails that check alone."""
 
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -39,13 +40,23 @@ def test_records_are_the_printed_lines(capsys):
     assert verify_catalog(CATALOG, np.random.default_rng(3), 1000) == records
 
 
-def test_no_coupled_ion_passes_over_no_ion():
-    """Only Gd, which has no coupling: every check passes with the value of
-    no ion at all."""
+def test_no_coupled_ion_fails_the_route_checks(capsys, tmp_path):
+    """Only Gd, which has no coupling: hund-rules passes, and the five route
+    checks, which compared nothing, fail with the values of no ion at all;
+    ``verify`` prints them and exits 1."""
     gd = [r for r in CATALOG if r.symbol == "Gd"]
     assert gd[0].zeta is None
-    assert verify_catalog(gd, 1, 10) == tuple(
-        map(Check, NAMES, [True] * 6, KEYS, [0, 0.0, 0.0, 0.0, np.inf, 0.0]))
+    records = tuple(map(Check, NAMES, [True] + [False] * 5, KEYS,
+                        [0, 0.0, 0.0, 0.0, np.inf, 0.0]))
+    assert verify_catalog(gd, 1, 10) == records
+    assert main(["ions", "--format", "json"]) == 0
+    ions = json.loads(capsys.readouterr().out)["ions"]
+    path = tmp_path / "gd.json"
+    path.write_text(json.dumps({"ions": [ion for ion in ions if ion["symbol"] == "Gd"]}))
+    assert main(["verify", "--samples", "10", "--catalog", str(path)]) == EXIT_VERIFY
+    lines = [f"{r.name}: {'pass' if r.passed else 'fail'} {r.key}={_fmt(r.value)}"
+             for r in records]
+    assert capsys.readouterr().out == "\n".join(lines + ["verify: fail"]) + "\n"
 
 
 def shifted_level(monkeypatch):
@@ -90,14 +101,36 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", FAULTS)
-def test_a_fault_fails_only_its_check(name, capsys, monkeypatch):
-    FAULTS[name](monkeypatch)
+def assert_verify_fails_only(name, capsys):
     assert main(["verify", "--samples", "100"]) == EXIT_VERIFY
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == NAMES + ["verify"]
     assert [line.split()[1] for line in lines] == [
         "fail" if check == name else "pass" for check in NAMES] + ["fail"]
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_a_fault_fails_only_its_check(name, capsys, monkeypatch):
+    FAULTS[name](monkeypatch)
+    assert_verify_fails_only(name, capsys)
+
+
+def test_an_energy_band_fault_fails_only_the_identity(capsys, monkeypatch):
+    """The S.L band that the energy evaluator reads, scaled by 1 + 1e-6: the
+    Bloch vectors read the ladders and do not see it, so the energies are no
+    longer zeta <S>.<L>.  The shell solves are cached first, so the spectrum
+    keeps the true band."""
+    for record in CATALOG:
+        if record.zeta is not None:
+            dense._shell(record.s.twice, record.l.twice)
+    bands = dense._bands
+
+    def scaled(twice_s, twice_l):
+        diagonal, band = bands(twice_s, twice_l)
+        return diagonal, (1 + 1e-6) * band
+
+    monkeypatch.setattr(dense, "_bands", scaled)
+    assert_verify_fails_only("product-energy-identity", capsys)
 
 
 def test_importing_checks_loads_no_cli():

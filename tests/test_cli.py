@@ -1044,7 +1044,7 @@ class TestVerify:
         assert out == ("hund-rules: pass mismatches=0\n"
                        "spectrum-equivalence: fail max_rel_dev=inf\n"
                        "trace-equivalence: fail max_rel_dev=inf\n"
-                       "product-energy-identity: pass max_rel_dev=6.45582e-14\n"
+                       "product-energy-identity: pass max_rel_dev=6.4781e-14\n"
                        "separable-bound: pass min_margin_K=2296.01\n"
                        "reference-te: pass max_abs_dev_K=0.427336\n"
                        "verify: fail\n")

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -454,9 +455,21 @@ def naive_observables(system, spin, orbital):
     return bloch(system.s.twice, spin), bloch(system.l.twice, orbital), energy
 
 
-# The gather evaluator that the band evaluator replaced, kept as its
-# bit-for-bit reference: it gathers every entry that is nonzero in any operator
-# of a stack, in row-major order, and sums each state's terms in that order.
+def bloch_operators(twice_j):
+    """(Jx, Jy, Jz) from the textbook triplet."""
+    jz, jplus, jminus = ladder_triplet(twice_j)
+    return 0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz
+
+
+def kron_columns(a, b):
+    """The Kronecker product of each column of ``a`` with that of ``b``."""
+    return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
+
+
+# The gather evaluator that the band evaluator replaced, kept as a second,
+# independently summed reference: it gathers every entry that is nonzero in
+# any operator of a stack, in row-major order, and sums each state's terms in
+# that order.
 def gather_entries(*operators):
     stack = np.array(operators)
     rows, cols = np.nonzero(np.any(stack != 0, axis=0))
@@ -490,12 +503,7 @@ def gather_expectations(entries, re, im):
 def gather_evaluate(system, spin, orbital):
     """The ProductStateBatch fields of unit (real, imaginary) column pairs."""
     def bloch(twice_j, re, im):
-        jz, jplus, jminus = ladder_triplet(twice_j)
-        entries = gather_entries(0.5 * (jplus + jminus), -0.5j * (jplus - jminus), jz)
-        return gather_expectations(entries, re, im)
-
-    def kron_columns(a, b):
-        return (a[:, np.newaxis] * b).reshape(len(a) * len(b), a.shape[1])
+        return gather_expectations(gather_entries(*bloch_operators(twice_j)), re, im)
 
     (s_re, s_im), (o_re, o_im) = spin, orbital
     spin_vec = bloch(system.s.twice, s_re, s_im)
@@ -508,6 +516,72 @@ def gather_evaluate(system, spin, orbital):
     energies = system.zeta * gather_expectations(spin_orbit, product_re, product_im)[0]
     return {"spin_vectors": spin_vec.T, "orbital_vectors": orbital_vec.T,
             "energies": energies}
+
+
+def gamma(m):
+    """The bound m u / (1 - m u) on m roundings in a row, u = 2**-53."""
+    return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def error_bounds(system, spin, orbital):
+    """Per field, the a-priori bound on the rounding error of each state of
+    unit (real, imaginary) columns, in the shape of the field.
+
+    With nu = |Re psi| + |Im psi|, a Bloch component of a factor of dimension
+    d is a sum of at most 3d terms w x y, each with at most three roundings,
+    and two such sums are added: it is within gamma(3d + 4) sum |J_rc| nu_r
+    nu_c of its exact value.  A product amplitude part is within gamma(2) mu_r
+    of its exact value, mu = (|Re s| + |Im s|) x (|Re o| + |Im o|), so a
+    term w x y of the energy is within gamma(7) |w| mu_r mu_c.  The real and
+    imaginary parts make at most 4n terms, summed in at most 4n + 4(2s+1)
+    <= 8n additions, and zeta adds one rounding: the energy is within
+    gamma(8n + 8) |zeta| 2 sum |(S.L)_rc| mu_r mu_c.  The sums are taken in
+    floats, all terms nonnegative, and raised by 1e-9 to bound their own
+    rounding.
+    """
+    def majorant(matrix, nu):
+        return np.einsum("rc,rs,cs->s", np.abs(matrix), nu, nu) * (1.0 + 1e-9)
+
+    bounds = {}
+    for name, twice_j, (re, im) in (("spin_vectors", system.s.twice, spin),
+                                    ("orbital_vectors", system.l.twice, orbital)):
+        nu = np.abs(re) + np.abs(im)
+        bounds[name] = gamma(3 * (twice_j + 1) + 4) * np.stack(
+            [majorant(op, nu) for op in bloch_operators(twice_j)], axis=1)
+    mu = kron_columns(*(np.abs(re) + np.abs(im) for re, im in (spin, orbital)))
+    spin_orbit = reference_spin_orbit(system.s.twice, system.l.twice)
+    bounds["energies"] = (gamma(8 * len(mu) + 8) * abs(system.zeta) * 2.0
+                          * majorant(spin_orbit, mu))
+    return bounds
+
+
+def exact_expectation(matrix, re, im):
+    """<psi| matrix |psi> of psi = re + i im, lists of Fractions, exactly, over
+    the nonzero entries of a Hermitian float matrix."""
+    total = Fraction(0)
+    for r, c in zip(*np.nonzero(matrix)):
+        a, b = Fraction(matrix[r, c].real), Fraction(matrix[r, c].imag)
+        total += a * (re[r] * re[c] + im[r] * im[c]) - b * (re[r] * im[c] - im[r] * re[c])
+    return total
+
+
+def exact_fields(system, spin, orbital, r):
+    """Per field, the exact components of state ``r`` of unit (real,
+    imaginary) columns, as Fractions of the float operators and inputs."""
+    def column(pair):
+        return [[Fraction(x) for x in part[:, r].tolist()] for part in pair]
+
+    fields = {}
+    for name, twice_j, pair in (("spin_vectors", system.s.twice, spin),
+                                ("orbital_vectors", system.l.twice, orbital)):
+        fields[name] = [exact_expectation(op, *column(pair)) for op in bloch_operators(twice_j)]
+    (s_re, s_im), (o_re, o_im) = column(spin), column(orbital)
+    factors = [(a, b, c, d) for a, b in zip(s_re, s_im) for c, d in zip(o_re, o_im)]
+    re = [a * c - b * d for a, b, c, d in factors]
+    im = [a * d + b * c for a, b, c, d in factors]
+    spin_orbit = reference_spin_orbit(system.s.twice, system.l.twice)
+    fields["energies"] = [Fraction(system.zeta) * exact_expectation(spin_orbit, re, im)]
+    return fields
 
 
 def basis_rows(dim, indices):
@@ -523,23 +597,58 @@ def columns_of(rows):
     return (re.T / norms).copy(), (im.T / norms).copy()
 
 
-def assert_matches_gather_oracle(system, spin, orbital):
-    """The evaluator equals the oracle exactly, field by field, on unit
-    (real, imaginary) column pairs; so does product_states on their rows,
-    against the oracle on the unit states it normalises them to."""
-    def check(batch, spin, orbital):
-        expected = gather_evaluate(system, spin, orbital)
-        assert list(expected) == FIELDS
-        for name in FIELDS:
-            assert np.array_equal(getattr(batch, name), expected[name]), name
+def fields_of(batch):
+    return {name: getattr(batch, name) for name in FIELDS}
 
-    check(dense._evaluate(system, spin, orbital), spin, orbital)
+
+def assert_within_exact_bounds(system, spin, orbital):
+    """The evaluator on unit (real, imaginary) column pairs, product_states on
+    their rows, and the gather oracle on the unit states each evaluates: all
+    within :func:`error_bounds` of the exact values on the first, middle and
+    last state, and within twice the bounds of each other on every state."""
+    def check(batch, spin, orbital):
+        reference = gather_evaluate(system, spin, orbital)
+        bounds = error_bounds(system, spin, orbital)
+        for name in FIELDS:
+            assert np.all(np.abs(batch[name] - reference[name]) <= 2.0 * bounds[name]), name
+        count = len(bounds["energies"])
+        for r in sorted({0, count // 2, count - 1} & set(range(count))):
+            exact = exact_fields(system, spin, orbital, r)
+            for fields in (batch, reference):
+                for name in FIELDS:
+                    values = np.atleast_1d(fields[name][r]).tolist()
+                    for value, expected, bound in zip(values, exact[name],
+                                                      np.atleast_1d(bounds[name][r])):
+                        assert abs(Fraction(value) - expected) <= bound, (name, r)
+
+    check(fields_of(dense._evaluate(system, spin, orbital)), spin, orbital)
     states = [(re + 1j * im).T for re, im in (spin, orbital)]
-    check(product_states(system, *states), *map(columns_of, states))
+    check(fields_of(product_states(system, *states)), *map(columns_of, states))
+
+
+def assert_basis_exact(system, spin_indices, orbital_indices):
+    """Product basis states |m_s> |m_l> give the energy zeta m_s m_l and the
+    Bloch vectors (0, 0, m_s) and (0, 0, m_l) exactly, from the evaluator,
+    from product_states and from the gather oracle."""
+    m_s = (system.s.twice - 2.0 * np.asarray(spin_indices)) / 2.0
+    m_l = (system.l.twice - 2.0 * np.asarray(orbital_indices)) / 2.0
+    zeros = np.zeros_like(m_s)
+    expected = {"spin_vectors": np.stack([zeros, zeros, m_s], axis=1),
+                "orbital_vectors": np.stack([zeros, zeros, m_l], axis=1),
+                "energies": system.zeta * (m_s * m_l)}
+    states = (basis_rows(system.s.twice + 1, spin_indices),
+              basis_rows(system.l.twice + 1, orbital_indices))
+    columns = [columns_of(rows) for rows in states]
+    for fields in (fields_of(dense._evaluate(system, *columns)),
+                   fields_of(product_states(system, *states)),
+                   gather_evaluate(system, *columns)):
+        for name in FIELDS:
+            assert np.all(fields[name] == expected[name]), name
 
 
 class TestGatherOracle:
-    """Bit-for-bit agreement with the gather evaluator the bands replaced."""
+    """The evaluator and the gather oracle against exact arithmetic: product
+    basis states exactly, Haar states within the bounds of error_bounds."""
 
     @pytest.mark.parametrize("two_s", range(13))
     def test_every_shell(self, two_s):
@@ -548,14 +657,11 @@ class TestGatherOracle:
             ds, dl = two_s + 1, two_l + 1
             sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), 3.7)
             for count in (1, 5):
-                assert_matches_gather_oracle(sys_, *dense._haar_rows(rng, count, ds, dl))
+                assert_within_exact_bounds(sys_, *dense._haar_rows(rng, count, ds, dl))
             # every product basis state |m_s> |m_l>, as one batch and alone
-            spin = basis_rows(ds, np.repeat(np.arange(ds), dl))
-            orbital = basis_rows(dl, np.tile(np.arange(dl), ds))
-            columns = [columns_of(rows) for rows in (spin, orbital)]
-            assert_matches_gather_oracle(sys_, *columns)
-            assert_matches_gather_oracle(sys_, *[(re[:, -1:].copy(), im[:, -1:].copy())
-                                                for re, im in columns])
+            spin, orbital = np.repeat(np.arange(ds), dl), np.tile(np.arange(dl), ds)
+            assert_basis_exact(sys_, spin, orbital)
+            assert_basis_exact(sys_, spin[-1:], orbital[-1:])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 12), st.one_of(st.just(1), st.integers(2, 300)),
@@ -565,12 +671,9 @@ class TestGatherOracle:
         ds, dl = two_s + 1, two_l + 1
         sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta)
         if basis:
-            rows = (basis_rows(ds, rng.integers(ds, size=count)),
-                    basis_rows(dl, rng.integers(dl, size=count)))
-            columns = [columns_of(r) for r in rows]
+            assert_basis_exact(sys_, rng.integers(ds, size=count), rng.integers(dl, size=count))
         else:
-            columns = dense._haar_rows(rng, count, ds, dl)
-        assert_matches_gather_oracle(sys_, *columns)
+            assert_within_exact_bounds(sys_, *dense._haar_rows(rng, count, ds, dl))
 
     @pytest.mark.parametrize("two_l", [0, 1, 2])
     def test_many_small_spin_blocks(self, two_l):
@@ -578,7 +681,7 @@ class TestGatherOracle:
         for two_s in range(41):
             sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), -57.3)
             for count in (1, 3):
-                assert_matches_gather_oracle(
+                assert_within_exact_bounds(
                     sys_, *dense._haar_rows(rng, count, two_s + 1, two_l + 1))
 
     def test_one_spin_block(self):
@@ -586,14 +689,14 @@ class TestGatherOracle:
         for two_l in range(41):
             sys_ = SpinOrbitSystem(HalfInt(0), HalfInt(two_l), 2.0e4)
             for count in (1, 3):
-                assert_matches_gather_oracle(sys_, *dense._haar_rows(rng, count, 1, two_l + 1))
+                assert_within_exact_bounds(sys_, *dense._haar_rows(rng, count, 1, two_l + 1))
 
     @pytest.mark.parametrize("shell", sorted(CATALOG_SHELLS) + [(40, 2), (0, 40)])
     def test_empty_single_and_full_default_batches(self, shell):
         rng = np.random.default_rng(sum(shell))
         sys_ = SpinOrbitSystem(HalfInt(shell[0]), HalfInt(shell[1]), -57.3)
         for count in (0, 1, dense._SAMPLE_CHUNK):
-            assert_matches_gather_oracle(
+            assert_within_exact_bounds(
                 sys_, *dense._haar_rows(rng, count, shell[0] + 1, shell[1] + 1))
 
 
@@ -772,6 +875,26 @@ class TestProductStates:
                 assert np.array_equal(getattr(batch, name)[r], getattr(single, name)[0]), (
                     name, r)
 
+    @pytest.mark.parametrize("two_s", range(13))
+    def test_one_state_alone_and_in_a_pair_is_its_row(self, two_s):
+        """On every shell 2s, 2l <= 12, catalog shells included, each state of
+        a 37-state Haar batch has the same bits evaluated alone and in a batch
+        of two."""
+        rng = np.random.default_rng(two_s + 500)
+        for two_l in range(13):
+            sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), -57.3)
+            spin, orbital = (rng.standard_normal((37, 2 * (twice + 1))).view(complex)
+                             for twice in (two_s, two_l))
+            batch = product_states(sys_, spin, orbital)
+            for r in range(37):
+                pair = [r, (r + 1) % 37]
+                alone = product_states(sys_, spin[r:r + 1], orbital[r:r + 1])
+                two = product_states(sys_, spin[pair], orbital[pair])
+                for name in FIELDS:
+                    row = getattr(batch, name)[r:r + 1]
+                    assert_same_bits(row, getattr(alone, name), (two_l, r, name))
+                    assert_same_bits(row, getattr(two, name)[:1], (two_l, r, name))
+
     def test_aligned_basis_state_saturates_bound(self):
         for record in COUPLED:
             sys_ = record.system()
@@ -850,13 +973,13 @@ class TestMemoryBudget:
     filled first, so only the sampling and its checks are traced."""
 
     # One default batch of 1024 states per coupled catalog shell: the peaks
-    # measured (627 944 to 1 127 728 bytes, moving by up to about 200 with the
+    # measured (562 376 to 1 014 352 bytes, moving by up to about 200 with the
     # interpreter's state) rounded up to whole 4 KiB: less than the 8 KiB of
-    # one more float per state, which would exceed them.  That leaves 2 768
-    # (Pr, Pm, Sm) to 2 840 (Ce, Eu) bytes of headroom per shell, so a failure
-    # here means a larger batch or a new temporary, not noise.
-    BATCH_PEAKS = {"Ce": 630_784, "Pr": 950_272, "Nd": 1_114_112, "Pm": 1_130_496,
-                   "Sm": 999_424, "Eu": 712_704}
+    # one more float per state, which would exceed them.  That leaves 1 392
+    # (Sm) to 2 872 (Ce) bytes of headroom per shell, so a failure here means
+    # a larger batch or a new temporary, not noise.
+    BATCH_PEAKS = {"Ce": 565_248, "Pr": 851_968, "Nd": 999_424, "Pm": 1_015_808,
+                   "Sm": 901_120, "Eu": 647_168}
 
     @pytest.mark.parametrize("symbol", sorted(BATCH_PEAKS))
     def test_one_default_batch_on_each_shell(self, symbol):
