@@ -4,8 +4,8 @@
 catalog and returns one :class:`Check` for each.  ``hund-rules`` compares
 every record with an aufbau filling of the 4f shell; the other five run over
 the coupled ions only, and fail on a catalog without one, where the two
-routes have nothing to compare.  This module imports both routes and neither route imports it, so the
-dense route stays independent of the level formulas.
+routes have nothing to compare.  This module imports both routes and neither
+route imports it, so the dense route stays independent of the level formulas.
 """
 
 from __future__ import annotations

@@ -648,7 +648,9 @@ def assert_basis_exact(system, spin_indices, orbital_indices):
 
 class TestGatherOracle:
     """The evaluator and the gather oracle against exact arithmetic: product
-    basis states exactly, Haar states within the bounds of error_bounds."""
+    basis states exactly, and Haar states within the a-priori bounds derived
+    in error_bounds, gamma(8n + 8) |zeta| 2 sum |(S.L)_rc| mu_r mu_c for an
+    energy and gamma(3d + 4) sum |J_rc| nu_r nu_c for a Bloch component."""
 
     @pytest.mark.parametrize("two_s", range(13))
     def test_every_shell(self, two_s):
