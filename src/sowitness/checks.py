@@ -4,7 +4,8 @@
 catalog and returns one :class:`Check` for each.  ``hund-rules`` compares
 every record with an aufbau filling of the 4f shell; the other five run over
 the coupled ions only, and fail on a catalog without one, where the two
-routes have nothing to compare.  This module imports both routes and neither
+routes have nothing to compare; the two sampled checks also fail when no
+state is drawn.  This module imports both routes and neither
 route imports it, so the dense route stays independent of the level formulas.
 """
 
@@ -79,8 +80,10 @@ def verify_catalog(catalog: Sequence[IonRecord], seed, samples: int) -> tuple[Ch
     """The six checks, in the order ``verify`` prints them.  ``seed`` is
     anything ``np.random.default_rng`` takes, a ``Generator`` too; only the
     sampling draws from it, ``samples`` product states per coupled ion.  With
-    no coupled ion the five route checks fail, their values those of no ion.
-    A ``dense.ConvergenceError`` of the eigensolver escapes."""
+    no coupled ion the five route checks fail, their values those of no ion,
+    and with ``samples`` below 1 the two sampled checks fail, their values
+    those of no state.  A ``dense.ConvergenceError`` of the eigensolver
+    escapes."""
     rng = np.random.default_rng(seed)
     coupled = [r for r in catalog if r.zeta is not None]
     mismatches = sum(
@@ -111,15 +114,16 @@ def verify_catalog(catalog: Sequence[IonRecord], seed, samples: int) -> tuple[Ch
                            else abs(found - record.te_reference))
 
     compared = bool(coupled)
+    sampled = compared and samples >= 1
     return (
         Check("hund-rules", mismatches == 0, "mismatches", mismatches),
         Check("spectrum-equivalence", compared and spectrum_worst <= 1e-9, "max_rel_dev",
               spectrum_worst),
         Check("trace-equivalence", compared and trace_worst <= 1e-10, "max_rel_dev",
               trace_worst),
-        Check("product-energy-identity", compared and identity_worst <= 1e-9, "max_rel_dev",
+        Check("product-energy-identity", sampled and identity_worst <= 1e-9, "max_rel_dev",
               identity_worst),
-        Check("separable-bound", compared and bound_margin >= -1e-9, "min_margin_K",
+        Check("separable-bound", sampled and bound_margin >= -1e-9, "min_margin_K",
               bound_margin),
         Check("reference-te", compared and te_worst <= 1.0, "max_abs_dev_K", te_worst),
     )

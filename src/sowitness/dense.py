@@ -25,9 +25,11 @@ times the expectation of the full S.L matrix on the Kronecker product
 amplitudes, but :func:`_spin_orbit_expectations` holds two spin blocks of
 them at a time, in at most 6(2l+1) floats per state, not about 7n.  Every
 sum runs down one axis with the states along the other, so a state has the
-same bits in a batch of any size, alone included.  The evaluator holds
-amplitudes as (dimension, states) arrays, one column per state; the batch it
-returns has one row per state.
+same bits in a batch of any size, alone included.  States come one per row,
+and each factor is normalised from its real and imaginary parts where they
+lie (slices of the drawn normals, or the parts of the caller's complex rows)
+into the (dimension, states) arrays the evaluator holds, one column per
+state; the batch it returns has one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
@@ -262,7 +264,9 @@ def thermal_mean_energy(
     """
     temperatures = _temperatures(temperature)
     values = _spectrum(system)
-    weights = np.exp(-(values - values[0]) / temperatures.reshape(-1, 1))
+    with np.errstate(over="ignore"):  # an exponent below -1.8e308 is -inf, a weight of 0
+        exponents = -(values - values[0]) / temperatures.reshape(-1, 1)
+    weights = np.exp(exponents)
     mean = (weights * values).sum(axis=1) / weights.sum(axis=1)
     return float(mean[0]) if temperatures.ndim == 0 else mean
 
@@ -353,43 +357,18 @@ def _spin_orbit_expectations(
     return total
 
 
-def _factor_parts(
-    rows: np.ndarray, spin_dim: int
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The (real, imaginary) column slices of the spin and orbital factors of
-    product states laid out one per row as [spin real | spin imaginary |
-    orbital real | orbital imaginary], for a spin factor of ``spin_dim``."""
-    offset = 2 * spin_dim
-    orbital_dim = rows.shape[1] // 2 - spin_dim
-    return ((rows[:, :spin_dim], rows[:, spin_dim:offset]),
-            (rows[:, offset:offset + orbital_dim], rows[:, offset + orbital_dim:]))
-
-
-def _row_norms(
-    rows: np.ndarray, spin_dim: int, squares: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The spin and orbital factor norms of each row of ``rows``.
-
-    The whole block is squared once, into ``squares`` (of its shape), and
-    re^2 + im^2 taken from slices of it: bit for bit
-    ``sqrt((re*re + im*im).sum(axis=1))``.
-    """
-    np.multiply(rows, rows, out=squares)
-    return tuple(np.sqrt((re_squared + im_squared).sum(axis=1))
-                 for re_squared, im_squared in _factor_parts(squares, spin_dim))
+def _norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The norm of each row re + i im of one factor's (real, imaginary)
+    parts, views or not: ``sqrt((re*re + im*im).sum(axis=1))``."""
+    return np.sqrt((re * re + im * im).sum(axis=1))
 
 
 def _unit_columns(
-    rows: np.ndarray, spin_dim: int, norms: tuple[np.ndarray, np.ndarray],
-    columns: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The spin and orbital factors of ``rows`` over their ``norms``, as
-    (real, imaginary) pairs of C-contiguous (dimension, states) arrays: the
-    rows of ``columns``, of shape (2(d_s + d_l), states), which they fill."""
-    return tuple(
-        tuple(np.divide(part.T, factor_norms, out=out.T) for part, out in zip(factor, outs))
-        for factor, outs, factor_norms
-        in zip(_factor_parts(rows, spin_dim), _factor_parts(columns.T, spin_dim), norms))
+    re: np.ndarray, im: np.ndarray, norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows re + i im over their ``norms``, as a (real, imaginary) pair
+    of C-contiguous (dimension, states) arrays."""
+    return tuple(np.divide(part.T, norms, order="C") for part in (re, im))
 
 
 def _evaluate(
@@ -421,8 +400,10 @@ def product_states(
 
     Row ``r`` of ``spin_states`` (shape ``(k, 2s+1)``) and of
     ``orbital_states`` (shape ``(k, 2l+1)``) make up state ``r``.  Rows are
-    normalized defensively; other shapes, and a row whose norm is zero or
-    not finite, raise ValueError.  The evaluator is the one behind
+    normalized at any scale: each factor row is divided first by the power
+    of two of its largest part, which is exact, so that no square underflows
+    or overflows.  Other shapes, and a row whose norm is zero or not finite,
+    raise ValueError.  The evaluator is the one behind
     :func:`sample_product_states`, so the energy is the same honest
     <psi| H |psi> on the product vector.
     """
@@ -432,12 +413,17 @@ def product_states(
     if spin.ndim != 2 or (spin.shape, orbital.shape) != tuple((len(spin), d) for d in dims):
         raise ValueError(f"factor states of shapes {spin.shape} and {orbital.shape} "
                          f"do not match the system's (k, {dims[0]}) and (k, {dims[1]})")
-    rows = np.hstack((spin.real, spin.imag, orbital.real, orbital.imag))
-    columns = np.empty(rows.shape[::-1])
-    norms = _row_norms(rows, dims[0], columns.reshape(rows.shape))
-    if not all(np.all(np.isfinite(n) & (n > 0.0)) for n in norms):
-        raise ValueError("every factor state needs a finite, nonzero norm")
-    return _evaluate(system, *_unit_columns(rows, dims[0], norms, columns))
+
+    def unit_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        largest = np.maximum(np.abs(states.real).max(axis=1), np.abs(states.imag).max(axis=1))
+        shift = -np.frexp(largest)[1][:, None]
+        parts = np.ldexp(states.real, shift), np.ldexp(states.imag, shift)
+        norms = _norms(*parts)
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise ValueError("every factor state needs a finite, nonzero norm")
+        return _unit_columns(*parts, norms)
+
+    return _evaluate(system, unit_columns(spin), unit_columns(orbital))
 
 
 def _haar_rows(
@@ -452,13 +438,14 @@ def _haar_rows(
     block.
     """
     rows = rng.standard_normal((count, 2 * (spin_dim + orbital_dim)))
-    # the squares take the memory that the unit columns fill afterwards
-    columns = np.empty(rows.shape[::-1])
+    middle = 2 * spin_dim + orbital_dim
+    factors = ((rows[:, :spin_dim], rows[:, spin_dim:2 * spin_dim]),
+               (rows[:, 2 * spin_dim:middle], rows[:, middle:]))
     while True:
-        norms = _row_norms(rows, spin_dim, columns.reshape(rows.shape))
+        norms = [_norms(*factor) for factor in factors]
         bad = (norms[0] <= 1e-6) | (norms[1] <= 1e-6)
         if not bad.any():
-            return _unit_columns(rows, spin_dim, norms, columns)
+            return tuple(_unit_columns(*factor, n) for factor, n in zip(factors, norms))
         rows[bad] = rng.standard_normal((int(np.count_nonzero(bad)), rows.shape[1]))
 
 

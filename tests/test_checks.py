@@ -59,6 +59,18 @@ def test_no_coupled_ion_fails_the_route_checks(capsys, tmp_path):
     assert capsys.readouterr().out == "\n".join(lines + ["verify: fail"]) + "\n"
 
 
+def test_no_sample_fails_the_sampled_checks():
+    """With zero samples the two checks over product states, which saw no
+    state, fail with the values of no state; the other four are as with
+    samples."""
+    empty = {"product-energy-identity": 0.0, "separable-bound": np.inf}
+    for record, sampled in zip(verify_catalog(CATALOG, 1, 0), verify_catalog(CATALOG, 1, 10)):
+        if record.name in empty:
+            assert record == Check(record.name, False, record.key, empty[record.name])
+        else:
+            assert record == sampled
+
+
 def shifted_level(monkeypatch):
     """The lowest-j multiplet moved by zeta / 8."""
     multiplets = checks.multiplets

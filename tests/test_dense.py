@@ -406,6 +406,18 @@ class TestThermalMeanEnergy:
         with pytest.raises(ValueError):
             thermal_mean_energy(sys_of("Ce"), np.array(grid))
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_temperatures_give_the_ground_mean_without_warnings(self):
+        """Below about x_max / 1.8e308 an excited state's exponent overflows
+        to -inf, a weight of 0: the float and the array form give the bits
+        of the mean at 1e-300, with no overflow warning."""
+        ce = sys_of("Ce")
+        expected = thermal_mean_energy(ce, 1e-300)
+        for t in (1e-305, 5e-324):
+            assert_same_bits(np.float64(expected), np.float64(thermal_mean_energy(ce, t)), t)
+            assert_same_bits(np.array([expected, expected]),
+                             thermal_mean_energy(ce, np.array([t, 1e-300])), t)
+
 
 FIELDS = [f.name for f in dataclasses.fields(dense.ProductStateBatch)]
 
@@ -591,7 +603,10 @@ def basis_rows(dim, indices):
 def columns_of(rows):
     """Rows of states over their norms, as the evaluator's C-contiguous
     (real, imaginary) columns: the unit states that product_states
-    evaluates, bit for bit (see test_row_norms_are_bitwise_the_summed_squares)."""
+    evaluates on rows in the normal range, bit for bit.  Its _norms of the
+    parts where they lie has the bits of these contiguous copies (see
+    test_row_norms_are_bitwise_the_summed_squares), and its power-of-two
+    scaling is exact (see test_rows_at_any_scale)."""
     re, im = np.ascontiguousarray(rows.real), np.ascontiguousarray(rows.imag)
     norms = np.sqrt((re * re + im * im).sum(axis=1))
     return (re.T / norms).copy(), (im.T / norms).copy()
@@ -780,15 +795,21 @@ class TestProductStates:
 
     @pytest.mark.parametrize("dims", [(1, 41), (6, 11), (41, 3)])
     def test_row_norms_are_bitwise_the_summed_squares(self, dims):
+        """_norms on strided views, the four slices of a drawn block and the
+        parts of a complex array, has the bits of the summed squares of
+        contiguous copies: so sampled batches equal product_states on their
+        rows."""
         spin_dim, orbital_dim = dims
-        rows = np.random.default_rng(spin_dim).standard_normal(
-            (50, 2 * (spin_dim + orbital_dim)))
+        rows = normal_rows(spin_dim, 50, spin_dim, orbital_dim)
         start = 2 * spin_dim
-        parts = ((rows[:, :spin_dim], rows[:, spin_dim:start]),
-                 (rows[:, start:start + orbital_dim], rows[:, start + orbital_dim:]))
-        squares = np.empty_like(rows)
-        for norms, (re, im) in zip(dense._row_norms(rows, spin_dim, squares), parts):
-            assert_same_bits(np.sqrt((re * re + im * im).sum(axis=1)), norms, dims)
+        slices = ((rows[:, :spin_dim], rows[:, spin_dim:start]),
+                  (rows[:, start:start + orbital_dim], rows[:, start + orbital_dim:]))
+        for (re, im), state in zip(slices, factor_states(rows, spin_dim)):
+            re_copy, im_copy = np.ascontiguousarray(re), np.ascontiguousarray(im)
+            expected = np.sqrt((re_copy * re_copy + im_copy * im_copy).sum(axis=1))
+            for views in ((re, im), (state.real, state.imag)):
+                assert not any(view.flags.c_contiguous for view in views)
+                assert_same_bits(expected, dense._norms(*views), dims)
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
@@ -910,6 +931,23 @@ class TestProductStates:
             assert state.energies[0] == pytest.approx(-sys_.separable_bound, rel=1e-12)
             assert np.array_equal(state.spin_vectors, [[0.0, 0.0, record.s.value]])
             assert np.array_equal(state.orbital_vectors, [[0.0, 0.0, sign * record.l.value]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_at_any_scale(self):
+        """A basis row whose squares are subnormal, underflow or overflow
+        gives the basis state's exact energy and Bloch vector; rows scaled by
+        any 2^k from 2^-1000 to 2^1000 keep every bit of the batch."""
+        ce = sys_of("Ce")
+        for amplitude in (3e-162, 1e-170, 1e200):
+            batch = product_states(ce, [[amplitude, 0.0]], [[0, 0, 0, 0, 0, 0, 1]])
+            assert batch.energies.tolist() == [-1350.0], amplitude
+            assert batch.spin_vectors.tolist() == [[0.0, 0.0, 0.5]], amplitude
+        rows = normal_rows(9, 20, 2, 7)
+        reference = product_states(ce, *factor_states(rows, 2))
+        for k in range(-1000, 1001):
+            scaled = product_states(ce, *factor_states(np.ldexp(rows, k), 2))
+            for name in FIELDS:
+                assert_same_bits(getattr(reference, name), getattr(scaled, name), (k, name))
 
     def test_states_normalized_defensively(self):
         """A row and its multiples give the same observables; a multiple by
