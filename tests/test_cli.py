@@ -581,6 +581,22 @@ class TestCustom:
         assert result.stdout.splitlines()[1].endswith(",crossed")
         assert elapsed < 2.0
 
+    @needs_proc_status
+    def test_largest_shell_te_runs_its_grid_in_chunks(self):
+        """te on the 10^6 levels of 2s = 2l = 999998 peaks within 80 MiB of
+        a 6-level shell.
+
+        The rise is the level table's arrays and one kernel chunk, a single
+        row of weights, at a time: 76.3-76.5 MiB, rounded up to a whole
+        4 MiB.  That is less than the 7.6 MiB of one more array over the
+        levels, which would exceed it; the 31-point bracket grid run as one
+        chunk reads +275 MiB.
+        """
+        big = cli_peak_kib("custom", "--two-s", "999998", "--two-l", "999998",
+                           "--zeta", "900", "te")
+        small = cli_peak_kib("custom", "--two-s", "5", "--two-l", "12", "--zeta", "900", "te")
+        assert big - small <= 80 * 1024, (big, small)
+
 
 @pytest.fixture
 def catalog_without_ce_coupling(tmp_path):
