@@ -11,14 +11,15 @@ call builds them once, straight from the doubled quantum numbers, into a
 level table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
 convention), the energies E_j and the excitations x_j = E_j - E_min.  One
 kernel evaluates, over a whole array of temperatures, the shifted weights
-w_j = g_j exp(-x_j/T) and returns one array of the normalised moments <H>,
-<x> and <x^2>, a row per temperature; the partition sum Z = sum_j w_j only
-normalises them.  Every exponent is non-positive, so the sums cannot
+w_j = g_j exp(-x_j/T) and returns their raw sums: one array of the weighted
+sums of E, x and x^2, a row per temperature, and the partition sums
+Z = sum_j w_j.  It normalises nothing; each caller divides by Z only the
+columns it reads.  Every exponent is non-positive, so the sums cannot
 overflow at any temperature, and a temperature costs O(levels).
 ``mean_energy``, ``witness``, ``witness_curve`` and
-``entanglement_temperature`` all go through the kernel and each reads the
-columns it needs.  It returns a grid of up to ``chunk_rows`` temperatures
-(2**14 weights) as one chunk and runs a longer one chunk by chunk.
+``entanglement_temperature`` all go through the kernel.  It runs a grid
+chunk by chunk, at most ``chunk_rows`` temperatures (2**14 weights) at a
+time.
 
 A witness curve is evaluated in chunks of the kernel's own size by
 ``_curve_chunks``: ``witness_curve`` joins the chunks into read-only arrays,
@@ -28,7 +29,9 @@ curve needs on its way to a CSV file is bounded for any length.
 The fluctuation <x^2> - <x>^2 = <H^2> - <H>^2 gives the exact slope
 dW/dT = (<H^2> - <H>^2)/T^2 under either convention, for the Newton steps of
 the root finder for T_E.  Each step is one kernel call on a one-element
-array; the fluctuation, W and the slope are then formed on Python floats.
+array; its sums and Z become Python floats, and the moments, the
+fluctuation, W and the slope are formed from them by the same IEEE
+operations as on arrays.
 """
 
 from __future__ import annotations
@@ -117,6 +120,10 @@ class _LevelTable:
     where every bracket fits, and Python ints beyond.  E_j = zeta (q_j / 8)
     takes the one rounding of ``level_energy``.  ``entanglement_temperature``
     builds a table only for a shell whose witness has a zero.
+
+    The energies, the excitations x_j and their squares are the columns of
+    ``powers``.  The kernel ``sums`` returns the weighted sums of those
+    columns and the partition sums Z, not the moments: callers normalise.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
@@ -128,34 +135,33 @@ class _LevelTable:
             self.prefactors = (twice_j + 1).astype(float)
         else:
             self.prefactors = np.ones(len(twice_j))
-        self.energies = system.zeta * (brackets.astype(float) / 8.0)
-        self.ground_energy = float(self.energies.min())
-        self.excitations = self.energies - self.ground_energy
-        self.drops = -self.excitations  # exact: drops / T has the bits of -x / T
         # <H> is summed over the energies themselves; the fluctuation over
         # the excitations x, which are non-negative with a zero at the
         # ground level, so <x^2> - <x>^2 does not cancel catastrophically.
-        self.powers = np.empty((len(self.energies), 3))
-        self.powers[:, 0], self.powers[:, 1] = self.energies, self.excitations
-        self.powers[:, 2] = self.excitations * self.excitations
+        self.powers = np.empty((len(twice_j), 3))
+        self.energies, self.excitations = self.powers[:, 0], self.powers[:, 1]
+        np.multiply(system.zeta, brackets.astype(float) / 8.0, self.energies)
+        self.ground_energy = float(self.energies.min())
+        np.subtract(self.energies, self.ground_energy, self.excitations)
+        np.multiply(self.excitations, self.excitations, self.powers[:, 2])
+        self.drops = -self.excitations  # exact: drops / T has the bits of -x / T
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
 
-    def averages(self, temperatures: np.ndarray) -> np.ndarray:
-        """The moments <H>, <x> and <x^2> as the columns of one row per
-        temperature of a 1-D array of positive temperatures."""
-        if len(temperatures) <= self.chunk_rows:
-            return self._chunk(temperatures)
-        moments = np.empty((len(temperatures), 3))
-        for start in range(0, len(temperatures), self.chunk_rows):
-            chunk = slice(start, start + self.chunk_rows)
-            moments[chunk] = self._chunk(temperatures[chunk])
-        return moments
-
-    def _chunk(self, temperatures: np.ndarray) -> np.ndarray:
-        exponents = _divide_ignoring_overflow(self.drops, temperatures[:, np.newaxis])
-        weights = self.prefactors * np.exp(exponents)
-        return (weights @ self.powers) / weights.sum(axis=1)[:, np.newaxis]
+    def sums(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted sums of E, x and x^2 as the columns of one row per
+        temperature of a 1-D array of positive temperatures, and the
+        partition sums Z; each moment is its column divided by Z."""
+        if len(temperatures) > self.chunk_rows:
+            sums, partition = np.empty((len(temperatures), 3)), np.empty(len(temperatures))
+            for start in range(0, len(temperatures), self.chunk_rows):
+                chunk = slice(start, start + self.chunk_rows)
+                sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
+            return sums, partition
+        weights = _divide_ignoring_overflow(self.drops, temperatures[:, np.newaxis])
+        np.exp(weights, out=weights)
+        weights *= self.prefactors
+        return weights @ self.powers, np.add.reduce(weights, axis=1)
 
 
 def mean_energy(
@@ -169,7 +175,8 @@ def mean_energy(
     chunk takes the matrix-vector path (see ``_curve_chunks``).
     """
     temperatures = _temperatures(temperature)
-    mean = _LevelTable(system).averages(temperatures.reshape(-1))[:, 0]
+    sums, partition = _LevelTable(system).sums(temperatures.reshape(-1))
+    mean = sums[:, 0] / partition
     return float(mean[0]) if temperatures.ndim == 0 else mean
 
 
@@ -249,20 +256,26 @@ def entanglement_temperature(
         return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     table = _LevelTable(system)
     bound = system.separable_bound
-    moments = table.averages(_BRACKET_GRID)
-    crossed = np.flatnonzero(moments[:, 0] + bound >= 0.0)
-    if not crossed.size:
+    sums, partition = table.sums(_BRACKET_GRID)
+    crossed = sums[:, 0] / partition + bound >= 0.0
+    k = int(crossed.argmax())
+    if not crossed[k]:
         return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
-    k = int(crossed[0])
     low = float(_BRACKET_GRID[k - 1]) if k else 0.0
     x = high = float(_BRACKET_GRID[k])
-    mean, x1, x2 = moments[k].tolist()
-    w, slope = mean + bound, (x2 - x1 * x1) / (high * high)
+
+    def point(t: float, row: np.ndarray, z: float) -> tuple[float, float]:
+        """W and its slope at t from one row of kernel sums and its Z."""
+        energy, x1, x2 = row.tolist()
+        x1 /= z
+        square = t * t  # 0 below about 1.5e-162 K, where the slope is unknown
+        return energy / z + bound, (x2 / z - x1 * x1) / square if square else math.nan
 
     def evaluate(t: float) -> tuple[float, float]:
-        mean, x1, x2 = table.averages(np.array([t]))[0].tolist()
-        square = t * t  # 0 below about 1.5e-162 K, where the slope is unknown
-        return mean + bound, (x2 - x1 * x1) / square if square else math.nan
+        sums, partition = table.sums(np.array([t]))
+        return point(t, sums[0], partition.item())
+
+    w, slope = point(high, sums[k], partition.item(k))
 
     iterations = 0
     step = before_last = high - low
@@ -339,7 +352,8 @@ def _curve_chunks(
         for start in range(0, steps, table.chunk_rows):
             i = np.arange(start, min(start + table.chunk_rows, steps))
             temperatures = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
-            mean = table.averages(temperatures)[:, 0]
+            sums, partition = table.sums(temperatures)
+            mean = sums[:, 0] / partition
             yield temperatures, mean, mean + bound
 
     return chunks()

@@ -469,13 +469,13 @@ class TestEntanglementTemperature:
         """One call for the bracket grid, then one per Newton or bisection
         step, probe and final residual: the counts on the catalog are pinned."""
         calls = []
-        averages = thermal._LevelTable.averages
+        sums = thermal._LevelTable.sums
 
         def counted(table, temperatures):
             calls.append(len(temperatures))
-            return averages(table, temperatures)
+            return sums(table, temperatures)
 
-        monkeypatch.setattr(thermal._LevelTable, "averages", counted)
+        monkeypatch.setattr(thermal._LevelTable, "sums", counted)
         expected = {
             (1e-3, MULTIPLET): [6, 6, 5, 5, 5, 6],
             (1e-3, LEVEL): [6, 5, 5, 5, 5, 6],
@@ -788,7 +788,8 @@ class TestKernel:
         for sys_ in cases:
             table = thermal._LevelTable(sys_)
             for t in (300.0, 1000.0, 3000.0, 1e5):
-                _, x1, x2 = table.averages(np.array([t]))[0].tolist()
+                sums, partition = table.sums(np.array([t]))
+                _, x1, x2 = (sums[0] / partition[0]).tolist()
                 slope = (x2 - x1 * x1) / (t * t)
                 h = 1e-4 * t
                 central = (witness(sys_, t + h) - witness(sys_, t - h)) / (2.0 * h)
@@ -804,8 +805,9 @@ class TestKernel:
         rows = table.chunk_rows
         for length in (1, rows, rows + 1, data.draw(st.integers(2, 3 * rows + 5))):
             temperatures = np.geomspace(tmin, tmin * ratio, length)
-            got = table.averages(temperatures)
-            assert got.shape == (length, 3)
+            sums, partition = table.sums(temperatures)
+            assert sums.shape == (length, 3) and partition.shape == (length,)
+            got = sums / partition[:, np.newaxis]
             assert np.array_equal(got, preallocating_averages(table, temperatures),
                                   equal_nan=True)
 
