@@ -28,10 +28,11 @@ curve needs on its way to a CSV file is bounded for any length.
 
 The fluctuation <x^2> - <x>^2 = <H^2> - <H>^2 gives the exact slope
 dW/dT = (<H^2> - <H>^2)/T^2 under either convention, for the Newton steps of
-the root finder for T_E.  Each step is one kernel call on a one-element
-array; its sums and Z become Python floats, and the moments, the
-fluctuation, W and the slope are formed from them by the same IEEE
-operations as on arrays.
+the root finder for T_E.  Each step is one kernel call on one float
+temperature, which runs the loops of a one-element array on 1-D weights;
+its sums and Z become Python floats, and the moments, the fluctuation, W
+and the slope are formed from them by the same IEEE operations as on
+arrays.
 """
 
 from __future__ import annotations
@@ -148,20 +149,28 @@ class _LevelTable:
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
 
-    def sums(self, temperatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted sums of E, x and x^2 as the columns of one row per
-        temperature of a 1-D array of positive temperatures, and the
-        partition sums Z; each moment is its column divided by Z."""
-        if len(temperatures) > self.chunk_rows:
-            sums, partition = np.empty((len(temperatures), 3)), np.empty(len(temperatures))
-            for start in range(0, len(temperatures), self.chunk_rows):
-                chunk = slice(start, start + self.chunk_rows)
-                sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
-            return sums, partition
-        weights = _divide_ignoring_overflow(self.drops, temperatures[:, np.newaxis])
+    def sums(self, temperatures: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        """The weighted sums of E, x and x^2 and the partition sums Z; each
+        moment is its sum divided by Z.
+
+        A 1-D array of positive temperatures gives the sums as the columns
+        of one row per temperature and an array of Z.  A float gives one row
+        as a 1-D array and Z as a scalar, by the same ufunc loops and BLAS
+        call over the same contiguous weights as a one-element array, so
+        with the same bits.
+        """
+        if isinstance(temperatures, np.ndarray):
+            if len(temperatures) > self.chunk_rows:
+                sums, partition = np.empty((len(temperatures), 3)), np.empty(len(temperatures))
+                for start in range(0, len(temperatures), self.chunk_rows):
+                    chunk = slice(start, start + self.chunk_rows)
+                    sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
+                return sums, partition
+            temperatures = temperatures[:, np.newaxis]
+        weights = _divide_ignoring_overflow(self.drops, temperatures)
         np.exp(weights, out=weights)
         weights *= self.prefactors
-        return weights @ self.powers, np.add.reduce(weights, axis=1)
+        return weights @ self.powers, np.add.reduce(weights, axis=-1)
 
 
 def mean_energy(
@@ -272,8 +281,8 @@ def entanglement_temperature(
         return energy / z + bound, (x2 / z - x1 * x1) / square if square else math.nan
 
     def evaluate(t: float) -> tuple[float, float]:
-        sums, partition = table.sums(np.array([t]))
-        return point(t, sums[0], partition.item())
+        row, z = table.sums(t)
+        return point(t, row, z.item())
 
     w, slope = point(high, sums[k], partition.item(k))
 

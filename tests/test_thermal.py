@@ -472,7 +472,7 @@ class TestEntanglementTemperature:
         sums = thermal._LevelTable.sums
 
         def counted(table, temperatures):
-            calls.append(len(temperatures))
+            calls.append(np.size(temperatures))
             return sums(table, temperatures)
 
         monkeypatch.setattr(thermal._LevelTable, "sums", counted)
@@ -810,6 +810,16 @@ class TestKernel:
             got = sums / partition[:, np.newaxis]
             assert np.array_equal(got, preallocating_averages(table, temperatures),
                                   equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shells(st.integers(0, 130), st.floats(1e-3, 1e6)), st.floats(1e-310, 1e10))
+    def test_float_temperature_has_the_bits_of_a_one_element_array(self, sys_, t):
+        table = thermal._LevelTable(sys_)
+        row, z = table.sums(t)
+        sums, partition = table.sums(np.array([t]))
+        assert row.shape == (3,) and np.shape(z) == ()
+        assert row.tobytes() == sums[0].tobytes()
+        assert np.float64(z).tobytes() == partition[0].tobytes()
 
     def test_long_grid_is_chunked_consistently(self):
         # More points than one kernel chunk holds: the chunked evaluation
