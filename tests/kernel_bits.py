@@ -19,6 +19,14 @@ The entries are
 - the three columns of ``witness_curve`` on grids of 2 to 5000 steps;
 - the Bloch vectors and energies of sampled ``dense`` batches of 1 to 1025
   states;
+- the eigenvalues and eigenvectors of ``jacobi_eigh`` on the dense
+  Hamiltonian of every 2s, 2l <= 12 at both small couplings, and on seeded
+  random symmetric matrices of 1 to 29 rows at scales 1e-200, 1 and 1e200;
+- the ``dense._shell`` solve of every 2s, 2l <= 12, its cache cleared first:
+  the shell's eigenvalues and each block's eigenpairs;
+- the ``curve_text`` bytes of seeded values with decimal exponents from -30
+  to 30, of +-0, +-inf, nan and the powers of ten with their neighbours, and
+  of near-ties of the sixth digit;
 
 and an array's value is the sha256 of its shape, dtype and bytes.  Each
 value ends with the category and message of every warning its computation
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +68,12 @@ SHAPES = (0.0, 1 / 3, 2 / 3, 1.0)
 # (2s, 2l) at couplings far from the catalog's
 EXTREME_SHELLS = ((1, 1), (1, 2), (5, 12), (6, 6), (24, 24))
 EXTREME_ZETAS = (1e-300, 1e-200, 1e-3, 1e12, 1e300, 1e308, -1e-300, -1e308)
+# random symmetric matrices for jacobi_eigh: how many, and their scales
+RANDOM_MATRICES = 300
+MATRIX_SCALES = (1e-200, 1.0, 1e200)
+# curve_text: random values, and the decimal exponents they and the near-ties span
+TEXT_VALUES = 10_000
+TEXT_EXPONENTS = range(-30, 31)
 
 
 def shells(api) -> Iterator[tuple[str, object]]:
@@ -86,12 +101,58 @@ def digest(array) -> str:
     return hashlib.sha256(text).hexdigest()[:32]
 
 
+def eigen_entries(api, dense) -> Iterator[tuple[str, str]]:
+    """``jacobi_eigh`` on the Hamiltonians and random matrices, and the
+    ``_shell`` solves, each solved afresh."""
+    import numpy as np
+
+    for two_s, two_l in itertools.product(DENSE, DENSE):
+        for zeta in SMALL_ZETAS:
+            system = api.SpinOrbitSystem(api.HalfInt(two_s), api.HalfInt(two_l), zeta)
+            yield (f"jacobi {two_s} {two_l} {zeta!r}",
+                   " ".join(map(digest, dense.jacobi_eigh(dense.build_hamiltonian(system)))))
+        dense._shell.cache_clear()
+        values, blocks = dense._shell(two_s, two_l)
+        solves = " ".join(digest(a) for block in blocks for a in block)
+        yield (f"shell {two_s} {two_l}",
+               f"{digest(values)} {hashlib.sha256(solves.encode()).hexdigest()[:32]}")
+    rng = np.random.default_rng(2024)
+    for k in range(RANDOM_MATRICES):
+        n = int(rng.integers(1, 30))
+        scale = MATRIX_SCALES[k % len(MATRIX_SCALES)]
+        half = rng.standard_normal((n, n))
+        matrix = (half + half.T) * scale
+        yield f"jacobi random {k} {n} {scale!r}", " ".join(map(digest, dense.jacobi_eigh(matrix)))
+
+
+def text_entries(curve_text) -> Iterator[tuple[str, str]]:
+    """The ``curve_text`` bytes of three seeded sets of values, each value in
+    every column once."""
+    import numpy as np
+
+    rng = np.random.default_rng(2024)
+    exponents = rng.integers(TEXT_EXPONENTS.start, TEXT_EXPONENTS.stop, TEXT_VALUES)
+    signs = rng.choice((-1.0, 1.0), TEXT_VALUES)
+    random = signs * rng.uniform(1.0, 10.0, TEXT_VALUES) * 10.0 ** exponents.astype(float)
+    powers = [float(f"1e{e}") for e in TEXT_EXPONENTS]
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, *powers,
+                *(math.nextafter(v, to) for v in powers for to in (0.0, math.inf))]
+    ties = [float(f"{m}.5e{e - 5}") for m, e in zip(rng.integers(10**5, 10**6, 1000),
+                                                   rng.choice(TEXT_EXPONENTS, 1000))]
+    near_ties = [math.nextafter(v, to) for v in ties for to in (0.0, v, math.inf)]
+    for name, values in (("random", random), ("specials", specials), ("near-ties", near_ties)):
+        t = np.array(values)
+        text = curve_text(t, np.roll(t, 1), np.roll(t, 2))
+        yield f"curve_text {name}", hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
 def entries(checkout: Path) -> Iterator[tuple[str, str]]:
     """The (key, value) entries of the checkout whose package is on the path."""
     import numpy as np
 
     import sowitness as api
     from sowitness import dense
+    from sowitness._curve_csv import curve_text
 
     assert Path(api.__file__).resolve().is_relative_to(checkout / "src"), api.__file__
     for label, system in shells(api):
@@ -121,6 +182,8 @@ def entries(checkout: Path) -> Iterator[tuple[str, str]]:
                 yield (f"dense {label} {count} batch {k}",
                        " ".join(digest(a) for a in (batch.spin_vectors, batch.orbital_vectors,
                                                     batch.energies)))
+    yield from eigen_entries(api, dense)
+    yield from text_entries(curve_text)
 
 
 def with_warnings(pairs: Iterator[tuple[str, str]]) -> Iterator[tuple[str, str]]:
