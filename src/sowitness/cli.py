@@ -67,7 +67,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _fmt(value: float) -> str:
@@ -352,13 +351,6 @@ def _ion_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
     return record.system(convention)
 
 
-def _witness_system(record: IonRecord, convention: Convention) -> SpinOrbitSystem:
-    """System for the witness command; rejects ions the witness cannot probe."""
-    if record.l.twice == 0:
-        raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (l = 0)")
-    return _ion_system(record, convention)
-
-
 def _run_ions(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     if args.format == "json":
         return EXIT_OK, [_to_json(catalog)]
@@ -380,8 +372,9 @@ def _run_ions(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Resu
 
 def _run_witness(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     record = ion_record(args.ion, catalog)
-    system = _witness_system(record, Convention(args.convention))
-    return EXIT_OK, _curve_csv(system, args)
+    if record.l.twice == 0:  # the witness cannot probe this ion
+        raise _CliError(EXIT_ION, f"{record.symbol}: witness degenerate (l = 0)")
+    return EXIT_OK, _curve_csv(_ion_system(record, Convention(args.convention)), args)
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -413,7 +406,7 @@ def _run_te(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result
     return _te_rows(pairs, args.convention, tolerance)
 
 
-_PLOT_PROLOGUE = '''#!/usr/bin/env python3
+_PLOT_SCRIPT = '''#!/usr/bin/env python3
 """Render the witness curves emitted alongside this script."""
 import csv
 import os.path
@@ -423,9 +416,8 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-'''
+CURVES = %r
 
-_PLOT_BODY = '''
 fig, ax = plt.subplots(figsize=(7.5, 5.0))
 for symbol, filename in CURVES:
     temperatures, values = [], []
@@ -456,8 +448,7 @@ def _run_figure1(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _R
     curves = [(record.symbol, f"figure1_{record.symbol}.csv") for record in light]
     files = [(os.path.join(args.outdir, filename), _curve_csv(record.system(convention), args))
              for record, (_, filename) in zip(light, curves)]
-    script = _PLOT_PROLOGUE + f"CURVES = {curves!r}\n" + _PLOT_BODY
-    files.append((os.path.join(args.outdir, "plot_figure1.py"), [script]))
+    files.append((os.path.join(args.outdir, "plot_figure1.py"), [_PLOT_SCRIPT % (curves,)]))
     _write_all(files)
     return EXIT_OK, [path + "\n" for path, _ in files]
 
@@ -524,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(output, pieces)
         return code
     except _CliError as error:
-        print(f"error: {error.message}", file=sys.stderr)
+        print(f"error: {error}", file=sys.stderr)
         return error.code
     except UnknownIonError as error:
         print(f"error: {error}", file=sys.stderr)

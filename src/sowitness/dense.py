@@ -202,21 +202,14 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = _frobenius(hollow, unit)
+                for m in (a, a.T, vectors):  # a.T's columns are a's rows
+                    col_p, col_q = m[:, p].copy(), m[:, q].copy()
+                    m[:, p] = c * col_p - s * col_q
+                    m[:, q] = s * col_p + c * col_q
+        off = _frobenius(a - np.diag(np.diag(a)), unit)
         if off <= target:
             order = np.argsort(np.diag(a), kind="stable")
-            return np.diag(a)[order].copy(), vectors[:, order].copy()
+            return np.diag(a)[order], vectors[:, order]
     raise ConvergenceError(
         f"no convergence after {_MAX_SWEEPS} sweeps: off-diagonal norm "
         f"{off:.3e} > target {target:.3e}",

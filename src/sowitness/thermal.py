@@ -210,7 +210,8 @@ def entanglement_temperature(
 
     A shell without a zero is told apart before any float arithmetic, from
     (2s, 2l), the sign of zeta and the convention alone, and builds no level
-    table.  The level energies are E_j = (zeta/2) [j(j+1) - s(s+1) - l(l+1)]:
+    table; nor does a shell whose zero a bound puts above the cap.  The
+    level energies are E_j = (zeta/2) [j(j+1) - s(s+1) - l(l+1)]:
 
     - s l zeta = 0 is WITNESS_DEGENERATE: the witness is identically >= 0
       and carries no information.
@@ -224,6 +225,12 @@ def entanglement_temperature(
       zeta 2s (3 2l - 2s - 2) / 12, which is zero only at s = l = 1/2.  That
       shell, under level weights, is ABOVE_CAP: W < 0 at every T, yet at a
       tiny zeta the float grid would round W to 0 and cross at 1 K.
+    - F = -T ln Z <= E_min, and the entropy is at most ln D for the D weighted
+      states: (2s+1)(2l+1) under multiplet weights, min(2s, 2l)+1 levels under
+      level weights.  So W(T) <= -zeta min(s, l) + T ln D, and T_E >=
+      zeta min(s, l) / ln D.  Where that exceeds twice ``BRACKET_CAP_K`` (the
+      factor 2 covers the rounding of the test) the shell is ABOVE_CAP, before
+      a level energy or |zeta| s l could overflow.
 
     Every other shell has W(0) < 0 < W(infinity), so exactly one zero.  Its
     level table is built once, and W is evaluated at 1, 2, 4, ... K below
@@ -262,6 +269,10 @@ def entanglement_temperature(
     if system.zeta < 0.0:
         return EntanglementTemperature(None, WitnessStatus.NO_CROSSING)
     if system.convention is Convention.LEVEL_UNIFORM and system.s.twice == system.l.twice == 1:
+        return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
+    twice_min = min(system.s.twice, system.l.twice)
+    states = twice_min + 1 if system.convention is Convention.LEVEL_UNIFORM else system.dimension
+    if system.zeta * (twice_min / 2) > 2.0 * BRACKET_CAP_K * math.log(states):
         return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     table = _LevelTable(system)
     bound = system.separable_bound

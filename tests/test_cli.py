@@ -32,9 +32,10 @@ FIGURE1_FILES = sorted([f"figure1_{s}.csv" for s in LIGHT] + ["plot_figure1.py"]
 HEAVY = ["Tb", "Dy", "Ho", "Er", "Tm", "Yb"]
 
 
-def run_cli(*args, cwd=None, env=None, timeout=300):
+def run_cli(*args, cwd=None, env=None, timeout=300, flags=()):
+    """``python -m sowitness ARGS``, with the interpreter ``flags`` before -m."""
     return subprocess.run(
-        [sys.executable, "-m", "sowitness", *args],
+        [sys.executable, *flags, "-m", "sowitness", *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout,
     )
 
@@ -458,6 +459,16 @@ class TestTe:
         assert result.stdout == run_cli("te", "--ion", "all").stdout
         assert result.stdout.splitlines()[-1] == "Yb,level,none,no-crossing"
 
+    def test_huge_catalog_coupling_is_above_the_cap_without_warnings(self, tmp_path):
+        """A Ce coupling of 1e308 K is above-cap by the entropy bound, before
+        any level energy could overflow: nothing warns, even as an error."""
+        result = run_cli("te", "--catalog", TestVerify.huge_ce_catalog(tmp_path),
+                         flags=("-W", "error"))
+        assert (result.returncode, result.stderr) == (1, "")
+        lines = result.stdout.splitlines()
+        assert lines[1] == "Ce,level,none,above-cap"
+        assert lines[2:] == run_cli("te").stdout.splitlines()[2:]
+
     @pytest.mark.parametrize("args, expected", [
         (("te", "--ion", "Ce", "--tolerance", "1e-20"), "Ce,level,1758.05,crossed"),
         (("custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te",
@@ -541,14 +552,17 @@ class TestCustom:
             "symbol,convention,te_K,reason\ncustom,multiplet,none,above-cap\n")
         assert captured.err == ""
 
-    def test_huge_coupling_exits_1_above_the_cap(self):
-        # W(0) = -zeta/2 < 0 and T_E is near 1e308 K; |zeta| s l once
-        # overflowed to inf before its /4 and reported no-crossing.
-        result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e308", "te")
-        assert result.returncode == 1
+    @pytest.mark.parametrize("two_s, two_l", [("1", "2"), ("5", "12")])
+    def test_huge_coupling_exits_1_above_the_cap(self, two_s, two_l):
+        # W(0) = -zeta min(s, l) < 0 and T_E is near 1e308 K; |zeta| s l once
+        # overflowed to inf before its /4 and reported no-crossing.  The
+        # entropy bound now says above-cap before any level energy or
+        # |zeta| s l could overflow, so nothing warns, even as an error.
+        result = run_cli("custom", "--two-s", two_s, "--two-l", two_l, "--zeta", "1e308", "te",
+                         flags=("-W", "error"))
+        assert (result.returncode, result.stderr) == (1, "")
         assert result.stdout == (
             "symbol,convention,te_K,reason\ncustom,multiplet,none,above-cap\n")
-        assert "error:" not in result.stderr
 
     @pytest.mark.parametrize("zeta", ["-1e308", "-1e200"])
     def test_overflowing_heavy_coupling_is_no_crossing(self, zeta):

@@ -845,6 +845,39 @@ class TestStatusFromTheShell:
             for two_l in range(1, 61):
                 unit = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), sign, convention)
                 expected = reference_status(unit)
-                for magnitude in (1e-300, 3.7, 1e308):
+                # a crossing shell at 1e308 K has its zero above the cap by
+                # the entropy bound, and needs no table to say so either
+                for magnitude, crossing in ((1e-300, None), (3.7, None),
+                                            (1e308, WitnessStatus.ABOVE_CAP)):
                     sys_ = SpinOrbitSystem(unit.s, unit.l, sign * magnitude, convention)
-                    assert status_without_table(sys_) is expected, (two_s, two_l, sys_.zeta)
+                    want = crossing if expected is None else expected
+                    assert status_without_table(sys_) is want, (two_s, two_l, sys_.zeta)
+
+    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
+    def test_zero_lies_above_the_entropy_bound(self, convention):
+        """F <= E_min and S <= ln D give T_E >= zeta min(s, l) / ln D, for D
+        the weighted states; at 2s, 2l <= 24 the zero lies at least 2.5 times
+        above it."""
+        zeta = 3.7
+        for two_s in range(1, 25):
+            for two_l in range(1, 25):
+                sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+                result = entanglement_temperature(sys_, 1e-9)
+                if result.status is not WitnessStatus.CROSSED:
+                    assert (convention, two_s, two_l) == (LEVEL, 1, 1)
+                    continue
+                states = min(two_s, two_l) + 1 if convention is LEVEL else sys_.dimension
+                bound = zeta * min(two_s, two_l) / 2 / math.log(states)
+                assert result.temperature >= 2.5 * bound, (two_s, two_l)
+
+    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
+    def test_above_twice_the_cap_by_the_bound_builds_no_table(self, convention):
+        # just above and below the coupling at which the bound reaches twice the cap
+        for two_s, two_l in ((1, 2), (5, 12), (24, 24), (2**53, 1)):
+            unit = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), 1.0, convention)
+            states = min(two_s, two_l) + 1 if convention is LEVEL else unit.dimension
+            edge = 2 * BRACKET_CAP_K * math.log(states) / (min(two_s, two_l) / 2)
+            above = SpinOrbitSystem(unit.s, unit.l, edge * 1.01, convention)
+            assert status_without_table(above) is WitnessStatus.ABOVE_CAP
+            below = SpinOrbitSystem(unit.s, unit.l, edge * 0.99, convention)
+            assert status_without_table(below) is None
