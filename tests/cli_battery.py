@@ -51,6 +51,9 @@ CASES = [
     ["witness", "--ion", "Ce"],
     ["witness", "--ion", "Eu", "--convention", "multiplet", "--steps", "3000"],
     ["witness", "--ion", "Tb", "--steps", "50"],
+    # W(0) = 0 for a heavy ion: the witness is its excitation mean, not a rounded 0
+    ["witness", "--ion", "Tb", "--convention", "multiplet", "--tmin", "5", "--tmax", "20",
+     "--steps", "4"],
     ["witness", "--ion", "Gd"],
     ["witness", "--ion", "Xx"],
     ["witness", "--ion", "Ce", "--tmin", "0"],
@@ -100,6 +103,8 @@ CASES = [
     ["custom", "--two-s", "1", "--two-l", "1", "--zeta", "inf", "te"],
     ["custom", "--two-s", "1", "--two-l", "1", "--zeta", "0", "te"],
     ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "900", "witness", "--steps", "100"],
+    # s l = 0: the witness is +0, never a printed -0
+    ["custom", "--two-s", "0", "--two-l", "2", "--zeta", "5", "witness", "--steps", "2"],
     ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e308", "witness", "--steps", "5"],
     ["custom", "--two-s", "1", "--two-l", "2", "--zeta", "-1e308", "witness", "--steps", "5"],
     ["te", "--catalog", "{catalog:yb_huge}"],
