@@ -6,16 +6,19 @@ entangled across the spin-orbit bipartition.  The entanglement temperature
 is the unique zero of W: <H>_T is a nondecreasing function of T for any
 fixed positive weights, so at most one sign change exists.
 
-Every thermal quantity needs only the levels (g_j, E_j) of the shell.  Each
-call builds them once, straight from the doubled quantum numbers, into a
-level table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
-convention), the energies E_j and the excitations x_j = E_j - E_min.  One
-kernel evaluates, over a whole array of temperatures, the shifted weights
-w_j = g_j exp(-x_j/T) and returns their raw sums: one array of the weighted
-sums of E, x and x^2, a row per temperature, and the partition sums
-Z = sum_j w_j.  It normalises nothing; each caller divides by Z only the
-columns it reads.  Every exponent is non-positive, so the sums cannot
-overflow at any temperature, and a temperature costs O(levels).
+Every thermal quantity needs only the levels of the shell.  Each call
+builds them once, straight from the doubled quantum numbers, into a level
+table: NumPy arrays of the effective prefactors g_j (2j+1 or 1 by
+convention), the excitations x_j = E_j - E_min, each with one rounding,
+and their squares.  One kernel evaluates, over a whole array of
+temperatures, the shifted weights w_j = g_j exp(-x_j/T) and returns their
+raw sums: the weighted sums of x and x^2, a row per temperature, and the
+partition sums Z = sum_j w_j.  Every exponent is non-positive, so the sums
+cannot overflow at any temperature, and a temperature costs O(levels).
+Each caller divides by Z only the columns it reads, and all read the one
+moment <x> >= 0: W = W(0) + <x>, with W(0) = -zeta min(s, l) for zeta > 0
+and 0 otherwise, and <H> = E_min + <x>.  So W is negative only where W(0)
+is, and near its zero it cancels W(0), not |zeta| s l, against <x>.
 ``mean_energy``, ``witness``, ``witness_curve`` and
 ``entanglement_temperature`` all go through the kernel.  It runs a grid
 chunk by chunk, at most ``chunk_rows`` temperatures (2**14 weights) at a
@@ -29,10 +32,8 @@ curve needs on its way to a CSV file is bounded for any length.
 The fluctuation <x^2> - <x>^2 = <H^2> - <H>^2 gives the exact slope
 dW/dT = (<H^2> - <H>^2)/T^2 under either convention, for the Newton steps of
 the root finder for T_E.  Each step is one kernel call on one float
-temperature, which runs the loops of a one-element array on 1-D weights;
-its sums and Z become Python floats, and the moments, the fluctuation, W
-and the slope are formed from them by the same IEEE operations as on
-arrays.
+temperature, with the bits of a one-element array; W and the slope are
+formed from its sums and Z as Python floats.
 """
 
 from __future__ import annotations
@@ -116,15 +117,15 @@ class EntanglementTemperature:
 class _LevelTable:
     """The levels of one system as arrays, built from its doubled quantum numbers.
 
-    The brackets q_j = 8 E_j / zeta and the degeneracies g_j (2j+1, or 1
+    The brackets B_j = 8 E_j / zeta and the degeneracies g_j (2j+1, or 1
     under level weights) are exact integers: int64 while 2s + 2l < 2^31,
-    where every bracket fits, and Python ints beyond.  E_j = zeta (q_j / 8)
-    takes the one rounding of ``level_energy``.  ``entanglement_temperature``
-    builds a table only for a shell whose witness has a zero.
-
-    The energies, the excitations x_j and their squares are the columns of
-    ``powers``.  The kernel ``sums`` returns the weighted sums of those
-    columns and the partition sums Z, not the moments: callers normalise.
+    where every bracket fits, and Python ints beyond.  B_j rises with j, so
+    the ground is the first level for zeta > 0 and the last otherwise.  The
+    excitations x_j = |zeta| (|B_j - B_ground| / 8) and their squares are
+    the two columns of ``powers``; x_j and E_min = zeta (B_ground / 8), as
+    in ``level_energy``, take one rounding each.  The kernel ``sums``
+    returns the weighted sums of the columns and the partition sums Z, not
+    the moments: callers normalise.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
@@ -132,42 +133,37 @@ class _LevelTable:
         twice_j = np.arange(abs(ts - tl), ts + tl + 1, 2,
                             dtype=np.int64 if ts + tl < 2**31 else object)
         brackets = _bracket(ts, tl, twice_j)
-        if system.convention is Convention.MULTIPLET_DEGENERATE:
-            self.prefactors = (twice_j + 1).astype(float)
-        else:
-            self.prefactors = np.ones(len(twice_j))
-        # <H> is summed over the energies themselves; the fluctuation over
-        # the excitations x, which are non-negative with a zero at the
-        # ground level, so <x^2> - <x>^2 does not cancel catastrophically.
-        self.powers = np.empty((len(twice_j), 3))
-        self.energies, self.excitations = self.powers[:, 0], self.powers[:, 1]
-        np.multiply(system.zeta, brackets.astype(float) / 8.0, self.energies)
-        self.ground_energy = float(self.energies.min())
-        np.subtract(self.energies, self.ground_energy, self.excitations)
-        np.multiply(self.excitations, self.excitations, self.powers[:, 2])
-        self.drops = -self.excitations  # exact: drops / T has the bits of -x / T
+        by_dimension = system.convention is Convention.MULTIPLET_DEGENERATE
+        self.prefactors = (twice_j + 1).astype(float) if by_dimension else np.ones(len(twice_j))
+        ground = brackets[0 if system.zeta > 0.0 else -1]
+        self.ground_energy = float(system.zeta * (ground / 8))
+        np.subtract(brackets, ground, out=brackets)
+        np.absolute(brackets, out=brackets)
+        self.powers = np.empty((len(twice_j), 2))
+        self.excitations = self.powers[:, 0]
+        np.divide(brackets, 8, self.excitations, casting="unsafe")
+        self.excitations *= abs(system.zeta)
+        np.multiply(self.excitations, self.excitations, self.powers[:, 1])
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
-        self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(self.energies))
+        self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(twice_j))
 
     def sums(self, temperatures: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-        """The weighted sums of E, x and x^2 and the partition sums Z; each
-        moment is its sum divided by Z.
-
-        A 1-D array of positive temperatures gives the sums as the columns
-        of one row per temperature and an array of Z.  A float gives one row
-        as a 1-D array and Z as a scalar, by the same ufunc loops and BLAS
-        call over the same contiguous weights as a one-element array, so
-        with the same bits.
+        """The weighted sums of x and x^2, a row per temperature of a 1-D
+        array, and the partition sums Z; each moment is its sum over Z.  A
+        float gives one row as a 1-D array and Z as a scalar, by the same
+        ufunc loops and BLAS call over the same contiguous weights as a
+        one-element array, so with the same bits.
         """
         if isinstance(temperatures, np.ndarray):
             if len(temperatures) > self.chunk_rows:
-                sums, partition = np.empty((len(temperatures), 3)), np.empty(len(temperatures))
+                sums, partition = np.empty((len(temperatures), 2)), np.empty(len(temperatures))
                 for start in range(0, len(temperatures), self.chunk_rows):
                     chunk = slice(start, start + self.chunk_rows)
                     sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
                 return sums, partition
             temperatures = temperatures[:, np.newaxis]
-        weights = _divide_ignoring_overflow(self.drops, temperatures)
+        # x / -T has the bits of -x / T: IEEE division is symmetric in sign
+        weights = _divide_ignoring_overflow(self.excitations, -temperatures)
         np.exp(weights, out=weights)
         weights *= self.prefactors
         return weights @ self.powers, np.add.reduce(weights, axis=-1)
@@ -184,23 +180,28 @@ def mean_energy(
     chunk takes the matrix-vector path (see ``_curve_chunks``).
     """
     temperatures = _temperatures(temperature)
-    sums, partition = _LevelTable(system).sums(temperatures.reshape(-1))
-    mean = sums[:, 0] / partition
+    table = _LevelTable(system)
+    sums, partition = table.sums(temperatures.reshape(-1))
+    mean = table.ground_energy + sums[:, 0] / partition
     return float(mean[0]) if temperatures.ndim == 0 else mean
+
+
+def _witness_at_zero(system: SpinOrbitSystem) -> float:
+    """W(0) = E_min + |zeta| s l in closed form; +0.0 where s l = 0."""
+    return 0.0 - max(system.zeta, 0.0) * (min(system.s.twice, system.l.twice) / 2)
 
 
 def witness(system: SpinOrbitSystem, temperature: float) -> float:
     """W(T) = <H>_T + |zeta| s l; negative values certify entanglement.
 
-    At T = 0 the mean energy is its T -> 0+ limit, the ground level energy.
+    W(0), the T -> 0+ limit, needs no level table.
     """
     if temperature == 0.0:
-        energy = _LevelTable(system).ground_energy
-    elif temperature > 0.0:
-        energy = mean_energy(system, temperature)
-    else:
+        return _witness_at_zero(system)
+    if not temperature > 0.0:
         raise ValueError(f"temperature must be non-negative, got {temperature!r}")
-    return energy + system.separable_bound
+    row, z = _LevelTable(system).sums(float(temperature))
+    return _witness_at_zero(system) + (row[0] / z).item()
 
 
 def entanglement_temperature(
@@ -244,15 +245,13 @@ def entanglement_temperature(
 
     The returned temperature lies within ``tolerance`` (kelvin) of the zero
     wherever the tolerance is above the rounding floor of the float
-    witness: <H> + |zeta| s l cancels near the zero, so the computed sign of
-    W is unreliable a few ulps from it.  Against an exact decimal W(T) on
-    115331 random crossings with 2s, 2l <= 12, every returned value lay
-    within max(tolerance, 32 ulps) of the zero, all but 75 within 16 ulps;
-    32 ulps is under 7.2e-15 relative.
-    The floor grows with the shell: at s = 1/2, 2l = 2e6, zeta = 900 K and a
-    tolerance of 1e-9 K, the value is 47208 ulps from the zero (level weights);
-    at 2s = 2l = 1e4, zeta = 1 K, the exact W is still negative 1e-9 K above
-    the returned 10000.249999986028 K (level) and 5000.166667766649 K (multiplet).
+    witness: W(0) + <x> cancels near the zero, so the computed sign of W is
+    unreliable an ulp or so from it.  Against an exact decimal W(T) on 20000
+    random crossings with 2s, 2l <= 12, every returned value lay within
+    max(tolerance, 6 ulps) of the zero, all but 32 within max(tolerance,
+    3 ulps).  The floor does not grow with the shell: at s = 1/2, 2l from 6
+    to 2e7 and zeta = 900 K the value is within 1.01 ulps of the
+    closed-form zero, and at 2s = 2l = 1e4, zeta = 1 K, within 2 ulps.
 
     The search stops when the bracket is no wider than ``tolerance``, when
     its ends are adjacent floats, or when a Newton step no longer moves the
@@ -275,9 +274,9 @@ def entanglement_temperature(
     if system.zeta * (twice_min / 2) > 2.0 * BRACKET_CAP_K * math.log(states):
         return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
     table = _LevelTable(system)
-    bound = system.separable_bound
+    floor = _witness_at_zero(system)
     sums, partition = table.sums(_BRACKET_GRID)
-    crossed = sums[:, 0] / partition + bound >= 0.0
+    crossed = floor + sums[:, 0] / partition >= 0.0
     k = int(crossed.argmax())
     if not crossed[k]:
         return EntanglementTemperature(None, WitnessStatus.ABOVE_CAP)
@@ -286,10 +285,10 @@ def entanglement_temperature(
 
     def point(t: float, row: np.ndarray, z: float) -> tuple[float, float]:
         """W and its slope at t from one row of kernel sums and its Z."""
-        energy, x1, x2 = row.tolist()
+        x1, x2 = row.tolist()
         x1 /= z
         square = t * t  # 0 below about 1.5e-162 K, where the slope is unknown
-        return energy / z + bound, (x2 / z - x1 * x1) / square if square else math.nan
+        return floor + x1, (x2 / z - x1 * x1) / square if square else math.nan
 
     def evaluate(t: float) -> tuple[float, float]:
         row, z = table.sums(t)
@@ -342,8 +341,8 @@ def _curve_chunks(
     first chunk is asked for, so a bad grid raises ValueError before a
     caller has written anything.  Each chunk is one kernel chunk.  A row has
     the same bits in any chunk of >= 2 rows on the catalog shells (<= 7
-    levels); a one-row chunk takes the matrix-vector path (Pm, Eu: about
-    2000 of 7200 rows differ), and on bigger tables BLAS blocking makes a
+    levels); a one-row chunk takes the matrix-vector path (Pm, Eu: 340 to
+    710 of 7200 rows differ), and on bigger tables BLAS blocking makes a
     row's last bits depend on its chunk (95 of 150 shells, 2s, 2l <= 139).
 
     Each grid value is within 3 rounding errors of its exact value, so a
@@ -366,15 +365,15 @@ def _curve_chunks(
     if not math.isfinite(tmax * (steps - 1)):
         raise ValueError(f"{steps} steps up to tmax={tmax} overflow the float range")
     table = _LevelTable(system)
-    bound = system.separable_bound
+    floor = _witness_at_zero(system)
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         for start in range(0, steps, table.chunk_rows):
             i = np.arange(start, min(start + table.chunk_rows, steps))
             temperatures = (tmin * (steps - 1 - i) + tmax * i) / (steps - 1)
             sums, partition = table.sums(temperatures)
-            mean = sums[:, 0] / partition
-            yield temperatures, mean, mean + bound
+            excitation = sums[:, 0] / partition
+            yield temperatures, table.ground_energy + excitation, floor + excitation
 
     return chunks()
 
