@@ -573,8 +573,8 @@ class TestCustom:
         assert result.stdout == (
             "symbol,convention,te_K,reason\ncustom,multiplet,none,no-crossing\n")
 
-    @pytest.mark.parametrize("zeta, witness", [("1e308", -5e307), ("-1e308", 0.0)])
-    def test_huge_coupling_witness_rows_are_finite(self, zeta, witness):
+    @pytest.mark.parametrize("zeta, expected", [("1e308", -5e307), ("-1e308", 0.0)])
+    def test_huge_coupling_witness_rows_are_finite(self, zeta, expected):
         # W = W(0) + <x>, with W(0) = -zeta min(s, l) for zeta > 0 and 0
         # otherwise, and every excited weight 0 up to 6000 K.  As
         # <H> + |zeta| s l the rows were -inf, for either sign of zeta.
@@ -584,7 +584,7 @@ class TestCustom:
         rows = [[float(v) for v in line.split(",")] for line in result.stdout.splitlines()[1:]]
         assert len(rows) == 5
         assert all(math.isfinite(v) for row in rows for v in row)
-        assert [w for _, _, w in rows] == [witness] * 5
+        assert [w for _, _, w in rows] == [expected] * 5
 
     def test_underflowing_slope_writes_no_stderr(self):
         result = run_cli("custom", "--two-s", "1", "--two-l", "2", "--zeta", "1e-200",

@@ -307,7 +307,8 @@ class TestWitness:
     def test_heavy_ion_witness_has_the_exact_sign(self, convention):
         """zeta < 0 gives W(0) = 0 and W = <x>, so W > 0, the exact sign,
         wherever the weight exp(-x_1/T) of the first excited level does not
-        underflow to 0.  As <H> + |zeta| s l, W rounded to 0 up to 60-180 K."""
+        underflow to 0.  As <H> + |zeta| s l, W rounded to 0 at the lowest 8
+        (Tb) to 40 (Yb) of these temperatures, up to 391.6 K."""
         for record in CATALOG:
             if not record.heavy:
                 continue
@@ -475,7 +476,7 @@ class TestEntanglementTemperature:
         |zeta| (n + 1) / (2 ln(n + 2)) under multiplet weights, n = 2l (or
         2s).  As <H> + |zeta| s l, W put T_E 47208 ulps off at n = 2e6 and
         450057 at n = 2e7.  (At n = 2 the level-weight value is 2.02 ulps
-        off, within the 32-ulp floor of the small shells.)"""
+        off, within the 8 ulps that the small shells are held to.)"""
         zeta = 900.0
         for n in (6, 13, 200, 2 * 10**4, 2 * 10**6, 2 * 10**7):
             with decimal.localcontext() as ctx:
@@ -490,8 +491,8 @@ class TestEntanglementTemperature:
 
     @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
     def test_shells_near_two_to_the_53_are_above_the_cap(self, convention):
-        """At 2s near 2^53 every excitation exceeds |zeta| 2s / 2, so W = W(0)
-        < 0 up to the cap.  Float level energies once rounded W(0) away at
+        """At 2s near 2^53 every excitation is at least |zeta| (2s - 2l + 2) / 2,
+        so W = W(0) < 0 up to the cap.  Float level energies once rounded W(0) away at
         this size, and 14 of these 1792 shells read as crossed."""
         for two_s in range(2**53 - 6, 2**53 + 1):
             for two_l in range(1, 65):
