@@ -136,6 +136,13 @@ CASES = [
     ["custom", "--two-s", "40", "--two-l", "60", "--zeta", "100", "witness", "--steps", "5000"],
     # 40 001 levels: every kernel chunk of the curve is a single row
     ["custom", "--two-s", "40000", "--two-l", "40000", "--zeta", "1", "witness", "--steps", "3"],
+    # 8 levels: the 31-row bracket grid holds more temperatures than levels
+    ["custom", "--two-s", "7", "--two-l", "7", "--zeta", "0.25", "te", "--convention", "level",
+     "--tolerance", "1e-9"],
+    ["custom", "--two-s", "20", "--two-l", "30", "--zeta", "500", "witness", "--steps", "200"],
+    # every x/T of the 21-level chunk overflows to -inf while x^2 stays finite
+    ["custom", "--two-s", "20", "--two-l", "30", "--zeta", "1e148", "witness",
+     "--tmin", "1e-300", "--tmax", "1e-290", "--steps", "40"],
     ["witness", "--ion", "Eu", "--steps", "7021"],
     ["witness", "--ion", "Pm", "--convention", "multiplet", "--steps", "7021"],
     ["te", "--catalog", "{catalog:blank_over_1mib}"],

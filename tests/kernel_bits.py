@@ -7,8 +7,10 @@ a fixed set of shells, or compare them between two checkouts:
 Given one checkout, it imports the package from ``<checkout>/src`` and
 prints one line per entry: a key, a tab and the entry's value.  Given two,
 it runs each checkout in its own interpreter and prints only the entries
-that differ, as ``key: old -> new``; it exits 1 if any entry (or the
-stderr of a run) differs and 0 if none does.
+that differ, as ``key: old -> new``, then writes to stderr how many entries
+differ in each category (the first word of a key) and how many ``te``
+entries changed their status; it exits 1 if any entry (or the stderr of a
+run) differs and 0 if none does.
 
 The entries are
 
@@ -17,6 +19,9 @@ The entries are
 - ``mean_energy`` at one float temperature and on geometric grids of 1 to
   40 000 points, so grids of one kernel chunk and of many are both covered;
 - the three columns of ``witness_curve`` on grids of 2 to 5000 steps;
+- on tables of 6 to 9 levels, where the kernel's memory order flips and
+  NumPy's pairwise sum starts, both of these also on grids of L - 1, L,
+  L + 1 and 2L points for a table of L levels;
 - the Bloch vectors and energies of sampled ``dense`` batches of 1 to 1025
   states;
 - the eigenvalues and eigenvectors of ``jacobi_eigh`` on the dense
@@ -57,6 +62,8 @@ from typing import Iterator
 TOLERANCES = (1e-3, 1e-9, 1e-300)
 GRID_POINTS = (1, 2, 31, 1000, 4097, 40000)
 CURVE_STEPS = (2, 7, 5000)
+# tables of these many levels also get grids of L - 1, L, L + 1 and 2L points
+NEAR_LEVELS = range(6, 10)
 BATCHES = (1, 37, 1025)
 SMALL = range(25)  # every 2s, 2l <= 24
 SMALL_ZETAS = (3.7, -57.3)
@@ -163,10 +170,12 @@ def entries(checkout: Path) -> Iterator[tuple[str, str]]:
             yield (f"te {label} {tolerance!r}",
                    f"{result.status.value} {result.iterations} {fields[0]} {fields[1]}")
         yield f"mean_energy {label} 300.0", api.mean_energy(system, 300.0).hex()
-        for points in GRID_POINTS:
+        levels = min(system.s.twice, system.l.twice) + 1
+        near = {levels - 1, levels, levels + 1, 2 * levels} if levels in NEAR_LEVELS else set()
+        for points in sorted(near.union(GRID_POINTS)):
             grid = np.geomspace(1e-3, 1e7, points) if points > 1 else np.array([42.0])
             yield f"mean_energy {label} {points}", digest(api.mean_energy(system, grid))
-        for steps in CURVE_STEPS:
+        for steps in sorted(near.union(CURVE_STEPS)):
             curve = api.witness_curve(system, 1.0, 6000.0, steps)
             yield (f"witness_curve {label} {steps}",
                    " ".join(digest(c) for c in (curve.temperatures, curve.mean_energy,
@@ -222,15 +231,20 @@ def main(argv: list[str]) -> int:
             print(f"{key}\t{value}")
         return 0
     (old, old_err), (new, new_err) = map(lines, checkouts)
-    differ = False
+    counts: dict[str, int] = {}
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) != new.get(key):
             print(f"{key}: {old.get(key)} -> {new.get(key)}", flush=True)
-            differ = True
+            category = key.split(" ", 1)[0]
+            counts[category] = counts.get(category, 0) + 1
+            if category == "te" and str(old.get(key)).split()[0] != str(new.get(key)).split()[0]:
+                counts["te status"] = counts.get("te status", 0) + 1
     if old_err != new_err:
         print(f"stderr: {old_err!r} -> {new_err!r}", flush=True)
-        differ = True
-    return 1 if differ else 0
+        counts["stderr"] = 1
+    summary = ", ".join(f"{category} {n}" for category, n in sorted(counts.items()))
+    print(f"differing entries: {summary or 'none'}", file=sys.stderr)
+    return 1 if counts else 0
 
 
 if __name__ == "__main__":
