@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -125,7 +126,9 @@ class _LevelTable:
     the two columns of ``powers``; x_j and E_min = zeta (B_ground / 8), as
     in ``level_energy``, take one rounding each.  The kernel ``sums``
     returns the weighted sums of the columns and the partition sums Z, not
-    the moments: callers normalise.
+    the moments: callers normalise.  An array chunk of more temperatures
+    than levels holds its weights level-major, so each ufunc loops along
+    the temperatures; a shorter chunk and a float are row-major.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:
@@ -144,15 +147,28 @@ class _LevelTable:
         np.divide(brackets, 8, self.excitations, casting="unsafe")
         self.excitations *= abs(system.zeta)
         np.multiply(self.excitations, self.excitations, self.powers[:, 1])
+        # from this temperature up, no x/T can overflow (inf where none is safe)
+        self.no_overflow_from = 2.0 * float(self.excitations.max()) / sys.float_info.max
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(twice_j))
 
     def sums(self, temperatures: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         """The weighted sums of x and x^2, a row per temperature of a 1-D
-        array, and the partition sums Z; each moment is its sum over Z.  A
-        float gives one row as a 1-D array and Z as a scalar, by the same
+        array, and the partition sums Z; each moment is its sum over Z.
+
+        A chunk of more temperatures than levels divides into a (levels,
+        temperatures) array and works on its transpose, an F-ordered view:
+        exp, the prefactor product, the BLAS product and the sum Z all loop
+        along the temperatures, and Z adds the levels in order.  A shorter
+        chunk is row-major and Z is NumPy's pairwise sum of each row, which
+        below 8 terms also adds in order; so on a table of at most 7 levels
+        a row has the same bits in any chunk of >= 2 rows.
+
+        A float gives one row as a 1-D array and Z as a scalar, by the same
         ufunc loops and BLAS call over the same contiguous weights as a
-        one-element array, so with the same bits.
+        one-element array, so with the same bits.  It skips the overflow
+        guard of the divide from ``no_overflow_from`` up, where no x/T can
+        overflow.
         """
         if isinstance(temperatures, np.ndarray):
             if len(temperatures) > self.chunk_rows:
@@ -161,9 +177,18 @@ class _LevelTable:
                     chunk = slice(start, start + self.chunk_rows)
                     sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
                 return sums, partition
-            temperatures = temperatures[:, np.newaxis]
-        # x / -T has the bits of -x / T: IEEE division is symmetric in sign
-        weights = _divide_ignoring_overflow(self.excitations, -temperatures)
+            # x / -T has the bits of -x / T: IEEE division is symmetric in sign
+            if len(temperatures) > len(self.excitations):
+                # level-major, so that each ufunc below loops along the temperatures
+                weights = _divide_ignoring_overflow(self.excitations[:, np.newaxis],
+                                                    -temperatures).T
+            else:
+                weights = _divide_ignoring_overflow(self.excitations,
+                                                    -temperatures[:, np.newaxis])
+        elif temperatures >= self.no_overflow_from:
+            weights = np.divide(self.excitations, -temperatures)
+        else:
+            weights = _divide_ignoring_overflow(self.excitations, -temperatures)
         np.exp(weights, out=weights)
         weights *= self.prefactors
         return weights @ self.powers, np.add.reduce(weights, axis=-1)
@@ -175,9 +200,10 @@ def mean_energy(
     """Thermal mean energy <H>_T under the system's weighting convention.
 
     A float gives a float.  A 1-D array of temperatures gives an array of the
-    same length from one level table and one kernel call; its values may
-    differ from the per-temperature floats in the last bits, as a one-row
-    chunk takes the matrix-vector path (see ``_curve_chunks``).
+    same length from one level table and one kernel call, level-major where
+    a chunk holds more temperatures than the table has levels; its values
+    may differ from the per-temperature floats in the last bits, as a
+    one-row chunk takes the matrix-vector path (see ``_curve_chunks``).
     """
     temperatures = _temperatures(temperature)
     table = _LevelTable(system)
@@ -339,11 +365,13 @@ def _curve_chunks(
 
     The grid is checked and the level table built at once, before the
     first chunk is asked for, so a bad grid raises ValueError before a
-    caller has written anything.  Each chunk is one kernel chunk.  A row has
-    the same bits in any chunk of >= 2 rows on the catalog shells (<= 7
-    levels); a one-row chunk takes the matrix-vector path (Pm, Eu: 340 to
-    710 of 7200 rows differ), and on bigger tables BLAS blocking makes a
-    row's last bits depend on its chunk (95 of 150 shells, 2s, 2l <= 139).
+    caller has written anything.  Each chunk is one kernel chunk, level-major
+    where it holds more rows than the table has levels.  A row has the same
+    bits in any chunk of >= 2 rows on tables of <= 7 levels, the catalog
+    shells among them; a one-row chunk takes the matrix-vector path (Pm,
+    Eu: 336 to 714 of 7200 rows differ), and on bigger tables BLAS blocking
+    makes a row's last bits depend on its chunk (27 of 150 shells, 2s, 2l
+    <= 139).
 
     Each grid value is within 3 rounding errors of its exact value, so a
     spacing of at least 8 ulp(tmax) keeps the computed grid strictly

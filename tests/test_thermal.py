@@ -710,17 +710,24 @@ def reference_table(sys_):
     return prefactors, excitations, min(m.energy for m in levels)
 
 
-def preallocating_averages(table, temperatures):
+def preallocating_averages(table, temperatures, level_major=True):
     """The kernel as it was once written, the oracle for its outputs' bits:
     ``powers`` built by ``np.stack``, exponents -x/T, and every grid run
-    chunk by chunk into a preallocated array of <x> and <x^2>."""
+    chunk by chunk into a preallocated array of <x> and <x^2>.  With
+    ``level_major``, a chunk of more temperatures than levels holds its
+    weights in the kernel's memory order, a level per row, and sums Z along
+    the levels in order; without it every chunk is row-major, as the kernel
+    once was, and Z is NumPy's pairwise sum of each row."""
     excitations = table.excitations
     powers = np.stack((excitations, excitations * excitations), axis=1)
     moments = np.empty((len(temperatures), 2))
     for start in range(0, len(temperatures), table.chunk_rows):
         chunk = slice(start, start + table.chunk_rows)
         with np.errstate(over="ignore"):
-            exponents = -excitations / temperatures[chunk, np.newaxis]
+            if level_major and len(temperatures[chunk]) > len(excitations):
+                exponents = (-excitations[:, np.newaxis] / temperatures[chunk]).T
+            else:
+                exponents = -excitations / temperatures[chunk, np.newaxis]
         weights = table.prefactors * np.exp(exponents)
         z = weights.sum(axis=1)
         moments[chunk] = (weights @ powers) / z[:, np.newaxis]
@@ -798,9 +805,12 @@ HUGE_SHELLS = [
 
 
 def reference_sums(sys_, t):
-    """(<H>, magnitude of the summed terms) by math.fsum over weight()."""
+    """(<H>, magnitude of the summed terms) by math.fsum over the weights
+    of weight(), with the ground level found once."""
     levels = multiplets(sys_)
-    weights = [weight(sys_, level, t) for level in levels]
+    ground = ground_level(sys_).energy
+    g = [level.degeneracy if sys_.convention is MULTIPLET else 1 for level in levels]
+    weights = [gj * math.exp(-(level.energy - ground) / t) for gj, level in zip(g, levels)]
     partition = math.fsum(weights)
     energy = math.fsum(w * level.energy for w, level in zip(weights, levels)) / partition
     scale = math.fsum(w * abs(level.energy) for w, level in zip(weights, levels)) / partition
@@ -900,6 +910,10 @@ class TestKernel:
             got = sums / partition[:, np.newaxis]
             assert np.array_equal(got, preallocating_averages(table, temperatures),
                                   equal_nan=True)
+            if len(table.excitations) <= 7:
+                # in order and pairwise, a sum of at most 7 terms has the same bits
+                assert np.array_equal(got, preallocating_averages(table, temperatures, False),
+                                      equal_nan=True)
 
     @settings(max_examples=200, deadline=None)
     @given(shells(st.integers(0, 130), st.floats(1e-3, 1e6)), st.floats(1e-310, 1e10))
@@ -911,13 +925,71 @@ class TestKernel:
         assert row.tobytes() == sums[0].tobytes()
         assert np.float64(z).tobytes() == partition[0].tobytes()
 
-    def test_long_grid_is_chunked_consistently(self):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(7, 129), st.integers(0, 40), st.booleans(),
+           st.one_of(st.floats(1e-2, 1e4), st.floats(-1e4, -1e-2)),
+           st.sampled_from([LEVEL, MULTIPLET]), st.floats(1e-2, 1e7), st.floats(1.0, 1e4),
+           st.data())
+    def test_level_major_grid_matches_per_level_fsum(self, small, extra, swap, zeta,
+                                                     convention, tmin, ratio, data):
+        """Grids longer than a table of 8 to 130 levels run level-major."""
+        two_s, two_l = (small + extra, small) if swap else (small, small + extra)
+        sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+        levels = small + 1
+        points = data.draw(st.integers(levels + 1, 2 * levels + 1))
+        temperatures = np.geomspace(tmin, tmin * ratio, points)
+        means = mean_energy(sys_, temperatures)
+        for t, mean in zip(temperatures.tolist(), means.tolist()):
+            energy, scale = reference_sums(sys_, t)
+            assert abs(mean - energy) <= 1e-12 * scale, (t, mean, energy)
+
+    @pytest.mark.parametrize("sys_", [
+        SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+        for two_s, two_l in ((1, 2), (5, 12), (24, 24))
+        for zeta in (1e-300, 3.7, 1e140, -1e140) for convention in (LEVEL, MULTIPLET)
+    ], ids=lambda s: f"{s.s.twice}-{s.l.twice}-{s.zeta:g}-{s.convention.value}")
+    def test_float_temperature_takes_the_bare_divide_only_where_nothing_overflows(self, sys_):
+        """At and above ``no_overflow_from`` a float temperature divides
+        without the overflow guard; an ulp below, and at the smallest
+        temperatures, it keeps it.  Either way nothing warns, and the sums
+        have the bits of a one-element array, which always keeps the guard."""
+        table = thermal._LevelTable(sys_)
+        edge = table.no_overflow_from
+        below = math.nextafter(edge, 0.0)
+        for t in (edge, below, 5e-324, 1e-310, 1.0, math.nextafter(edge, math.inf)):
+            if not 0.0 < t < math.inf:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                row, z = table.sums(t)
+                if t >= edge:
+                    with np.errstate(over="raise"):
+                        np.divide(table.excitations, -t)
+            sums, partition = table.sums(np.array([t]))
+            assert row.tobytes() == sums[0].tobytes()
+            assert np.float64(z).tobytes() == partition[0].tobytes()
+
+    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
+    def test_tiny_temperatures_raise_no_warning(self, convention):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert witness(sys_of("Ce", convention), 1e-310) == witness_at_zero(
+                sys_of("Ce", convention))
+            sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(2), 1e-200, convention)
+            result = entanglement_temperature(sys_, tolerance=1e-300)
+        assert result.status is WitnessStatus.CROSSED
+
+    @pytest.mark.parametrize("sys_", [
+        sys_of("Sm", MULTIPLET),  # 6 levels
+        SpinOrbitSystem(HalfInt(20), HalfInt(30), 500.0, MULTIPLET),  # 21 levels
+    ], ids=["Sm", "21-levels"])
+    def test_long_grid_is_chunked_consistently(self, sys_):
         # More points than one kernel chunk holds: the chunked evaluation
         # must agree with point-by-point evaluation at the chunk seams.
-        sys_ = sys_of("Sm", MULTIPLET)
-        steps = 3 * thermal._KERNEL_ELEMENTS // len(multiplets(sys_)) + 7
+        rows = thermal._LevelTable(sys_).chunk_rows
+        steps = 3 * rows + 7
         curve = witness_curve(sys_, 1.0, 6000.0, steps)
-        for k in (0, steps // 3 - 1, steps // 3, steps - 1):
+        for k in (0, rows - 1, rows, 2 * rows, steps - 1):
             t = float(curve.temperatures[k])
             assert curve.mean_energy[k] == pytest.approx(
                 mean_energy(sys_, t), rel=1e-12, abs=1e-9)
