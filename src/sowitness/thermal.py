@@ -147,8 +147,10 @@ class _LevelTable:
         np.divide(brackets, 8, self.excitations, casting="unsafe")
         self.excitations *= abs(system.zeta)
         np.multiply(self.excitations, self.excitations, self.powers[:, 1])
-        # from this temperature up, no x/T can overflow (inf where none is safe)
-        self.no_overflow_from = 2.0 * float(self.excitations.max()) / sys.float_info.max
+        # from this temperature up, no x/T can overflow (inf where none is
+        # safe); the largest excitation is the level farthest from the ground
+        top = float(self.excitations[-1 if system.zeta > 0.0 else 0])
+        self.no_overflow_from = 2.0 * top / sys.float_info.max
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(twice_j))
 

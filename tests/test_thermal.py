@@ -944,40 +944,36 @@ class TestKernel:
             assert abs(mean - energy) <= 1e-12 * scale, (t, mean, energy)
 
     @pytest.mark.parametrize("sys_", [
-        SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
-        for two_s, two_l in ((1, 2), (5, 12), (24, 24))
-        for zeta in (1e-300, 3.7, 1e140, -1e140) for convention in (LEVEL, MULTIPLET)
+        sys_of("Ce", LEVEL), sys_of("Ce", MULTIPLET),
+        *(SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
+          for two_s, two_l in ((1, 2), (5, 12), (24, 24))
+          for zeta in (1e-300, 3.7, 1e140, -1e140) for convention in (LEVEL, MULTIPLET)),
     ], ids=lambda s: f"{s.s.twice}-{s.l.twice}-{s.zeta:g}-{s.convention.value}")
     def test_float_temperature_takes_the_bare_divide_only_where_nothing_overflows(self, sys_):
         """At and above ``no_overflow_from`` a float temperature divides
         without the overflow guard; an ulp below, and at the smallest
         temperatures, it keeps it.  Either way nothing warns, and the sums
-        have the bits of a one-element array, which always keeps the guard."""
+        have the bits of a one-element array, which always keeps the guard.
+        (The root finder's steps at tiny temperatures are covered by
+        ``test_underflowing_slope_bisects_without_a_warning``.)"""
         table = thermal._LevelTable(sys_)
         edge = table.no_overflow_from
-        below = math.nextafter(edge, 0.0)
-        for t in (edge, below, 5e-324, 1e-310, 1.0, math.nextafter(edge, math.inf)):
+        for t in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                  5e-324, 1e-310, 1.0):
             if not 0.0 < t < math.inf:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 row, z = table.sums(t)
+                w = witness(sys_, t)
                 if t >= edge:
                     with np.errstate(over="raise"):
                         np.divide(table.excitations, -t)
             sums, partition = table.sums(np.array([t]))
             assert row.tobytes() == sums[0].tobytes()
             assert np.float64(z).tobytes() == partition[0].tobytes()
-
-    @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
-    def test_tiny_temperatures_raise_no_warning(self, convention):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert witness(sys_of("Ce", convention), 1e-310) == witness_at_zero(
-                sys_of("Ce", convention))
-            sys_ = SpinOrbitSystem(HalfInt(1), HalfInt(2), 1e-200, convention)
-            result = entanglement_temperature(sys_, tolerance=1e-300)
-        assert result.status is WitnessStatus.CROSSED
+            if t <= 1e-310:
+                assert w == witness_at_zero(sys_)  # every excited weight is 0
 
     @pytest.mark.parametrize("sys_", [
         sys_of("Sm", MULTIPLET),  # 6 levels
