@@ -126,9 +126,7 @@ class _LevelTable:
     the two columns of ``powers``; x_j and E_min = zeta (B_ground / 8), as
     in ``level_energy``, take one rounding each.  The kernel ``sums``
     returns the weighted sums of the columns and the partition sums Z, not
-    the moments: callers normalise.  An array chunk of more temperatures
-    than levels holds its weights level-major, so each ufunc loops along
-    the temperatures; a shorter chunk and a float are row-major.
+    the moments: callers normalise.
     """
 
     def __init__(self, system: SpinOrbitSystem) -> None:

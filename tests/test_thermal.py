@@ -91,11 +91,13 @@ def excitation_means(system, temperatures):
     return sums[:, 0] / partition
 
 
-def weight(system, level, temperature):
+def weight(system, level, temperature, ground=None):
     """Boltzmann weight of one level, shifted so the ground level has weight g:
-    the per-level reference the level-table kernel is tested against."""
+    the per-level reference the level-table kernel is tested against.  A
+    caller may pass the ground energy, found once."""
     g = level.degeneracy if system.convention is MULTIPLET else 1
-    return g * math.exp(-(level.energy - ground_level(system).energy) / temperature)
+    ground = ground_level(system).energy if ground is None else ground
+    return g * math.exp(-(level.energy - ground) / temperature)
 
 
 class TestWeight:
@@ -805,12 +807,10 @@ HUGE_SHELLS = [
 
 
 def reference_sums(sys_, t):
-    """(<H>, magnitude of the summed terms) by math.fsum over the weights
-    of weight(), with the ground level found once."""
+    """(<H>, magnitude of the summed terms) by math.fsum over weight()."""
     levels = multiplets(sys_)
     ground = ground_level(sys_).energy
-    g = [level.degeneracy if sys_.convention is MULTIPLET else 1 for level in levels]
-    weights = [gj * math.exp(-(level.energy - ground) / t) for gj, level in zip(g, levels)]
+    weights = [weight(sys_, level, t, ground) for level in levels]
     partition = math.fsum(weights)
     energy = math.fsum(w * level.energy for w, level in zip(weights, levels)) / partition
     scale = math.fsum(w * abs(level.energy) for w, level in zip(weights, levels)) / partition
