@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -145,10 +144,6 @@ class _LevelTable:
         np.divide(brackets, 8, self.excitations, casting="unsafe")
         self.excitations *= abs(system.zeta)
         np.multiply(self.excitations, self.excitations, self.powers[:, 1])
-        # from this temperature up, no x/T can overflow (inf where none is
-        # safe); the largest excitation is the level farthest from the ground
-        top = float(self.excitations[-1 if system.zeta > 0.0 else 0])
-        self.no_overflow_from = 2.0 * top / sys.float_info.max
         # temperatures per chunk, so a chunk holds at most _KERNEL_ELEMENTS weights
         self.chunk_rows = max(1, _KERNEL_ELEMENTS // len(twice_j))
 
@@ -166,9 +161,7 @@ class _LevelTable:
 
         A float gives one row as a 1-D array and Z as a scalar, by the same
         ufunc loops and BLAS call over the same contiguous weights as a
-        one-element array, so with the same bits.  It skips the overflow
-        guard of the divide from ``no_overflow_from`` up, where no x/T can
-        overflow.
+        one-element array, so with the same bits.
         """
         if isinstance(temperatures, np.ndarray):
             if len(temperatures) > self.chunk_rows:
@@ -185,8 +178,6 @@ class _LevelTable:
             else:
                 weights = _divide_ignoring_overflow(self.excitations,
                                                     -temperatures[:, np.newaxis])
-        elif temperatures >= self.no_overflow_from:
-            weights = np.divide(self.excitations, -temperatures)
         else:
             weights = _divide_ignoring_overflow(self.excitations, -temperatures)
         np.exp(weights, out=weights)
