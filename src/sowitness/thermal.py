@@ -151,13 +151,12 @@ class _LevelTable:
         """The weighted sums of x and x^2, a row per temperature of a 1-D
         array, and the partition sums Z; each moment is its sum over Z.
 
-        A chunk of more temperatures than levels divides into a (levels,
-        temperatures) array and works on its transpose, an F-ordered view:
-        exp, the prefactor product, the BLAS product and the sum Z all loop
-        along the temperatures, and Z adds the levels in order.  A shorter
-        chunk is row-major and Z is NumPy's pairwise sum of each row, which
-        below 8 terms also adds in order; so on a table of at most 7 levels
-        a row has the same bits in any chunk of >= 2 rows.
+        An array chunk divides into a (levels, temperatures) array and works
+        on its transpose, an F-ordered view: exp, the prefactor product, the
+        BLAS product and the sum Z all loop along the temperatures, and in a
+        chunk of >= 2 rows Z adds the levels in order.  On a table of at most
+        7 levels, where NumPy's pairwise sum of a row adds in order too, a
+        row has the same bits in any chunk of >= 2 rows.
 
         A float gives one row as a 1-D array and Z as a scalar, by the same
         ufunc loops and BLAS call over the same contiguous weights as a
@@ -170,14 +169,10 @@ class _LevelTable:
                     chunk = slice(start, start + self.chunk_rows)
                     sums[chunk], partition[chunk] = self.sums(temperatures[chunk])
                 return sums, partition
+            # level-major, so that each ufunc below loops along the temperatures;
             # x / -T has the bits of -x / T: IEEE division is symmetric in sign
-            if len(temperatures) > len(self.excitations):
-                # level-major, so that each ufunc below loops along the temperatures
-                weights = _divide_ignoring_overflow(self.excitations[:, np.newaxis],
-                                                    -temperatures).T
-            else:
-                weights = _divide_ignoring_overflow(self.excitations,
-                                                    -temperatures[:, np.newaxis])
+            weights = _divide_ignoring_overflow(self.excitations[:, np.newaxis],
+                                                -temperatures).T
         else:
             weights = _divide_ignoring_overflow(self.excitations, -temperatures)
         np.exp(weights, out=weights)
@@ -191,10 +186,10 @@ def mean_energy(
     """Thermal mean energy <H>_T under the system's weighting convention.
 
     A float gives a float.  A 1-D array of temperatures gives an array of the
-    same length from one level table and one kernel call, level-major where
-    a chunk holds more temperatures than the table has levels; its values
-    may differ from the per-temperature floats in the last bits, as a
-    one-row chunk takes the matrix-vector path (see ``_curve_chunks``).
+    same length from one level table and one level-major kernel call (see
+    ``_LevelTable.sums``); its values may differ from the per-temperature
+    floats in the last bits, as a one-row chunk takes the matrix-vector
+    path (see ``_curve_chunks``).
     """
     temperatures = _temperatures(temperature)
     table = _LevelTable(system)
@@ -356,13 +351,12 @@ def _curve_chunks(
 
     The grid is checked and the level table built at once, before the
     first chunk is asked for, so a bad grid raises ValueError before a
-    caller has written anything.  Each chunk is one kernel chunk, level-major
-    where it holds more rows than the table has levels.  A row has the same
-    bits in any chunk of >= 2 rows on tables of <= 7 levels, the catalog
-    shells among them; a one-row chunk takes the matrix-vector path (Pm,
-    Eu: 336 to 714 of 7200 rows differ), and on bigger tables BLAS blocking
-    makes a row's last bits depend on its chunk (27 of 150 shells, 2s, 2l
-    <= 139).
+    caller has written anything.  Each chunk is one level-major kernel
+    chunk.  A row has the same bits in any chunk of >= 2 rows on tables of
+    <= 7 levels, the catalog shells among them; a one-row chunk takes the
+    matrix-vector path (Pm, Eu: 336 to 714 of 7200 rows differ).  On bigger
+    tables no order is promised, though on 150 random shells with 2s, 2l
+    <= 139 no row's bits depended on its chunk.
 
     Each grid value is within 3 rounding errors of its exact value, so a
     spacing of at least 8 ulp(tmax) keeps the computed grid strictly

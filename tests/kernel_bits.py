@@ -19,9 +19,9 @@ The entries are
 - ``mean_energy`` at one float temperature and on geometric grids of 1 to
   40 000 points, so grids of one kernel chunk and of many are both covered;
 - the three columns of ``witness_curve`` on grids of 2 to 5000 steps;
-- on tables of 6 to 9 levels, where the kernel's memory order flips and
-  NumPy's pairwise sum starts, both of these also on grids of L - 1, L,
-  L + 1 and 2L points for a table of L levels;
+- on tables of 6 to 9 levels, where NumPy's pairwise sum starts, both of
+  these also on grids of L - 1, L, L + 1 and 2L points for a table of L
+  levels;
 - the Bloch vectors and energies of sampled ``dense`` batches of 1 to 1025
   states;
 - the eigenvalues and eigenvectors of ``jacobi_eigh`` on the dense

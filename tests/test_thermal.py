@@ -714,17 +714,17 @@ def preallocating_averages(table, temperatures, level_major=True):
     """The kernel as it was once written, the oracle for its outputs' bits:
     ``powers`` built by ``np.stack``, exponents -x/T, and every grid run
     chunk by chunk into a preallocated array of <x> and <x^2>.  With
-    ``level_major``, a chunk of more temperatures than levels holds its
-    weights in the kernel's memory order, a level per row, and sums Z along
-    the levels in order; without it every chunk is row-major, as the kernel
-    once was, and Z is NumPy's pairwise sum of each row."""
+    ``level_major`` every chunk holds its weights in the kernel's memory
+    order, a level per row, and a chunk of >= 2 rows sums Z along the levels
+    in order; without it every chunk is row-major, as the kernel once was,
+    and Z is NumPy's pairwise sum of each row."""
     excitations = table.excitations
     powers = np.stack((excitations, excitations * excitations), axis=1)
     moments = np.empty((len(temperatures), 2))
     for start in range(0, len(temperatures), table.chunk_rows):
         chunk = slice(start, start + table.chunk_rows)
         with np.errstate(over="ignore"):
-            if level_major and len(temperatures[chunk]) > len(excitations):
+            if level_major:
                 exponents = (-excitations[:, np.newaxis] / temperatures[chunk]).T
             else:
                 exponents = -excitations / temperatures[chunk, np.newaxis]
@@ -903,14 +903,15 @@ class TestKernel:
     def test_kernel_matches_the_preallocating_chunk_loop(self, sys_, tmin, ratio, data):
         table = thermal._LevelTable(sys_)
         rows = table.chunk_rows
-        for length in (1, rows, rows + 1, data.draw(st.integers(2, 3 * rows + 5))):
+        levels = len(table.excitations)
+        for length in (1, levels, rows, rows + 1, data.draw(st.integers(2, 3 * rows + 5))):
             temperatures = np.geomspace(tmin, tmin * ratio, length)
             sums, partition = table.sums(temperatures)
             assert sums.shape == (length, 2) and partition.shape == (length,)
             got = sums / partition[:, np.newaxis]
             assert np.array_equal(got, preallocating_averages(table, temperatures),
                                   equal_nan=True)
-            if len(table.excitations) <= 7:
+            if levels <= 7:
                 # in order and pairwise, a sum of at most 7 terms has the same bits
                 assert np.array_equal(got, preallocating_averages(table, temperatures, False),
                                       equal_nan=True)
@@ -926,18 +927,19 @@ class TestKernel:
         assert np.float64(z).tobytes() == partition[0].tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(7, 126), st.integers(0, 40), st.booleans(),
+    @given(st.integers(7, 129), st.integers(0, 40), st.booleans(),
            st.one_of(st.floats(1e-2, 1e4), st.floats(-1e4, -1e-2)),
            st.sampled_from([LEVEL, MULTIPLET]), st.floats(1e-2, 1e7), st.floats(1.0, 1e4),
            st.data())
     def test_level_major_grid_matches_per_level_fsum(self, small, extra, swap, zeta,
                                                      convention, tmin, ratio, data):
-        """Grids longer than a table of 8 to 127 levels run level-major; from
-        128 levels a chunk holds no more temperatures than levels."""
+        """Grids on tables of 8 to 130 levels, where Z adds the levels in
+        order and no longer as NumPy's pairwise sum would: shorter and longer
+        than the table, and from 128 levels over more than one chunk."""
         two_s, two_l = (small + extra, small) if swap else (small, small + extra)
         sys_ = SpinOrbitSystem(HalfInt(two_s), HalfInt(two_l), zeta, convention)
         levels = small + 1
-        points = data.draw(st.integers(levels + 1, 2 * levels + 1))
+        points = data.draw(st.integers(2, 2 * levels + 1))
         temperatures = np.geomspace(tmin, tmin * ratio, points)
         means = mean_energy(sys_, temperatures)
         for t, mean in zip(temperatures.tolist(), means.tolist()):
