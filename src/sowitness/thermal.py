@@ -355,8 +355,8 @@ def _curve_chunks(
     chunk.  A row has the same bits in any chunk of >= 2 rows on tables of
     <= 7 levels, the catalog shells among them; a one-row chunk takes the
     matrix-vector path (Pm, Eu: 336 to 714 of 7200 rows differ).  On bigger
-    tables no order is promised, though on 150 random shells with 2s, 2l
-    <= 139 no row's bits depended on its chunk.
+    tables BLAS promises no summation order, though on 150 random shells
+    with 2s, 2l <= 139 no row's bits depended on its chunk.
 
     Each grid value is within 3 rounding errors of its exact value, so a
     spacing of at least 8 ulp(tmax) keeps the computed grid strictly
