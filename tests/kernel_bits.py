@@ -24,6 +24,9 @@ The entries are
   levels;
 - the Bloch vectors and energies of sampled ``dense`` batches of 1 to 1025
   states;
+- those of ``product_states`` on the catalog shells, for seeded complex rows
+  at unit scale, scaled by 2^1000 and 2^-1000, and scaled into the
+  subnormals, so the power-of-two prescale that sampled rows never need runs;
 - the eigenvalues and eigenvectors of ``jacobi_eigh`` on the dense
   Hamiltonian of every 2s, 2l <= 12 at both small couplings, and on seeded
   random symmetric matrices of 1 to 29 rows at scales 1e-200, 1 and 1e200;
@@ -65,6 +68,10 @@ CURVE_STEPS = (2, 7, 5000)
 # tables of these many levels also get grids of L - 1, L, L + 1 and 2L points
 NEAR_LEVELS = range(6, 10)
 BATCHES = (1, 37, 1025)
+# product_states rows: how many per factor, and the powers of two they are
+# scaled by; 2^-1060 leaves every part subnormal
+EXPLICIT_ROWS = 37
+EXPLICIT_SCALES = (0, 1000, -1000, -1060)
 SMALL = range(25)  # every 2s, 2l <= 24
 SMALL_ZETAS = (3.7, -57.3)
 DENSE = range(13)  # sampled batches on 2s, 2l <= 12
@@ -191,6 +198,18 @@ def entries(checkout: Path) -> Iterator[tuple[str, str]]:
                 yield (f"dense {label} {count} batch {k}",
                        " ".join(digest(a) for a in (batch.spin_vectors, batch.orbital_vectors,
                                                     batch.energies)))
+    for record in api.CATALOG:
+        if record.zeta is None:
+            continue
+        rng = np.random.default_rng(record.n4f)
+        rows = [rng.standard_normal((EXPLICIT_ROWS, 2 * (twice + 1)))
+                for twice in (record.s.twice, record.l.twice)]
+        for k in EXPLICIT_SCALES:
+            batch = dense.product_states(record.system(),
+                                         *(np.ldexp(r, k).view(complex) for r in rows))
+            yield (f"product_states {record.symbol} {k}",
+                   " ".join(digest(a) for a in (batch.spin_vectors, batch.orbital_vectors,
+                                                batch.energies)))
     yield from eigen_entries(api, dense)
     yield from text_entries(curve_text)
 
