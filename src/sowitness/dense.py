@@ -297,57 +297,54 @@ def _weighted_sum(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return np.einsum("k,ks,ks->s", weights, a, b)
 
 
-def _bloch_vectors(twice_j: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """<Jx>, <Jy>, <Jz> of each column psi = re + i im, as a (3, states) array.
+def _bloch_vectors(twice_j: int, psi: np.ndarray) -> np.ndarray:
+    """<Jx>, <Jy>, <Jz> of each complex column of psi, as a (3, states) array.
 
     Jx and Jy live at offsets +-1, with w_k at (k, k+1) and its mirror, so
     <Jx> = 2 sum w_k Re conj(psi_k) psi_(k+1) and <Jy> = 2 sum w_k Im of the
-    same; <Jz> = sum m_k |psi_k|^2 runs down the diagonal.
+    same; <Jz> = sum m_k |psi_k|^2 runs down the diagonal.  <Jx> and <Jz> sum
+    the float view, where a state's real and imaginary entries lie side by
+    side, and add the two; <Jy> reads the real and imaginary views.
     """
     m, w = _ladder(twice_j)
     w = 2.0 * w
+    parts, re, im = psi.view(float), psi.real, psi.imag
+    x, z = _weighted_sum(w, parts[:-1], parts[1:]), _weighted_sum(m, parts, parts)
     return np.array([
-        _weighted_sum(w, re[:-1], re[1:]) + _weighted_sum(w, im[:-1], im[1:]),
+        x[0::2] + x[1::2],
         _weighted_sum(w, re[:-1], im[1:]) - _weighted_sum(w, im[:-1], re[1:]),
-        _weighted_sum(m, re, re) + _weighted_sum(m, im, im),
+        z[0::2] + z[1::2],
     ])
 
 
 def _spin_orbit_expectations(
-    twice_s: int, twice_l: int, spin: tuple[np.ndarray, np.ndarray],
-    orbital: tuple[np.ndarray, np.ndarray],
+    twice_s: int, twice_l: int, spin: np.ndarray, orbital: np.ndarray
 ) -> np.ndarray:
-    """<psi| S.L |psi> of each product column psi = spin[:, r] x orbital[:, r],
-    walked over the 2s+1 spin blocks of the product basis.
+    """<psi| S.L |psi> of each product column psi = spin[:, r] x orbital[:, r]
+    of complex columns, walked over the 2s+1 spin blocks of the product basis.
 
-    Block i holds the amplitudes s_i o of rows i (2l+1) + i_l, each by the
-    scalar operations of the full Kronecker product, with the real and
-    imaginary parts of a row interleaved.  A block adds sum d |psi|^2 over
-    its rows of the diagonal, and 2 sum b Re conj(psi_r) psi_(r+2l) over the
-    band entries (r, r + 2l) and their mirrors, which couple its row i_l >= 1
-    to row i_l - 1 of the next block.  So two blocks are live at a time.
+    Block i holds the amplitudes spin[i] * orbital of rows i (2l+1) + i_l, one
+    complex product each, and is summed through its float view, where a
+    state's real and imaginary entries lie side by side.  A block adds sum d
+    |psi|^2 over its rows of the diagonal, and 2 sum b Re conj(psi_r)
+    psi_(r+2l) over the band entries (r, r + 2l) and their mirrors, which
+    couple its row i_l >= 1 to row i_l - 1 of the next block.  So two blocks
+    are live at a time.  The real and the imaginary sums of a state are added
+    once, at the end.
     """
     diagonal, band = _bands(twice_s, twice_l)
-    diagonal, band = np.repeat(diagonal, 2), np.repeat(2.0 * band, 2)
-    (s_re, s_im), (o_re, o_im) = spin, orbital
-    dim, count = o_re.shape
-
-    def block(i: int) -> np.ndarray:
-        amplitudes = np.empty((dim, 2, count))
-        np.subtract(s_re[i] * o_re, s_im[i] * o_im, out=amplitudes[:, 0])
-        np.add(s_re[i] * o_im, s_im[i] * o_re, out=amplitudes[:, 1])
-        return amplitudes.reshape(2 * dim, count)
-
-    total = np.zeros(count)
-    current = block(0)
+    band = 2.0 * band
+    dim, count = orbital.shape
+    total = np.zeros(2 * count)
+    current = (spin[0] * orbital).view(float)
     for i in range(twice_s + 1):
-        rows = slice(2 * i * dim, 2 * (i + 1) * dim)
+        rows = slice(i * dim, (i + 1) * dim)
         total += _weighted_sum(diagonal[rows], current, current)
         if i < twice_s:
-            following = block(i + 1)
-            total += _weighted_sum(band[rows][2:], current[2:], following[:-2])
+            following = (spin[i + 1] * orbital).view(float)
+            total += _weighted_sum(band[rows][1:], current[1:], following[:-1])
             current = following
-    return total
+    return total[0::2] + total[1::2]
 
 
 def _norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -356,21 +353,21 @@ def _norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.sqrt((re * re + im * im).sum(axis=1))
 
 
-def _unit_columns(
-    re: np.ndarray, im: np.ndarray, norms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows re + i im over their ``norms``, as a (real, imaginary) pair
-    of C-contiguous (dimension, states) arrays."""
-    return tuple(np.divide(part.T, norms, order="C") for part in (re, im))
+def _unit_columns(re: np.ndarray, im: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The rows re + i im over their ``norms``, as one C-contiguous complex
+    (dimension, states) array, each part divided into its own view."""
+    columns = np.empty(re.shape[::-1], dtype=complex)
+    np.divide(re.T, norms, out=columns.real)
+    np.divide(im.T, norms, out=columns.imag)
+    return columns
 
 
 def _evaluate(
-    system: SpinOrbitSystem, spin: tuple[np.ndarray, np.ndarray],
-    orbital: tuple[np.ndarray, np.ndarray],
+    system: SpinOrbitSystem, spin: np.ndarray, orbital: np.ndarray
 ) -> ProductStateBatch:
     """The Bloch vectors <S> and <L> and the energy of each product state
-    spin[:, r] x orbital[:, r], given as unit (real, imaginary) column pairs
-    of shape (dimension, states).  The batch holds no copy of the states.
+    spin[:, r] x orbital[:, r], given as unit complex columns of shape
+    (dimension, states).  The batch holds no copy of the states.
 
     The energy is zeta times the honest matrix expectation <psi| S.L |psi>
     on the Kronecker product amplitudes, not the factorized shortcut
@@ -381,8 +378,8 @@ def _evaluate(
     """
     energies = system.zeta * _spin_orbit_expectations(
         system.s.twice, system.l.twice, spin, orbital)
-    return ProductStateBatch(*_read_only(_bloch_vectors(system.s.twice, *spin).T,
-                                         _bloch_vectors(system.l.twice, *orbital).T,
+    return ProductStateBatch(*_read_only(_bloch_vectors(system.s.twice, spin).T,
+                                         _bloch_vectors(system.l.twice, orbital).T,
                                          energies))
 
 
@@ -407,7 +404,7 @@ def product_states(
         raise ValueError(f"factor states of shapes {spin.shape} and {orbital.shape} "
                          f"do not match the system's (k, {dims[0]}) and (k, {dims[1]})")
 
-    def unit_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def unit_columns(states: np.ndarray) -> np.ndarray:
         largest = np.maximum(np.abs(states.real).max(axis=1), np.abs(states.imag).max(axis=1))
         shift = -np.frexp(largest)[1][:, None]
         parts = np.ldexp(states.real, shift), np.ldexp(states.imag, shift)
@@ -421,9 +418,9 @@ def product_states(
 
 def _haar_rows(
     rng: np.random.Generator, count: int, spin_dim: int, orbital_dim: int
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``count`` unit spin and orbital states as (real, imaginary) pairs of
-    (dimension, states) columns.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` unit spin and orbital states as complex (dimension, states)
+    columns.
 
     Each state takes one row of 2(d_s + d_l) standard normals: the real then
     imaginary parts of the spin factor, then those of the orbital factor.  A

@@ -12,7 +12,11 @@ byte; and again when product-state energies became weighted sums over the
 diagonals of S.L, which moved ``product-energy-identity`` alone; and again
 when the closed-form mean energy became E_min + <x>, the ground energy plus
 the mean excitation, which moved ``trace-equivalence`` alone (8.28248e-14 to
-1.54369e-13, against 1e-10).  Any change to a printed digit, to the row order or to the line
+1.54369e-13, against 1e-10); and again when product amplitudes became one
+complex product per spin block, summed as real and imaginary entries side
+by side, which moved ``product-energy-identity`` alone on ``--seed 3``
+(7.45538e-13 to 3.37809e-13) and ``--seed 7 --samples 300`` (3.27621e-13 to
+2.13569e-13), against 1e-9.  Any change to a printed digit, to the row order or to the line
 endings of these invocations fails here; a change that is meant to alter
 them must record new digests and say why.
 """
@@ -70,9 +74,9 @@ FIGURE1 = {
 STDOUT = {
     ("verify",): "3b96a5bfaa926d08d94a1e6a1fee0998ebc69ed36f9e18ec06611b61af314407",
     ("verify", "--seed", "3"):
-        "16fc0eb29f7bc7c34691d5a1a78f8f8ecff4f8148cff3bbecf6079bb57d97743",
+        "8d55f43859c1c0c6b341f35103500d347dafb42d21fef5ab278fe38f0933ac91",
     ("verify", "--seed", "7", "--samples", "300"):
-        "c293f0f834a59d8a1b3abb0608e195787eb03cfba869c695c2ede1315befdd80",
+        "63ef10782a265c867abc449c708fae6519e781d96412246deb477b4324e51d6e",
     ("te", "--ion", "all", "--convention", "level"):
         "9b2e34274271812118c337f49980fbea5eec851b0dc7c5f2e6ebf353a94a45d2",
     ("te", "--ion", "all", "--convention", "multiplet"):
