@@ -23,13 +23,14 @@ sum_k w_k x_k y_k, and an entry and its mirror are taken once at twice the
 weight (S.L and J_x are symmetric, J_y antisymmetric).  Each energy is zeta
 times the expectation of the full S.L matrix on the Kronecker product
 amplitudes, but :func:`_spin_orbit_expectations` holds two spin blocks of
-them at a time, in at most 6(2l+1) floats per state, not about 7n.  Every
-sum runs down one axis with the states along the other, so a state has the
-same bits in a batch of any size, alone included.  States come one per row,
-and each factor is normalised from its real and imaginary parts where they
-lie (slices of the drawn normals, or the parts of the caller's complex rows)
-into the (dimension, states) arrays the evaluator holds, one column per
-state; the batch it returns has one row per state.
+them at a time, one complex product each, in at most 4(2l+1) + 4 floats per
+state, not about 7n.  Every sum runs down one axis with the states along
+the other, so a state has the same bits in a batch of any size, alone
+included.  States come one per row, and each factor is normalised from its
+real and imaginary parts where they lie (slices of the drawn normals, or the
+parts of the caller's complex rows) into the complex (dimension, states)
+array the evaluator holds, one column per state; the batch it returns has
+one row per state.
 
 Everything in this module is deliberately independent of the closed-form
 level arithmetic in :mod:`sowitness.angular` / :mod:`sowitness.thermal`:
@@ -279,14 +280,14 @@ class ProductStateBatch:
 
 # States drawn and evaluated per batch: large enough that a default
 # ``verify`` draws each ion's 1000 states in one batch, since a batch costs
-# about 0.15 ms whatever its size (on (2s, 2l) = (4, 12): 0.08 ms for the
-# energy walk over the spin blocks, 0.04 ms for the two Bloch vectors,
+# about 0.1 ms whatever its size (on (2s, 2l) = (4, 12): 0.05 ms for the
+# energy walk over the spin blocks, 0.03 ms for the two Bloch vectors,
 # 0.02 ms for the draw), and small enough that memory does not grow with the
 # count.  A batch is evaluated from its unit factors, 2(2s+1) + 2(2l+1)
-# floats per state, while the energy evaluator works in at most 6(2l+1) more,
-# and returns 7 (two Bloch vectors and an energy): one batch of 1024 on a
-# catalog shell peaks at 0.56 MB (Ce) to 1.01 MB (Pm, n = 65) traced, against
-# 1.03 MB for 256 states on the whole product vector.
+# floats per state, while the energy evaluator works in at most 4(2l+1) + 4
+# more, and returns 7 (two Bloch vectors and an energy): one batch of 1024 on
+# a catalog shell peaks at 0.51 MB (Ce) to 0.87 MB (Pm, n = 65) traced,
+# against 1.03 MB for 256 states on the whole product vector.
 _SAMPLE_CHUNK = 1024
 
 
@@ -445,8 +446,8 @@ def sample_product_states(
     """Draw ``n`` Haar-random product states, yielded in batches.
 
     Each batch holds at most ``_SAMPLE_CHUNK`` (1024) states, so memory
-    stays bounded whatever ``n`` is: at most 1.01 MB traced per batch on a
-    catalog shell.  The batch's fixed cost, about 0.15 ms, is paid once per
+    stays bounded whatever ``n`` is: at most 0.87 MB traced per batch on a
+    catalog shell.  The batch's fixed cost, about 0.1 ms, is paid once per
     1024 states.  Each factor is a complex standard-normal vector,
     normalized; that is exactly the uniform distribution on the factor's
     state sphere.  Every state takes one row of 2(d_s + d_l)

@@ -513,13 +513,11 @@ def gather_expectations(entries, re, im):
 
 
 def gather_evaluate(system, spin, orbital):
-    """The ProductStateBatch fields of unit complex columns, from their real
-    and imaginary parts as contiguous copies."""
+    """The ProductStateBatch fields of unit complex columns."""
     def bloch(twice_j, re, im):
         return gather_expectations(gather_entries(*bloch_operators(twice_j)), re, im)
 
-    s_re, s_im, o_re, o_im = (np.ascontiguousarray(part) for psi in (spin, orbital)
-                              for part in (psi.real, psi.imag))
+    (s_re, s_im), (o_re, o_im) = ((psi.real, psi.imag) for psi in (spin, orbital))
     spin_vec = bloch(system.s.twice, s_re, s_im)
     orbital_vec = bloch(system.l.twice, o_re, o_im)
     product_re = kron_columns(s_re, o_re)
