@@ -41,6 +41,12 @@ CASES = [
     ["--help"],
     ["te", "--help"],
     ["custom", "--help"],
+    ["ions", "--help"],
+    ["witness", "--help"],
+    ["figure1", "--help"],
+    ["verify", "--help"],
+    ["custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "te", "--help"],
+    ["custom", "--two-s", "1", "--two-l", "1", "--zeta", "1", "witness", "--help"],
     ["bogus"],
     ["ions"],
     ["ions", "--format", "json"],
