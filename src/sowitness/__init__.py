@@ -5,9 +5,18 @@ arithmetic (:mod:`sowitness.angular`, :mod:`sowitness.thermal`) and a dense
 product-basis route with its own eigensolver (:mod:`sowitness.dense`).
 Their agreement is part of the test contract: :mod:`sowitness.checks`
 computes it (``verify_catalog``), and ``sowitness verify`` prints it.
+
+Importing the package loads no NumPy.  It runs these steps: it imports
+:mod:`~sowitness.angular` and :mod:`~sowitness.ions`, which hold the exact
+quantum-number bookkeeping and the catalog, and binds their exports.  The
+numeric routes are imported on first use: ``dense`` and the exports of
+:mod:`~sowitness.thermal` are resolved by the module ``__getattr__``, which
+imports their home module and returns its object, so ``sowitness.witness``
+is ``sowitness.thermal.witness``.
 """
 
-from . import dense
+import importlib
+
 from .angular import (
     Convention,
     HalfInt,
@@ -24,15 +33,6 @@ from .ions import (
     hund_rules,
     ion_record,
     load_catalog,
-)
-from .thermal import (
-    EntanglementTemperature,
-    WitnessCurve,
-    WitnessStatus,
-    entanglement_temperature,
-    mean_energy,
-    witness,
-    witness_curve,
 )
 
 __version__ = "0.1.0"
@@ -61,3 +61,21 @@ __all__ = [
     "dense",
     "__version__",
 ]
+
+#: The exports of :mod:`sowitness.thermal`, resolved on first use.
+_THERMAL = frozenset({
+    "EntanglementTemperature", "WitnessCurve", "WitnessStatus",
+    "entanglement_temperature", "mean_energy", "witness", "witness_curve",
+})
+
+
+def __getattr__(name: str):
+    if name == "dense":
+        return importlib.import_module(".dense", __name__)
+    if name in _THERMAL:
+        return getattr(importlib.import_module(".thermal", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,8 +16,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HalfInt",
@@ -175,6 +177,8 @@ def _temperatures(value: float | np.ndarray) -> np.ndarray:
     Every temperature must be positive (``nan`` is not); the closed-form and
     the dense route both check their input here.
     """
+    import numpy as np
+
     temperatures = np.asarray(value, dtype=float)
     if temperatures.ndim > 1:
         raise ValueError(f"temperatures must be a float or a 1-D array, "

@@ -30,9 +30,7 @@ import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from . import dense
 from .angular import Convention, HalfInt, SpinOrbitSystem
-from .checks import verify_catalog
 from .ions import (
     CATALOG,
     CatalogError,
@@ -42,7 +40,6 @@ from .ions import (
     ion_record,
     load_catalog,
 )
-from .thermal import WitnessStatus, _curve_chunks, entanglement_temperature
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -334,11 +331,15 @@ def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[st
     written; the rows are computed one kernel chunk at a time and formatted
     only as they are written.
     """
+    # Each module that computes with NumPy is imported by the function that
+    # calls it, after the command's own argument checks, so that starting
+    # the CLI, a help page or a usage error neither compiles nor loads it.
+    from .thermal import _curve_chunks
+
     try:
         chunks = _curve_chunks(system, args.tmin, args.tmax, args.steps)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    # imported here, so that starting the CLI neither compiles nor loads it
     from ._curve_csv import curve_text
 
     return itertools.chain((CURVE_HEADER + "\n",), itertools.starmap(curve_text, chunks))
@@ -387,6 +388,8 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: str,
              tolerance: float) -> _Result:
+    from .thermal import WitnessStatus, entanglement_temperature
+
     code = EXIT_OK
     lines = ["symbol,convention,te_K,reason"]
     for name, system in records:
@@ -479,6 +482,9 @@ def _run_verify(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Re
         raise _CliError(EXIT_USAGE, "samples must be at least 1")
     if args.seed < 0:
         raise _CliError(EXIT_USAGE, "seed must be non-negative")
+    from . import dense
+    from .checks import verify_catalog
+
     try:
         checks = verify_catalog(catalog, args.seed, args.samples)
     except dense.ConvergenceError as exc:

@@ -152,6 +152,74 @@ def test_importing_checks_loads_no_cli():
     assert (result.stdout, result.stderr) == ("False\n", "")
 
 
+def fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    script = code + "\nimport sys; print(*sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("route, other", [("dense", "thermal"), ("thermal", "dense")])
+def test_each_route_imports_without_the_other(route, other):
+    """The routes stay independent down to their imports: neither loads the
+    other, nor the module that compares them."""
+    loaded = fresh_modules(f"import sowitness.{route}")
+    assert f"sowitness.{route}" in loaded
+    assert {f"sowitness.{other}", "sowitness.checks"} & loaded == set()
+
+
+STARTS = ["import sowitness", "from sowitness import cli; cli.build_parser()"]
+# each with the exit code of cli.main; none of them computes
+QUICK_COMMANDS = [
+    (["ions"], 0),
+    (["ions", "--format", "json"], 0),
+    (["--help"], 0),
+    (["te", "--ion", "Xx"], 3),
+    (["te", "--tolerance", "0"], 2),
+    (["custom", "--two-s", "-1", "--two-l", "1", "--zeta", "1", "te"], 2),
+    (["verify", "--samples", "0"], 2),
+]
+
+
+def cli_modules(argv: list[str]) -> tuple[int, set[str]]:
+    """The exit code of ``cli.main(argv)`` in a fresh interpreter, and the
+    modules it holds afterwards; what the command prints is discarded."""
+    loaded = fresh_modules(
+        "import contextlib, io\n"
+        "from sowitness import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(f'exit:{code}')")
+    code, = (int(name[len("exit:"):]) for name in loaded if name.startswith("exit:"))
+    return code, loaded
+
+
+@pytest.mark.parametrize("code", STARTS)
+def test_starting_loads_no_numpy(code):
+    assert "numpy" not in fresh_modules(code)
+
+
+@pytest.mark.parametrize("argv, code", QUICK_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in QUICK_COMMANDS])
+def test_commands_that_compute_nothing_load_no_numpy(argv, code):
+    exit_code, loaded = cli_modules(argv)
+    assert exit_code == code
+    assert "numpy" not in loaded
+
+
+def test_te_loads_only_the_closed_form_route():
+    code, loaded = cli_modules(["te", "--ion", "Ce"])
+    assert code == 0
+    assert "sowitness.thermal" in loaded
+    assert {"sowitness.dense", "sowitness.checks"} & loaded == set()
+
+
 def test_readme_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     code, = [block for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL)

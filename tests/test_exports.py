@@ -6,6 +6,8 @@ fields of each exported dataclass are pinned the same way."""
 import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +103,36 @@ def test_every_exported_dataclass_is_pinned():
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_dataclass_fields_are_pinned(name):
     assert [f.name for f in dataclasses.fields(DATACLASSES[name])] == FIELDS[name]
+
+
+# -- the numeric routes are resolved on first use --------------------------
+
+LAZY = {name: "sowitness.thermal" for name in EXPORTS["sowitness.thermal"]}
+
+
+def test_dir_lists_every_export():
+    assert set(sowitness.__all__) <= set(dir(sowitness))
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_lazy_export_is_its_home_modules_object(name):
+    assert getattr(sowitness, name) is getattr(sys.modules[LAZY[name]], name)
+
+
+def test_dense_is_its_module():
+    assert sowitness.dense is sys.modules["sowitness.dense"]
+
+
+def test_from_import_in_a_fresh_interpreter():
+    code = ("from sowitness import dense, witness\n"
+            "import sowitness.thermal\n"
+            "print(dense.__name__, witness is sowitness.thermal.witness)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert (result.stdout, result.stderr) == ("sowitness.dense True\n", "")
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'thermal_witness'"):
+        sowitness.thermal_witness
+    assert not hasattr(sowitness, "checks_catalog")
