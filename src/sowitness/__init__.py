@@ -6,13 +6,12 @@ product-basis route with its own eigensolver (:mod:`sowitness.dense`).
 Their agreement is part of the test contract: :mod:`sowitness.checks`
 computes it (``verify_catalog``), and ``sowitness verify`` prints it.
 
-Importing the package loads no NumPy.  It runs these steps: it imports
-:mod:`~sowitness.angular` and :mod:`~sowitness.ions`, which hold the exact
-quantum-number bookkeeping and the catalog, and binds their exports.  The
-numeric routes are imported on first use: ``dense`` and the exports of
-:mod:`~sowitness.thermal` are resolved by the module ``__getattr__``, which
-imports their home module and returns its object, so ``sowitness.witness``
-is ``sowitness.thermal.witness``.
+Importing the package loads no NumPy.  It imports :mod:`sowitness.angular`
+and :mod:`sowitness.ions`, the exact quantum-number bookkeeping and the
+catalog, and binds their exports.  The numeric routes wait for first use:
+the module ``__getattr__`` resolves ``dense`` and the exports of
+:mod:`sowitness.thermal` by importing their home module and returning its
+object, so ``sowitness.witness`` is ``sowitness.thermal.witness``.
 """
 
 import importlib

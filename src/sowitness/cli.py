@@ -10,9 +10,13 @@ byte-identical files.
 arguments, a plainly spelled argv in one pass over tables of the parser's
 own actions (``_plain_args``) and any other with argparse; exits 4 at once
 if there is no ``--output`` and stdout was closed at start-up; loads the
-catalog; runs the command, which returns its exit code and its output;
-writes that output with ``_emit``; and maps a ``_CliError`` or
-``UnknownIonError`` to its exit code.
+catalog; runs the command, which makes its own argument checks, only then
+imports the modules it computes with (``thermal``; ``checks`` and
+``dense`` for ``verify``) and returns its exit code and its output; writes
+that output with ``_emit``; and maps a ``_CliError`` or ``UnknownIonError``
+to its exit code.  So importing this module, building the parser, ``ions``,
+a help page and every usage error but a curve's grid, which ``thermal``
+checks, load no NumPy.
 ``figure1`` also writes its set of files itself, before it returns their
 paths as its output.
 """
@@ -331,9 +335,9 @@ def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[st
     written; the rows are computed one kernel chunk at a time and formatted
     only as they are written.
     """
-    # Each module that computes with NumPy is imported by the function that
-    # calls it, after the command's own argument checks, so that starting
-    # the CLI, a help page or a usage error neither compiles nor loads it.
+    # A module that computes is imported by the function that calls it, after
+    # the command's argument checks, so that starting the CLI neither
+    # compiles nor loads it (nor NumPy).
     from .thermal import _curve_chunks
 
     try:
