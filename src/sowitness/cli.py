@@ -190,6 +190,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
+def _thermal():
+    """The closed-form route, imported on the first ``te`` or curve of a
+    process.  A cached call rather than an ``import`` statement per command:
+    a ``te`` takes a few hundred microseconds, and the import machinery, run
+    on each call, took about 3 % of it."""
+    from . import thermal
+
+    return thermal
+
+
+@functools.cache
 def _levels(
     parser: argparse.ArgumentParser,
 ) -> tuple[dict[str, argparse.Action], argparse.Action | None, dict, frozenset]:
@@ -335,13 +346,11 @@ def _curve_csv(system: SpinOrbitSystem, args: argparse.Namespace) -> Iterator[st
     written; the rows are computed one kernel chunk at a time and formatted
     only as they are written.
     """
-    # A module that computes is imported by the function that calls it, after
-    # the command's argument checks, so that starting the CLI neither
-    # compiles nor loads it (nor NumPy).
-    from .thermal import _curve_chunks
-
+    # A module that computes is imported when a command first computes with
+    # it, after the command's argument checks, so that starting the CLI
+    # neither compiles nor loads it (nor NumPy).
     try:
-        chunks = _curve_chunks(system, args.tmin, args.tmax, args.steps)
+        chunks = _thermal()._curve_chunks(system, args.tmin, args.tmax, args.steps)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     from ._curve_csv import curve_text
@@ -392,15 +401,14 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 def _te_rows(records: Sequence[tuple[str, SpinOrbitSystem]], convention_name: str,
              tolerance: float) -> _Result:
-    from .thermal import WitnessStatus, entanglement_temperature
-
+    thermal = _thermal()
     code = EXIT_OK
     lines = ["symbol,convention,te_K,reason"]
     for name, system in records:
-        result = entanglement_temperature(system, tolerance)
+        result = thermal.entanglement_temperature(system, tolerance)
         te_text = "none" if result.temperature is None else _fmt(result.temperature)
         lines.append(f"{name},{convention_name},{te_text},{result.status.value}")
-        if result.status is WitnessStatus.ABOVE_CAP:
+        if result.status is thermal.WitnessStatus.ABOVE_CAP:
             code = EXIT_VERIFY
     return code, ["\n".join(lines) + "\n"]
 
