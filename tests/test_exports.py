@@ -136,3 +136,10 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'thermal_witness'"):
         sowitness.thermal_witness
     assert not hasattr(sowitness, "checks_catalog")
+
+
+def test_cli_resolves_entanglement_temperature_on_use():
+    from sowitness import cli, thermal
+
+    assert cli.entanglement_temperature is thermal.entanglement_temperature
+    assert not hasattr(cli, "witness_curve")
