@@ -11,8 +11,8 @@ if none does.
 Each case runs ``python -m sowitness`` with ``PYTHONPATH=<checkout>/src`` in
 a fresh working directory, three times: with stdout on a pipe, on
 ``/dev/full`` and closed.  A line holds the argv, the stdout mode, the exit
-code, the sha256 of stdout, the stderr text and the sha256 of each file the
-run left in its working directory.  In argv, ``{out}`` is that directory and
+code, the sha256 of stdout, the stderr text, the sha256 of each file the
+run left in its working directory and the directories it left there.  In argv, ``{out}`` is that directory and
 ``{catalog:NAME}`` one of the catalogs below, written from the checkout's own
 ``ions --format json``.  In stdout and stderr those paths and the checkout
 read as ``<out>``, ``<catalogs>`` and ``<checkout>``.  In stderr a source
@@ -77,6 +77,8 @@ CASES = [
     ["figure1", "--outdir", "{out}/fig"],
     ["figure1", "--outdir", "{out}/fig", "--convention", "multiplet", "--steps", "50"],
     ["figure1", "--outdir", "{catalog:empty}"],
+    # a bad grid exits 2 before the outdir is made
+    ["figure1", "--outdir", "{out}/fig", "--steps", "1"],
     ["verify", "--samples", "100"],
     # one and two states: a batch of one evaluates as a row of any batch
     ["verify", "--samples", "1"],
@@ -234,6 +236,7 @@ def run(checkout: Path, argv: list[str], mode: str, catalog_dir: Path) -> dict:
         stderr = re.sub(r"(\.py\", line )\d+", r"\1<line>", stderr)
         files = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                  for p in sorted(Path(out).rglob("*")) if p.is_file()}
+        dirs = [str(p.relative_to(out)) for p in sorted(Path(out).rglob("*")) if p.is_dir()]
     return {
         "argv": argv,
         "mode": mode,
@@ -241,6 +244,7 @@ def run(checkout: Path, argv: list[str], mode: str, catalog_dir: Path) -> dict:
         "stdout_sha256": None if stdout is None else hashlib.sha256(stdout).hexdigest(),
         "stderr": stderr,
         "files": files,
+        "dirs": dirs,
     }
 
 
