@@ -464,14 +464,15 @@ print(target)
 def _run_figure1(args: argparse.Namespace, catalog: tuple[IonRecord, ...]) -> _Result:
     convention = Convention(args.convention)
     light = [r for r in catalog if r.light and r.zeta is not None]
+    curves = [(record.symbol, f"figure1_{record.symbol}.csv") for record in light]
+    # each _curve_csv checks the grid, so a bad one exits 2 before the directory is made
+    files = [(os.path.join(args.outdir, filename), _curve_csv(record.system(convention), args))
+             for record, (_, filename) in zip(light, curves)]
+    files.append((os.path.join(args.outdir, "plot_figure1.py"), [_PLOT_SCRIPT % (curves,)]))
     try:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot create output directory: {exc}") from exc
-    curves = [(record.symbol, f"figure1_{record.symbol}.csv") for record in light]
-    files = [(os.path.join(args.outdir, filename), _curve_csv(record.system(convention), args))
-             for record, (_, filename) in zip(light, curves)]
-    files.append((os.path.join(args.outdir, "plot_figure1.py"), [_PLOT_SCRIPT % (curves,)]))
     _write_all(files)
     return EXIT_OK, [path + "\n" for path, _ in files]
 

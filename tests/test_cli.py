@@ -916,6 +916,17 @@ class TestFigure1:
         result = run_cli("figure1", "--outdir", str(blocker / "sub"))
         assert result.returncode == 4
 
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(["--steps", "1"], "a curve needs at least 2 steps, got 1", id="steps"),
+        pytest.param(["--tmax", "1e308", "--steps", "3"],
+                     "3 steps up to tmax=1e+308 overflow the float range", id="overflow"),
+    ])
+    def test_bad_grid_creates_no_outdir(self, tmp_path, grid, message):
+        outdir = tmp_path / "new" / "fig"
+        result = run_cli("figure1", "--outdir", str(outdir), *grid)
+        assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_default_run_passes(self):
