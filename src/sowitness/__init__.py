@@ -61,17 +61,12 @@ __all__ = [
     "__version__",
 ]
 
-#: The exports of :mod:`sowitness.thermal`, resolved on first use.
-_THERMAL = frozenset({
-    "EntanglementTemperature", "WitnessCurve", "WitnessStatus",
-    "entanglement_temperature", "mean_energy", "witness", "witness_curve",
-})
-
 
 def __getattr__(name: str):
+    # Only the names not bound above reach here: dense, and the exports of thermal.
     if name == "dense":
         return importlib.import_module(".dense", __name__)
-    if name in _THERMAL:
+    if name in __all__:
         return getattr(importlib.import_module(".thermal", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

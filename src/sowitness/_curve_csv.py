@@ -3,8 +3,6 @@ for byte, built in NumPy; ``cli`` imports it on the first curve it writes."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # curve_text writes a field as 16 byte slots, 0 where empty: the sign, one
@@ -17,9 +15,8 @@ _DIGIT_SLOTS = ((1, 3, 5, 7, 9, 11), (6, 7, 8, 9, 10, 11))
 _EXPONENTS = range(-4, 6)
 
 
-@functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The read-only tables of ``curve_text``, built on its first call.
+    """The read-only tables of ``curve_text``, built once at import.
 
     ``forms`` holds a field's 16 slots, as two words, at row
     24 (e + 4) + 4 (t - 1) + 2 negative + last, for exponent e, t digits
@@ -67,6 +64,9 @@ def _tables() -> tuple[np.ndarray, ...]:
     return tables
 
 
+_FORMS, _HIGH_DIGITS, _LOW_DIGITS, _KEPT_HIGH, _KEPT_LOW, _POWERS, _LAYOUTS = _tables()
+
+
 def curve_text(t: np.ndarray, mean: np.ndarray, w: np.ndarray) -> str:
     """The CSV rows of the columns T, <H> and W, each field the bytes of
     ``format(v, ".6g")``, built in NumPy.
@@ -88,24 +88,23 @@ def curve_text(t: np.ndarray, mean: np.ndarray, w: np.ndarray) -> str:
     nan, a near-tie, |v| rounding below 1e-4 or to 1e+06 or more) gets the
     placeholder "%g" and is formatted by one ``%`` over just those values.
     """
-    forms, high_digits, low_digits, kept_high, kept_low, powers, layouts = _tables()
     values = np.stack((t, mean, w), axis=1).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):  # log10(0); inf - inf
         s = np.abs(values)
         # k = e + 4 indexes _EXPONENTS; fmin and fmax send nan to an end too
         k = np.fmax(np.fmin(np.floor(np.log10(s)), 5.0), -4.0).astype(np.int32) + 4
-        s *= powers.take(k)
+        s *= _POWERS.take(k)
         exact = (s >= 1e5) & (np.abs(s - np.rint(s)) <= 0.5 - 2.0**-30)
         exact &= np.rint(s, out=s) < 1e6
     others = values[~exact].tolist()
     n = np.where(exact, s, 1e5).astype(np.int32)
     high, low = n // 1000, n % 1000
-    form = np.maximum(kept_high.take(high), kept_low.take(low))
+    form = np.maximum(_KEPT_HIGH.take(high), _KEPT_LOW.take(low))
     form += 24 * k
     form += 2 * np.signbit(values)
-    form[~exact] = len(forms) - 2
+    form[~exact] = len(_FORMS) - 2
     form.reshape(-1, 3)[:, 2] += 1  # the separator that ends a row
-    offset = layouts.take(k)
+    offset = _LAYOUTS.take(k)
     high += offset
     low += offset
     del values, s, k, exact, n, offset  # freed before the bytes are built
@@ -113,9 +112,9 @@ def curve_text(t: np.ndarray, mean: np.ndarray, w: np.ndarray) -> str:
     # there; "clip" (every row exists) spares take a temporary for out
     data = bytearray(16 * len(form))
     fields = np.frombuffer(data, "<u8").reshape(-1, 2)
-    forms.take(form, axis=0, out=fields, mode="clip")
-    fields &= high_digits.take(high, axis=0)
-    fields &= low_digits.take(low, axis=0)
+    _FORMS.take(form, axis=0, out=fields, mode="clip")
+    fields &= _HIGH_DIGITS.take(high, axis=0)
+    fields &= _LOW_DIGITS.take(low, axis=0)
     del form, high, low
     text = data.translate(None, b"\0").decode()
     return text % tuple(others) if others else text
