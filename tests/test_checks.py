@@ -213,11 +213,23 @@ def test_commands_that_compute_nothing_load_no_numpy(argv, code):
     assert "numpy" not in loaded
 
 
-def test_te_loads_only_the_closed_form_route():
-    code, loaded = cli_modules(["te", "--ion", "Ce"])
+CLOSED_FORM_COMMANDS = [
+    ["te", "--ion", "Ce"],
+    ["witness", "--ion", "Ce", "--steps", "2"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "900", "te"],
+    ["custom", "--two-s", "1", "--two-l", "6", "--zeta", "900", "witness", "--steps", "2"],
+    ["figure1", "--steps", "2", "--outdir", "{tmp}"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=" ".join)
+def test_closed_form_commands_load_only_their_route(tmp_path, argv):
+    code, loaded = cli_modules([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert code == 0
     assert "sowitness.thermal" in loaded
     assert {"sowitness.dense", "sowitness.checks"} & loaded == set()
+    # the curve commands format their rows with _curve_csv; te has no rows to format
+    assert ("sowitness._curve_csv" in loaded) is ("te" not in argv)
 
 
 def test_readme_example_runs():

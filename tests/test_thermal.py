@@ -489,6 +489,46 @@ class TestEntanglementTemperature:
                 ulps = abs(decimal.Decimal(t) - exact) / decimal.Decimal(math.ulp(t))
                 assert ulps <= 2, (two_s, two_l, t, float(ulps))
 
+    @staticmethod
+    def equal_shell_remainder(n):
+        """A bound on |T_E/|zeta| - (n + 1/4)| at 2s = 2l = n >= 1 under
+        level weights.
+
+        With u = j + 1/2 the excitations are |zeta| (u^2 - 1/4)/2 for
+        u = 1/2 ... n + 1/2, so at t = T/|zeta| the weights go as the even
+        Gaussian f(u) = exp(-u^2/(2t)), and W = 0 where <u^2>_t = n + 1/4.
+        Over every u in 1/2 + N, Poisson summation gives
+        <u^2> = t (1 + 2 sum_m (-1)^m (1 - 4 pi^2 t m^2) q^(m^2))
+        / (1 + 2 sum_m (-1)^m q^(m^2)), q = exp(-2 pi^2 t), within
+        9 pi^2 t^2 q of t.  The levels above u = n + 1/2 that the shell lacks
+        raise <u^2> by at most G / f(1/2), f(1/2) >= exp(-1/8), where for t
+        in [n, n + 1] the tail G of u^2 f(u) from u = n + 3/2 is at most its
+        first term, (n + 3/2)^2 exp(-n/2 - 1), over 1 - r, and
+        r = (1 + 1/(n + 3/2))^2 / e bounds the ratio of its terms.  So
+        <u^2>_t = t + d(t) with |d| <= D on [n, n + 1], and as <u^2> rises
+        with t, its zero lies within D of n + 1/4 wherever D < 1/4.
+        """
+        poisson = 9 * math.pi**2 * (n + 1) ** 2 * math.exp(-2 * math.pi**2 * n)
+        ratio = (1 + 1 / (n + 1.5)) ** 2 / math.e
+        tail = math.exp(0.125) * (n + 1.5) ** 2 * math.exp(-n / 2 - 1) / (1 - ratio)
+        return poisson + tail
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-9])
+    @pytest.mark.parametrize("zeta", [1.0, 900.0])
+    def test_equal_shell_closed_form(self, zeta, tolerance):
+        """At 2s = 2l = n under level weights T_E = |zeta| (n + 1/4), up to
+        the remainder of ``equal_shell_remainder``, which is below half an
+        ulp of T_E from n = 100 on, so the returned value lies within
+        max(tolerance, 32 ulps) of the rounded form (at most 25 ulps here,
+        at 10^5 levels)."""
+        for n in (100, 10**3, 10**4, 10**5):
+            expected = zeta * (n + 0.25)
+            assert zeta * self.equal_shell_remainder(n) < math.ulp(expected) / 2
+            sys_ = SpinOrbitSystem(HalfInt(n), HalfInt(n), zeta, LEVEL)
+            t = entanglement_temperature(sys_, tolerance).temperature
+            bound = max(tolerance, 32 * math.ulp(expected))
+            assert abs(t - expected) <= bound, (n, t, (t - expected) / math.ulp(expected))
+
     @pytest.mark.parametrize("convention", [LEVEL, MULTIPLET])
     def test_shells_near_two_to_the_53_are_above_the_cap(self, convention):
         """At 2s near 2^53 every excitation is at least |zeta| (2s - 2l + 2) / 2,
