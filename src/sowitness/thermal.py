@@ -261,9 +261,10 @@ def entanglement_temperature(
     unreliable an ulp or so from it.  Against an exact decimal W(T) on 20000
     random crossings with 2s, 2l <= 12, every returned value lay within
     max(tolerance, 6 ulps) of the zero, all but 32 within max(tolerance,
-    3 ulps).  The floor does not grow with the shell: at s = 1/2, 2l from 6
-    to 2e7 and zeta = 900 K the value is within 1.01 ulps of the
-    closed-form zero, and at 2s = 2l = 1e4, zeta = 1 K, within 2 ulps.
+    3 ulps).  With two levels (s = 1/2, 2l from 6 to 2e7, zeta = 900 K) it is
+    within 1.01 ulps of the closed-form zero; with many it grows, as the
+    summation order decides (ROADMAP.md, item 17): at 2s = 2l, level weights,
+    up to 3 ulps at 101 levels, 16 at 1e4, 29 at 1e5 and 56 at 1e6.
 
     The search stops when the bracket is no wider than ``tolerance``, when
     its ends are adjacent floats, or when a Newton step no longer moves the
