@@ -12,13 +12,13 @@ Each case runs ``python -m sowitness`` with ``PYTHONPATH=<checkout>/src`` in
 a fresh working directory, three times: with stdout on a pipe, on
 ``/dev/full`` and closed.  A line holds the argv, the stdout mode, the exit
 code, the sha256 of stdout, the stderr text, the sha256 of each file the
-run left in its working directory and the directories it left there.  In argv, ``{out}`` is that directory and
-``{catalog:NAME}`` one of the catalogs below, written from the checkout's own
-``ions --format json``.  In stdout and stderr those paths and the checkout
-read as ``<out>``, ``<catalogs>`` and ``<checkout>``.  In stderr a source
-line number reads as ``<line>``, and the source line that a warning quotes is
-dropped, so an edit that only moves or rewords a line does not show as a
-change.
+run left in its working directory and the directories it left there.  In
+argv, ``{out}`` is that directory and ``{catalog:NAME}`` one of the
+catalogs below, written from the checkout's own ``ions --format json``.
+In stdout and stderr those paths and the checkout read as ``<out>``,
+``<catalogs>`` and ``<checkout>``.  In stderr a source line number reads as
+``<line>``, and the source line that a warning quotes is dropped, so an edit
+that only moves or rewords a line does not show as a change.
 
 Standard library only; pytest does not collect this file.
 """

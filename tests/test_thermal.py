@@ -500,8 +500,8 @@ class TestEntanglementTemperature:
         Over every u in 1/2 + N, Poisson summation gives
         <u^2> = t (1 + 2 sum_m (-1)^m (1 - 4 pi^2 t m^2) q^(m^2))
         / (1 + 2 sum_m (-1)^m q^(m^2)), q = exp(-2 pi^2 t), within
-        9 pi^2 t^2 q of t.  The levels above u = n + 1/2 that the shell lacks
-        raise <u^2> by at most G / f(1/2), f(1/2) >= exp(-1/8), where for t
+        9 pi^2 t^2 q of t.  The shell ends at u = n + 1/2, which lowers <u^2>
+        by at most G / f(1/2), f(1/2) >= exp(-1/8), where for t
         in [n, n + 1] the tail G of u^2 f(u) from u = n + 3/2 is at most its
         first term, (n + 3/2)^2 exp(-n/2 - 1), over 1 - r, and
         r = (1 + 1/(n + 3/2))^2 / e bounds the ratio of its terms.  So
