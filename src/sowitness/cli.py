@@ -193,8 +193,8 @@ def _parser() -> argparse.ArgumentParser:
 def _thermal():
     """The closed-form route, imported on the first ``te`` or curve of a
     process.  A cached call, not an ``import`` per command: with one, the
-    benchmark's ``scan`` lost 9 of 10 pairs, ``ops_per_kref`` -3.9 %, on a
-    ``te`` of about 0.1 ms in-process."""
+    benchmark's ``scan`` lost 9 and 7 of 10 pairs in two series
+    (``ops_per_kref`` -3.9 % and -2.7 %), on a ``te`` of about 0.1 ms."""
     from . import thermal
 
     return thermal
